@@ -11,7 +11,6 @@ from .model import (
     NeighborhoodSets,
     NoiseFamily,
     Ordering,
-    PartialOrdering,
     WeightedDag,
     is_topological,
     mixing_matrix,
@@ -29,7 +28,6 @@ from .regression import (
 )
 from .scoring import (
     DegenerateResidual,
-    ScoreValue,
     fit_scale,
     laplace_fast_score,
     llr_score,
@@ -54,7 +52,7 @@ from .simulate import (
     sample_noise,
     sample_weights,
 )
-from .sorter import SortConfig, SortResult, population_check, sort, sort_exact, sort_fast
+from .sorter import SortConfig, SortResult, population_check, sort
 from .metrics import fit_coefficients, heldout_loglik, order_error, reversed_edge_count
 
 __all__ = [
@@ -66,10 +64,8 @@ __all__ = [
     "NeighborhoodSets",
     "NoiseFamily",
     "Ordering",
-    "PartialOrdering",
     "RankDeficient",
     "ResidualState",
-    "ScoreValue",
     "STREAM_GRAPH",
     "STREAM_NOISE",
     "STREAM_REPLICATE",
@@ -107,8 +103,6 @@ __all__ = [
     "sample_noise",
     "sample_weights",
     "sort",
-    "sort_exact",
-    "sort_fast",
     "standardize",
     "top_correlated",
 ]

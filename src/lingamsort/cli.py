@@ -38,7 +38,7 @@ from .model import (
     is_topological,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
-from .regression import apply_moments, column_moments, standardize
+from .regression import ZeroVarianceColumn, apply_moments, column_moments, standardize
 from .simulate import (
     STREAM_REPLICATE,
     STREAM_SPLIT,
@@ -49,7 +49,7 @@ from .simulate import (
     rng_stream,
     sample_dataset,
 )
-from .sorter import SortConfig, SortResult, sort as run_sort
+from .sorter import SortConfig, sort as run_sort
 
 
 class UsageError(Exception):
@@ -89,7 +89,11 @@ def read_data_csv(path: str | Path) -> DataMatrix:
                 raise UsageError(f"{path}:{i}: {exc}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows))
+    values = np.asarray(rows)
+    if not np.isfinite(values).all():
+        i, k = np.argwhere(~np.isfinite(values))[0]
+        raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}")
+    return DataMatrix(values)
 
 
 def _read_json(path: str | Path) -> dict:
@@ -189,7 +193,7 @@ def write_neighborhoods(path: str | Path, nbhd: NeighborhoodSets) -> None:
 def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
     doc = _read_json(path)
     try:
-        return NeighborhoodSets.from_lists(doc)
+        return NeighborhoodSets(doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -297,27 +301,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sort_data(x: DataMatrix, args: argparse.Namespace) -> tuple[SortResult, NeighborhoodSets, DataMatrix, str]:
-    family = family_from_doc(args.family, "--family")
-    nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
-    cfg = SortConfig(
-        family=family,
-        neighborhoods=nbhd,
-        mode=args.mode,
-        trace=args.trace,
-        updates_within_neighborhood=args.restrict_updates,
-    )
-    return run_sort(rows, cfg), nbhd, rows, descriptor
-
-
 def cmd_sort(args: argparse.Namespace) -> int:
     x = read_data_csv(args.data)
-    result, _, rows, descriptor = _sort_data(x, args)
+    family = family_from_doc(args.family, "--family")
+    nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
+    try:
+        result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd, trace=args.trace))
+    except ZeroVarianceColumn as exc:
+        raise UsageError(f"{args.data}: column v{exc.column} is constant") from None
     doc = {
         "p": x.p,
         "n_sorted": rows.n,
         "family": args.family,
-        "mode": args.mode,
         "neighborhoods": descriptor,
         "ordering": list(result.ordering.perm),
         "update_count": result.update_count,
@@ -325,7 +320,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
         "diagnostics": {
             "degenerate": [[k, t] for k, t in result.diagnostics.get("degenerate", [])],
             "skipped_updates": len(result.diagnostics.get("skipped_updates", [])),
-            "truncated": [list(row) for row in result.diagnostics.get("truncated", [])],
         },
     }
     if result.step_scores is not None:
@@ -366,7 +360,6 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
     family = family_from_doc(_require(cell, "family", where), where)
-    mode = cell.get("mode", "fast")
     scheme = cell.get("neighborhoods", "mb")
     if scheme.startswith("corr:"):
         parts = scheme.split(":")
@@ -383,24 +376,14 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
         seed = derive_seed(base_seed, STREAM_REPLICATE, cell_idx, r)
         record = {
             "cell": cell_idx, "replicate": r, "seed": seed, "p": p, "n": n,
-            "family": str(family), "mode": mode, "neighborhoods": scheme,
+            "family": str(family), "neighborhoods": scheme,
             "order_error": None, "is_topological": None, "update_count": None,
             "wall_time_ms": None, "error": None,
         }
         try:
-            cfg = SimConfig(
-                p=p, n=n, seed=seed, family=family,
-                graph=LargeSparse(
-                    root_frac=float(graph_doc.get("root_frac", 0.05)),
-                    min_parents=int(graph_doc.get("min_parents", 1)),
-                    max_parents=int(graph_doc.get("max_parents", 2)),
-                ),
-                coef_low=float(cell.get("coef_low", 0.4)),
-                coef_high=float(cell.get("coef_high", 0.9)),
-                scale_low=float(cell.get("scale_low", 0.4)),
-                scale_high=float(cell.get("scale_high", 0.7)),
-            )
-            w, _, x = sample_dataset(cfg)
+            sim_doc = {**cell, "n": n, "seed": seed,
+                       "graph": {"scheme": "large-sparse", **graph_doc}}
+            w, _, x = sample_dataset(parse_sim_config(sim_doc, Path(), where))
             if scheme == "mb":
                 nbhd, rows = markov_blankets(w.dag), x
             elif scheme == "full":
@@ -408,8 +391,7 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
             else:
                 hold, rows = _split_rows(x, corr_frac, derive_seed(seed, STREAM_SPLIT))
                 nbhd = top_correlated(hold, corr_m)
-            sort_cfg = SortConfig(family=family, neighborhoods=nbhd, mode=mode)
-            result = run_sort(rows, sort_cfg)
+            result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd))
             record["order_error"] = order_error(w.dag, result.ordering)
             record["is_topological"] = is_topological(w.dag, result.ordering)
             record["update_count"] = result.update_count
@@ -451,7 +433,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     nbhd, rows, _ = resolve_neighborhoods(args.neighborhoods, x)
     mean, sd = column_moments(rows.values)
     if np.any(sd == 0):
-        raise UsageError("training data has a constant column")
+        raise UsageError(f"{args.data}: column v{np.flatnonzero(sd == 0)[0]} is constant")
     train = standardize(rows)
     b_hat, scales = fit_coefficients(train, ordering, nbhd, family)
     nz = np.nonzero(b_hat)
@@ -520,14 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     srt.add_argument("--data", required=True, help="CSV data matrix")
     srt.add_argument("--family", default="laplace",
                      help="laplace | logistic | scaled-t:NU")
-    srt.add_argument("--mode", choices=["fast", "exact"], default="fast")
     srt.add_argument("--neighborhoods", default="full",
                      help="full | FILE.json | corr:m:frac:seed")
     srt.add_argument("--trace", action="store_true", help="record per-step scores")
     srt.add_argument("--timings", action="store_true",
                      help="emit measured wall time (breaks byte-stability)")
-    srt.add_argument("--restrict-updates", action="store_true",
-                     help="no effect: updates already stay within each node's neighborhood")
     srt.add_argument("--out", default="ordering.json")
     srt.set_defaults(func=cmd_sort)
 

@@ -322,26 +322,6 @@ class Ordering:
         return len(self.perm)
 
 
-class PartialOrdering:
-    """The growing prefix of an ordering plus a membership mask."""
-
-    def __init__(self, p: int):
-        self.chosen: list[int] = []
-        self.member = np.zeros(p, dtype=bool)
-
-    def add(self, k: int) -> None:
-        if self.member[k]:
-            raise ValueError(f"node {k} already ordered")
-        self.member[k] = True
-        self.chosen.append(int(k))
-
-    def __contains__(self, k: int) -> bool:
-        return bool(self.member[k])
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-
 class NeighborhoodSets:
     """Per-node candidate neighbor sets; node k never contains itself."""
 
@@ -363,10 +343,6 @@ class NeighborhoodSets:
 
     def to_lists(self) -> list[list[int]]:
         return [[int(j) for j in s] for s in self.sets]
-
-    @classmethod
-    def from_lists(cls, lists: Sequence[Iterable[int]]) -> "NeighborhoodSets":
-        return cls(lists)
 
 
 def mixing_matrix(w: WeightedDag) -> np.ndarray:

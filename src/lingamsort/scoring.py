@@ -9,8 +9,6 @@ an equivalent norm-ratio shortcut is provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
@@ -88,18 +86,7 @@ def fit_scale(family: NoiseFamily, residual: np.ndarray) -> tuple[float, float]:
     return eta, sigma
 
 
-@dataclass
-class ScoreValue:
-    """One node's likelihood-ratio score and the scales behind it."""
-
-    value: float
-    sigma_hat: float
-    eta_hat: float
-    node: int | None = None
-    stale: bool = False
-
-
-def llr_score(family: NoiseFamily, residual: np.ndarray, node: int | None = None) -> ScoreValue:
+def llr_score(family: NoiseFamily, residual: np.ndarray) -> float:
     """Mean log-likelihood ratio of the fitted family over a matched normal.
 
     value = mean_i [ log g(r_i; eta_hat) - log phi(r_i; sigma_hat) ], with
@@ -109,8 +96,7 @@ def llr_score(family: NoiseFamily, residual: np.ndarray, node: int | None = None
     residual = np.asarray(residual, dtype=float)
     eta, sigma = fit_scale(family, residual)
     gauss = -0.5 * LOG_2PI - math.log(sigma) - 0.5 * (residual / sigma) ** 2
-    value = float(np.mean(log_density(family, residual, eta) - gauss))
-    return ScoreValue(value=value, sigma_hat=sigma, eta_hat=eta, node=node)
+    return float(np.mean(log_density(family, residual, eta) - gauss))
 
 
 def laplace_fast_score(residual: np.ndarray) -> float:

@@ -4,30 +4,22 @@ At each step the unsorted node whose current residual looks most
 non-Gaussian (highest likelihood-ratio score) is appended to the ordering.
 A node's residual is its raw standardized column regressed, jointly and
 by least squares, on the raw columns of its neighbors among the
-already-sorted set.  Two modes compute that same residual:
+already-sorted set.  Every unsorted node's residual is kept current: when
+the selected node ``sel`` is appended, each unsorted k with ``sel`` in its
+neighborhood gains one regressor, and its residual is updated by one step
+of an incremental Cholesky factorization of the Gram matrix of k's sorted
+neighbors (Golub & Van Loan, *Matrix Computations* 6.5).  Nodes whose
+sorted-neighbor sets are equal share one factor.
 
-* ``fast`` keeps every unsorted node's residual current.  When the
-  selected node ``sel`` is appended, each unsorted k with ``sel`` in its
-  neighborhood gains one regressor; the residual is updated by one step of
-  an incremental Cholesky factorization of the Gram matrix of k's sorted
-  neighbors (Golub & Van Loan, *Matrix Computations* 6.5).  Nodes whose
-  sorted-neighbor sets are equal share one factor.
-* ``exact`` re-solves, at every step, the joint least-squares regression
-  of each affected unsorted node from scratch.  It is the literal sample
-  version of the population selection rule and serves as the reference
-  for ``fast``.
-
-``update_count`` of a fast run counts the length-n inner products spent
-on residual updates.  Each update event (one node gaining one regressor)
-costs 1, for u'r_k.  Extending a factor by ``sel`` costs |S_k| + 1 more,
-for Z_k'x_sel and delta = u'u, and serves every node that shares the
-factor: an event costs |S_k| + 2 when it extends a factor and 1 when the
-factor is shared.  When k's factor is the one ``sel`` was regressed on,
-u = r_sel and the extension costs 1, for delta alone; such a factor
-defers its own Cholesky row, and filling it in later, if an extension
-needs it, costs |S| once.  Work therefore grows as O(p d) for
-neighborhoods of size at most d.  ``updates_within_neighborhood`` (CLI
-``--restrict-updates``) no longer changes anything.
+``update_count`` counts the length-n inner products spent on residual
+updates.  Each update event (one node gaining one regressor) costs 1, for
+u'r_k.  Extending a factor by ``sel`` costs |S_k| + 1 more, for Z_k'x_sel
+and delta = u'u, and serves every node that shares the factor: an event
+costs |S_k| + 2 when it extends a factor and 1 when the factor is shared.
+When k's factor is the one ``sel`` was regressed on, u = r_sel and the
+extension costs 1, for delta alone; such a factor defers its own Cholesky
+row, and filling it in later, if an extension needs it, costs |S| once.
+Work therefore grows as O(p d) for neighborhoods of size at most d.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -49,19 +41,15 @@ from .model import (
     NeighborhoodSets,
     NoiseFamily,
     Ordering,
-    PartialOrdering,
     WeightedDag,
     is_topological,
 )
 from .neighborhoods import markov_blankets
-from .regression import PIVOT_RTOL, RankDeficient, ols_residual, standardize
+from .regression import PIVOT_RTOL, standardize
 # perfbench/trace_step.py wraps this name here; the sorter no longer calls it
 from .regression import partial_update  # noqa: F401
 from .scoring import DegenerateResidual, llr_score
 from .simulate import sample_data
-
-FAST = "fast"
-EXACT = "exact"
 
 # Residual mean square below this is treated as numerically zero when scoring.
 DEGENERATE_MEAN_SQUARE = 1e-12
@@ -69,27 +57,11 @@ DEGENERATE_MEAN_SQUARE = 1e-12
 
 @dataclass
 class SortConfig:
-    """Options for one sorting run.
-
-    ``tie_break`` admits only "lowest-index"; the field exists to make the
-    rule explicit in serialized configurations.
-    ``updates_within_neighborhood`` no longer changes anything: fast mode
-    regresses each node on its own sorted neighbors only, with or without
-    it.
-    """
+    """Options for one sorting run; ``trace`` records every step's scores."""
 
     family: NoiseFamily
     neighborhoods: NeighborhoodSets
-    mode: str = FAST
     trace: bool = False
-    tie_break: str = "lowest-index"
-    updates_within_neighborhood: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in (FAST, EXACT):
-            raise ValueError(f"mode must be {FAST!r} or {EXACT!r}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("the only supported tie break is 'lowest-index'")
 
 
 @dataclass
@@ -101,35 +73,16 @@ class SortResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _ensure_standardized(x: DataMatrix) -> DataMatrix:
-    return x if x.standardized else standardize(x)
-
-
 def _score_or_neginf(family, residual, node, step, degenerate_log):
     ms = float(residual @ residual) / residual.size
     if ms < DEGENERATE_MEAN_SQUARE:
         degenerate_log.append((int(node), int(step)))
         return -np.inf
     try:
-        return llr_score(family, residual, node=node).value
+        return llr_score(family, residual)
     except DegenerateResidual:
         degenerate_log.append((int(node), int(step)))
         return -np.inf
-
-
-def _argmax_lowest_index(scores: np.ndarray, mask: np.ndarray) -> int:
-    candidates = np.flatnonzero(mask)
-    # np.argmax returns the first maximum, which is the lowest index here
-    return int(candidates[np.argmax(scores[candidates])])
-
-
-def _check_config(x: DataMatrix, cfg: SortConfig) -> None:
-    if cfg.neighborhoods.p != x.p:
-        raise ValueError(
-            f"neighborhoods cover {cfg.neighborhoods.p} nodes, data has {x.p}"
-        )
-    if cfg.family.tag == GAUSSIAN:
-        warnings.warn("scoring with the Gaussian family carries no ordering signal")
 
 
 @dataclass(eq=False, slots=True)
@@ -213,13 +166,13 @@ def _append_row(lower: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def sort_fast(x: DataMatrix, cfg: SortConfig) -> SortResult:
+def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
 
-    The residuals, and so the orderings, are those of :func:`sort_exact`:
-    node k is regressed on the raw columns Z_k of its sorted neighbors S_k.
-    When ``sel`` is appended, every unsorted k with ``sel`` in N(k) (found
-    through a reverse index built once) takes ``sel`` into S_k::
+    Node k's residual is its column regressed on the raw columns Z_k of its
+    sorted neighbors S_k.  When ``sel`` is appended, every unsorted k with
+    ``sel`` in N(k) (found through a reverse index built once) takes ``sel``
+    into S_k::
 
         y = L_k^-1 Z_k' x_sel,  u = x_sel - Z_k L_k^-T y,  delta = u'u
         r_k <- r_k - (u'r_k / delta) u,  L_k gains the row (y', sqrt(delta))
@@ -235,18 +188,23 @@ def sort_fast(x: DataMatrix, cfg: SortConfig) -> SortResult:
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
     by all nodes on the factor, so |S_k| + 2 for an event that extends a
     factor and 1 for one that shares it; see the module docstring.
-    ``updates_within_neighborhood`` no longer changes anything: every
-    update already stays within the target's neighborhood.
+    Raises ValueError when the neighborhoods cover another node count than
+    the data or a neighborhood has more members than there are samples.
     """
     started = time.perf_counter()
-    _check_config(x, cfg)
+    if cfg.neighborhoods.p != x.p:
+        raise ValueError(
+            f"neighborhoods cover {cfg.neighborhoods.p} nodes, data has {x.p}"
+        )
+    if cfg.family.tag == GAUSSIAN:
+        warnings.warn("scoring with the Gaussian family carries no ordering signal")
     biggest = max((s.size for s in cfg.neighborhoods.sets), default=0)
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     p = x.p
     # column-major, as every update touches single columns; a standardized
     # copy made here is dropped at once, which keeps two n x p arrays alive
-    values = np.asfortranarray(_ensure_standardized(x).values)
+    values = np.asfortranarray((x if x.standardized else standardize(x)).values)
     r = values.copy(order="F")
     updater = _FactorUpdater(values, r)
     factor = [updater.root] * p
@@ -261,16 +219,17 @@ def sort_fast(x: DataMatrix, cfg: SortConfig) -> SortResult:
     for k in range(p):
         scores[k] = _score_or_neginf(cfg.family, r[:, k], k, 0, degenerate)
 
-    partial = PartialOrdering(p)
+    chosen: list[int] = []
     unsorted = np.ones(p, dtype=bool)
     trace: list[list[tuple[int, float]]] | None = [] if cfg.trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
     for t in range(p):
+        live = np.flatnonzero(unsorted)
         if trace is not None:
-            live = np.flatnonzero(unsorted)
             trace.append([(int(k), float(scores[k])) for k in live])
-        sel = _argmax_lowest_index(scores, unsorted)
-        partial.add(sel)
+        # np.argmax returns the first maximum, which is the lowest index here
+        sel = int(live[np.argmax(scores[live])])
+        chosen.append(sel)
         unsorted[sel] = False
         extended: dict[_Factor, tuple | None] = {}
         for k in affected[sel]:
@@ -290,7 +249,7 @@ def sort_fast(x: DataMatrix, cfg: SortConfig) -> SortResult:
                 updater.inner_products += 1
             scores[k] = _score_or_neginf(cfg.family, r[:, k], k, t + 1, degenerate)
     return SortResult(
-        ordering=Ordering(partial.chosen),
+        ordering=Ordering(chosen),
         update_count=updater.inner_products,
         wall_time=time.perf_counter() - started,
         step_scores=trace,
@@ -302,74 +261,6 @@ def sort_fast(x: DataMatrix, cfg: SortConfig) -> SortResult:
     )
 
 
-def sort_exact(x: DataMatrix, cfg: SortConfig) -> SortResult:
-    """Order all nodes by re-solving the joint OLS residual at every step.
-
-    Node k's residual at step t is its raw standardized column regressed on
-    the raw columns of its neighbors among the already-sorted set.  When
-    that regressor set exceeds n - 1 columns it is truncated to the n - 1
-    most |correlated| with k (a warning is emitted); rank-deficient designs
-    raise :class:`~lingamsort.regression.RankDeficient` tagged with the
-    node and step.
-    """
-    started = time.perf_counter()
-    _check_config(x, cfg)
-    x = _ensure_standardized(x)
-    n, p = x.n, x.p
-    values = np.asfortranarray(x.values)
-    nbhd = [np.asarray(s, dtype=np.int64) for s in cfg.neighborhoods.sets]
-
-    degenerate: list[tuple[int, int]] = []
-    truncated: list[tuple[int, int, int]] = []
-    scores = np.empty(p)
-    stale = np.ones(p, dtype=bool)
-
-    partial = PartialOrdering(p)
-    unsorted = np.ones(p, dtype=bool)
-    trace: list[list[tuple[int, float]]] | None = [] if cfg.trace else None
-    for t in range(p):
-        for k in np.flatnonzero(unsorted & stale):
-            k = int(k)
-            regressors = nbhd[k][partial.member[nbhd[k]]]
-            if regressors.size > n - 1:
-                truncated.append((k, t, int(regressors.size)))
-                corr = np.abs(values[:, regressors].T @ values[:, k]) / n
-                keep = np.argsort(-corr, kind="stable")[: n - 1]
-                regressors = np.sort(regressors[keep])
-                warnings.warn(
-                    f"step {t}: node {k} has {corr.size} sorted neighbors; "
-                    f"truncating to the {n - 1} most correlated"
-                )
-            try:
-                resid, _ = ols_residual(values[:, k], values[:, regressors])
-            except RankDeficient as exc:
-                exc.node, exc.step = k, t
-                raise
-            scores[k] = _score_or_neginf(cfg.family, resid, k, t, degenerate)
-            stale[k] = False
-        if trace is not None:
-            live = np.flatnonzero(unsorted)
-            trace.append([(int(k), float(scores[k])) for k in live])
-        sel = _argmax_lowest_index(scores, unsorted)
-        partial.add(sel)
-        unsorted[sel] = False
-        for k in np.flatnonzero(unsorted):
-            if sel in nbhd[k]:
-                stale[k] = True
-    return SortResult(
-        ordering=Ordering(partial.chosen),
-        update_count=0,
-        wall_time=time.perf_counter() - started,
-        step_scores=trace,
-        diagnostics={"degenerate": degenerate, "truncated": truncated},
-    )
-
-
-def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
-    """Dispatch on ``cfg.mode``."""
-    return sort_fast(x, cfg) if cfg.mode == FAST else sort_exact(x, cfg)
-
-
 def population_check(
     w: WeightedDag,
     n_large: int,
@@ -378,20 +269,20 @@ def population_check(
 ) -> dict:
     """Empirical stand-in for the identifiability guarantee.
 
-    For each seed, draws ``n_large`` observations from ``w``, sorts them in
-    exact mode with the true Markov blankets, and records whether the
-    result is a topological ordering of the generating dag.  For
-    Gaussian-noise negative controls pass the scoring family explicitly
-    (it defaults to Laplace there, since Gaussian scores are uninformative).
+    For each seed, draws ``n_large`` observations from ``w``, sorts them
+    with the true Markov blankets, and records whether the result is a
+    topological ordering of the generating dag.  For Gaussian-noise
+    negative controls pass the scoring family explicitly (it defaults to
+    Laplace there, since Gaussian scores are uninformative).
     """
     if score_family is None:
         score_family = NoiseFamily.laplace() if w.family.tag == GAUSSIAN else w.family
     nbhd = markov_blankets(w.dag)
-    cfg = SortConfig(family=score_family, neighborhoods=nbhd, mode=EXACT)
+    cfg = SortConfig(family=score_family, neighborhoods=nbhd)
     outcomes: list[bool] = []
     for seed in seeds:
         x = standardize(sample_data(w, n_large, seed))
-        result = sort_exact(x, cfg)
+        result = sort(x, cfg)
         outcomes.append(is_topological(w.dag, result.ordering))
     return {
         "p": w.p,

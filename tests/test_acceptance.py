@@ -36,7 +36,7 @@ from lingamsort import (
     sample_dataset,
     sample_noise,
     sample_weights,
-    sort_fast,
+    sort,
     standardize,
     top_correlated,
 )
@@ -100,7 +100,7 @@ def test_criterion_03_fast_score_equivalence():
         vectors = [rng.standard_normal(int(rng.integers(16, 400))) * rng.uniform(0.05, 20)
                    for _ in range(20)]
         fast = np.array([laplace_fast_score(v) for v in vectors])
-        full = np.array([llr_score(LAP, v).value for v in vectors])
+        full = np.array([llr_score(LAP, v) for v in vectors])
         argmax_matches += int(np.argmax(fast)) == int(np.argmax(full))
         worst_gap_dev = max(worst_gap_dev, float(np.max(np.abs(full - fast - LAPLACE_GAP))))
     ok = argmax_matches == 100 and worst_gap_dev <= 1e-12
@@ -116,7 +116,7 @@ def _median_errors(p: int, n: int, gen_family: NoiseFamily, score_family: NoiseF
         cfg = SimConfig(p=p, n=n, seed=derive_seed(seed_base, n, r), family=gen_family,
                         graph=LargeSparse(), scale_low=0.4, scale_high=0.7)
         w, _, x = sample_dataset(cfg)
-        res = sort_fast(x, SortConfig(family=score_family, neighborhoods=markov_blankets(w.dag)))
+        res = sort(x, SortConfig(family=score_family, neighborhoods=markov_blankets(w.dag)))
         errors.append(order_error(w.dag, res.ordering))
     return float(np.median(errors))
 
@@ -160,7 +160,7 @@ def test_criterion_06_large_p_scalability():
             cfg = SimConfig(p=p, n=p // 2, seed=derive_seed(1601, p, r), family=LAP,
                             graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
             w, _, x = sample_dataset(cfg)
-            res = sort_fast(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
+            res = sort(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
             counts.append(res.update_count)
             events.append(res.diagnostics["rescore_events"])
             cap_ok &= res.update_count <= p * (p - 1)
@@ -174,7 +174,7 @@ def test_criterion_06_large_p_scalability():
     cfg = SimConfig(p=5000, n=2500, seed=derive_seed(1602, 0), family=LAP,
                     graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
     w, _, x = sample_dataset(cfg)
-    big = sort_fast(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
+    big = sort(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
     err = order_error(w.dag, big.ordering)
     cap_ok &= big.update_count <= 5000 * 4999
     ok = slope_ok and err <= 0.05 and cap_ok
@@ -192,10 +192,10 @@ def test_criterion_07_scale_invariance():
                         graph=LargeSparse(), scale_low=0.4, scale_high=0.7)
         w, _, x = sample_dataset(cfg)
         nbhd = markov_blankets(w.dag)
-        base = sort_fast(x, SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
+        base = sort(x, SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
         c = rng_stream(derive_seed(1701, r), 3).uniform(0.1, 10.0, x.p)
-        scaled = sort_fast(DataMatrix(x.values * c),
-                           SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
+        scaled = sort(DataMatrix(x.values * c),
+                      SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
         identical += base == scaled
     ok = identical == 20
     _report(7, "column rescaling leaves the ordering bit-identical", ok,
@@ -246,7 +246,7 @@ def test_criterion_10_heldout_likelihood_ordering():
         hold = np.sort(perm[: train.n // 5])
         rest = np.sort(perm[train.n // 5:])
         nbhd = top_correlated(DataMatrix(train.values[hold]), 10)
-        res = sort_fast(DataMatrix(train.values[rest]), SortConfig(family=LAP, neighborhoods=nbhd))
+        res = sort(DataMatrix(train.values[rest]), SortConfig(family=LAP, neighborhoods=nbhd))
         mean, sd = column_moments(train.values)
         train_std = standardize(train)
         test_std = apply_moments(test, mean, sd)

@@ -72,6 +72,13 @@ class TestFileFormats:
         with pytest.raises(UsageError, match="expected 2 fields"):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"v0,v1\n1.0,2.0\n3.0,{cell}\n5.0,6.0\n")
+        assert main(["sort", "--data", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert f"{path}:3: column v1" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -138,8 +145,7 @@ class TestSortEvalPipeline:
             assert main(["generate", "--config", str(cfg), "--out-data", str(data),
                          "--out-truth", str(truth)]) == 0
             assert main(["sort", "--data", str(data), "--family", "laplace",
-                         "--mode", "fast", "--neighborhoods", "full",
-                         "--out", str(ordering)]) == 0
+                         "--neighborhoods", "full", "--out", str(ordering)]) == 0
             capsys.readouterr()
             assert main(["eval", "--truth", str(truth), "--ordering", str(ordering)]) == 0
             report = json.loads(capsys.readouterr().out)
@@ -222,6 +228,26 @@ class TestSortEvalPipeline:
         assert main(["sort", "--data", str(data), "--neighborhoods", str(nbhd_path),
                      "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_constant_column_exits_2_naming_it(self, tmp_path, capsys):
+        rng = rng_stream(3, 0)
+        values = rng.standard_normal((50, 3))
+        values[:, 1] = 2.5
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(values))
+        out = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--out", str(out)]) == 2
+        assert "column v1 is constant" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text(json.dumps({"ordering": [0, 1, 2]}))
+        assert main(["fit", "--data", str(data), "--ordering", str(out),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "column v1 is constant" in capsys.readouterr().err
+
+    def test_removed_mode_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sort", "--data", str(tmp_path / "d.csv"), "--mode", "fast"])
+        assert exc.value.code == 2
+
     def test_missing_input_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "o.json"
         code = main(["sort", "--data", str(tmp_path / "missing.csv"), "--out", str(out)])
@@ -260,10 +286,10 @@ class TestBenchmark:
         cfg.write_text(json.dumps({
             "base_seed": 42,
             "cells": [
-                {"p": 10, "n_mult": 10, "family": "laplace", "mode": "fast",
+                {"p": 10, "n_mult": 10, "family": "laplace",
                  "neighborhoods": "mb", "replicates": 2,
                  "scale_low": 0.25, "scale_high": 0.9},
-                {"p": 8, "n": 64, "family": "logistic", "mode": "exact",
+                {"p": 8, "n": 64, "family": "logistic",
                  "neighborhoods": "full", "replicates": 2},
             ],
         }))

@@ -184,4 +184,4 @@ class TestNeighborhoodSets:
     def test_lists_round_trip(self):
         nbhd = NeighborhoodSets([[2, 1], [0], [0]])
         assert nbhd.to_lists() == [[1, 2], [0], [0]]
-        assert NeighborhoodSets.from_lists(nbhd.to_lists()).to_lists() == nbhd.to_lists()
+        assert NeighborhoodSets(nbhd.to_lists()).to_lists() == nbhd.to_lists()

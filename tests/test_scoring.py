@@ -99,17 +99,17 @@ def hashable(family: NoiseFamily) -> int:
 
 class TestLlrScore:
     def test_laplace_hand_value(self):
-        score = llr_score(LAP, np.array([1.0, -1.0, 1.0, -1.0]))
-        assert score.value == pytest.approx(LAPLACE_GAP, abs=1e-12)
-        assert score.sigma_hat == 1.0 and score.eta_hat == 1.0
+        r = np.array([1.0, -1.0, 1.0, -1.0])
+        assert llr_score(LAP, r) == pytest.approx(LAPLACE_GAP, abs=1e-12)
+        assert fit_scale(LAP, r) == (1.0, 1.0)
 
     def test_scale_invariance(self):
         rng = rng_stream(17, 0)
         r = rng.standard_normal(512) + rng.uniform(-1, 1, 512)
         for family in (LAP, LOGI, T10):
-            base = llr_score(family, r).value
+            base = llr_score(family, r)
             for c in (1e-3, 0.7, 13.0, 1e4):
-                assert llr_score(family, c * r).value == pytest.approx(base, abs=1e-10)
+                assert llr_score(family, c * r) == pytest.approx(base, abs=1e-10)
 
     def test_matches_quadrature_oracle_for_laplace_data(self):
         # population value of E[log g(R; eta*) - log phi(R; sigma*)] under
@@ -124,7 +124,7 @@ class TestLlrScore:
         oracle = quad(integrand, -40.0, 40.0)[0]
         assert oracle == pytest.approx(0.5 * math.log(math.pi) - 0.5, abs=1e-9)
         draws = sample_noise(LAP, 1.0, 10**6, rng_stream(19, 2, 0))
-        assert llr_score(LAP, draws).value == pytest.approx(oracle, abs=0.005)
+        assert llr_score(LAP, draws) == pytest.approx(oracle, abs=0.005)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateResidual):
@@ -135,10 +135,10 @@ class TestLlrScore:
         matched = {}
         for family in (LAP, LOGI, T10):
             draws = sample_noise(family, 1.0, n, rng_stream(23, 2, hashable(family)))
-            matched[family.tag] = llr_score(family, draws).value
+            matched[family.tag] = llr_score(family, draws)
             assert matched[family.tag] > 0
         gauss_draws = rng_stream(23, 2, 9).standard_normal(n)
-        gauss_under_laplace = llr_score(LAP, gauss_draws).value
+        gauss_under_laplace = llr_score(LAP, gauss_draws)
         assert gauss_under_laplace < 0.02
         assert gauss_under_laplace < matched["laplace"]
 
@@ -157,7 +157,7 @@ class TestLaplaceFastScore:
         rng = rng_stream(29, 0)
         for _ in range(25):
             r = rng.standard_normal(int(rng.integers(8, 400)))
-            gap = llr_score(LAP, r).value - laplace_fast_score(r)
+            gap = llr_score(LAP, r) - laplace_fast_score(r)
             assert gap == pytest.approx(LAPLACE_GAP, abs=1e-12)
 
     def test_argmax_equivalence(self):
@@ -165,7 +165,7 @@ class TestLaplaceFastScore:
         for _ in range(50):
             vectors = [rng.standard_normal(64) * rng.uniform(0.1, 10) for _ in range(12)]
             fast = np.array([laplace_fast_score(v) for v in vectors])
-            full = np.array([llr_score(LAP, v).value for v in vectors])
+            full = np.array([llr_score(LAP, v) for v in vectors])
             assert int(np.argmax(fast)) == int(np.argmax(full))
 
     def test_degenerate(self):

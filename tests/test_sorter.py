@@ -4,6 +4,7 @@ import pytest
 from conftest import chain_dag, weighted_chain
 from lingamsort import (
     DataMatrix,
+    DegenerateResidual,
     LargeSparse,
     NoiseFamily,
     SimConfig,
@@ -14,36 +15,66 @@ from lingamsort import (
     is_topological,
     llr_score,
     markov_blankets,
+    ols_residual,
     order_error,
     population_check,
     rng_stream,
     sample_data,
     sample_dataset,
     sort,
-    sort_exact,
-    sort_fast,
     standardize,
     top_correlated,
 )
+from lingamsort.sorter import DEGENERATE_MEAN_SQUARE
 
 LAP = NoiseFamily.laplace()
 
 
-def _cfg(nbhd, **kw):
-    return SortConfig(family=LAP, neighborhoods=nbhd, **kw)
+def _cfg(nbhd, family=LAP, **kw):
+    return SortConfig(family=family, neighborhoods=nbhd, **kw)
+
+
+def _oracle_score(family, resid):
+    if float(resid @ resid) / resid.size < DEGENERATE_MEAN_SQUARE:
+        return -np.inf
+    try:
+        return llr_score(family, resid)
+    except DegenerateResidual:
+        return -np.inf
+
+
+def oracle_sort(x, family, nbhd):
+    """The selection rule, naively: at every step re-solve each unsorted
+    node's joint OLS residual on its sorted neighbors, score it, and append
+    the best node, ties going to the lowest index.  Returns the ordering and
+    every step's (node, score) list."""
+    values = standardize(x).values
+    done = np.zeros(x.p, dtype=bool)
+    perm, steps = [], []
+    for _ in range(x.p):
+        step = []
+        for k in np.flatnonzero(~done):
+            s = nbhd.sets[k]
+            resid, _ = ols_residual(values[:, k], values[:, s[done[s]]])
+            step.append((int(k), _oracle_score(family, resid)))
+        sel = max(step, key=lambda ks: ks[1])[0]  # first maximum: lowest index
+        perm.append(sel)
+        steps.append(step)
+        done[sel] = True
+    return tuple(perm), steps
 
 
 class TestSortFast:
     def test_single_node(self):
         x = DataMatrix(np.random.default_rng(0).standard_normal((10, 1)))
-        res = sort_fast(x, _cfg(full_neighborhoods(1)))
+        res = sort(x, _cfg(full_neighborhoods(1)))
         assert res.ordering.perm == (0,)
         assert res.update_count == 0
 
     def test_two_node_chain(self):
         w = weighted_chain(2, 0.8, 0.5, LAP)
         x = sample_data(w, 5000, seed=7)
-        res = sort_fast(x, _cfg(full_neighborhoods(2)))
+        res = sort(x, _cfg(full_neighborhoods(2)))
         assert res.ordering.perm == (0, 1)
         assert is_topological(w.dag, res.ordering)
 
@@ -58,7 +89,7 @@ class TestSortFast:
             weights = sample_weights(dag, 0.8, 0.8, rng_stream(derive_seed(5000, r), 1))
             w = WeightedDag(dag, weights, LAP, np.full(20, 0.5))
             x = sample_data(w, 1000, derive_seed(5000, r, 9))
-            res = sort_fast(x, _cfg(nbhd))
+            res = sort(x, _cfg(nbhd))
             wins += order_error(dag, res.ordering) == 0.0
         assert wins >= 27
 
@@ -66,15 +97,15 @@ class TestSortFast:
         cfg = SimConfig(p=15, n=300, seed=44, family=LAP)
         _, _, x = sample_dataset(cfg)
         nbhd = full_neighborhoods(15)
-        a = sort_fast(x, _cfg(nbhd))
-        b = sort_fast(x, _cfg(nbhd))
+        a = sort(x, _cfg(nbhd))
+        b = sort(x, _cfg(nbhd))
         assert a.ordering.perm == b.ordering.perm
         assert a.update_count == b.update_count
 
     def test_update_count_bounded(self):
         cfg = SimConfig(p=8, n=200, seed=9, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort_fast(x, _cfg(full_neighborhoods(8)))
+        res = sort(x, _cfg(full_neighborhoods(8)))
         assert res.update_count <= 8 * 7
 
     def test_column_rescaling_invariance(self):
@@ -82,16 +113,16 @@ class TestSortFast:
             cfg = SimConfig(p=20, n=500, seed=derive_seed(7000, r), family=LAP)
             w, _, x = sample_dataset(cfg)
             nbhd = markov_blankets(w.dag)
-            base = sort_fast(x, _cfg(nbhd)).ordering.perm
+            base = sort(x, _cfg(nbhd)).ordering.perm
             c = rng_stream(derive_seed(7000, r, 1), 0).uniform(0.1, 10.0, x.p)
-            scaled = sort_fast(DataMatrix(x.values * c), _cfg(nbhd)).ordering.perm
+            scaled = sort(DataMatrix(x.values * c), _cfg(nbhd)).ordering.perm
             assert base == scaled
 
     def test_duplicate_column_deferred_with_diagnostic(self):
         rng = np.random.default_rng(1)
         col = rng.standard_normal(128)
         x = DataMatrix(np.column_stack([col, col, rng.standard_normal(128)]))
-        res = sort_fast(x, _cfg(full_neighborhoods(3)))
+        res = sort(x, _cfg(full_neighborhoods(3)))
         assert sorted(res.ordering.perm) == [0, 1, 2]
         assert res.diagnostics["degenerate"]
         # one of the twins is perfectly explained and must come last
@@ -103,14 +134,14 @@ class TestSortFast:
         p = 8
         cfg = SimConfig(p=p, n=200, seed=9, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort_fast(x, _cfg(full_neighborhoods(p)))
+        res = sort(x, _cfg(full_neighborhoods(p)))
         assert res.diagnostics["rescore_events"] == p * (p - 1) // 2
         assert res.update_count == p * (p - 1) // 2 + p - 1
 
     def test_collinear_regressor_skipped_and_recorded(self):
         col = np.random.default_rng(2).standard_normal(64)
         x = DataMatrix(np.column_stack([col, col, col]))
-        res = sort_fast(x, _cfg(full_neighborhoods(3)))
+        res = sort(x, _cfg(full_neighborhoods(3)))
         assert res.ordering.perm == (0, 1, 2)
         # node 1's residual is zero once 0 is sorted, so it cannot serve
         # as a regressor for node 2
@@ -119,40 +150,32 @@ class TestSortFast:
     def test_trace_shapes(self):
         cfg = SimConfig(p=6, n=100, seed=2, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort_fast(x, _cfg(full_neighborhoods(6), trace=True))
+        res = sort(x, _cfg(full_neighborhoods(6), trace=True))
         assert len(res.step_scores) == 6
         assert [len(step) for step in res.step_scores] == [6, 5, 4, 3, 2, 1]
 
     def test_neighborhood_size_cannot_exceed_n(self):
         x = DataMatrix(np.random.default_rng(3).standard_normal((5, 8)))
         with pytest.raises(ValueError, match="neighborhood"):
-            sort_fast(x, _cfg(full_neighborhoods(8)))
+            sort(x, _cfg(full_neighborhoods(8)))
 
     def test_neighborhood_p_mismatch(self):
         x = DataMatrix(np.random.default_rng(4).standard_normal((20, 3)))
         with pytest.raises(ValueError, match="nodes"):
-            sort_fast(x, _cfg(full_neighborhoods(4)))
-
-    def test_restricted_update_variant_runs(self):
-        cfg = SimConfig(p=12, n=400, seed=5, family=LAP)
-        w, _, x = sample_dataset(cfg)
-        res = sort_fast(x, _cfg(markov_blankets(w.dag), updates_within_neighborhood=True))
-        assert sorted(res.ordering.perm) == list(range(12))
-
-    def test_tie_break_fixed_rule_only(self):
-        with pytest.raises(ValueError):
-            SortConfig(family=LAP, neighborhoods=full_neighborhoods(2), tie_break="random")
+            sort(x, _cfg(full_neighborhoods(4)))
 
 
 class TestSortExact:
+    """``sort`` on small cases, two of them against :func:`oracle_sort`."""
+
     def test_step_one_scores_are_raw_column_scores(self):
         cfg = SimConfig(p=5, n=200, seed=6, family=LAP)
         _, _, x = sample_dataset(cfg)
         std = standardize(x)
-        res = sort_exact(std, _cfg(full_neighborhoods(5), mode="exact", trace=True))
+        res = sort(std, _cfg(full_neighborhoods(5), trace=True))
         first = dict(res.step_scores[0])
         for k in range(5):
-            assert first[k] == pytest.approx(llr_score(LAP, std.values[:, k]).value, abs=1e-12)
+            assert first[k] == pytest.approx(llr_score(LAP, std.values[:, k]), abs=1e-12)
 
     def test_orthogonal_columns_agree_with_fast(self):
         # exactly orthogonal, exactly mean-zero columns: QR against a
@@ -162,9 +185,7 @@ class TestSortExact:
         cols = q[:, 1:]
         x = DataMatrix(cols / cols.std(axis=0))
         nbhd = full_neighborhoods(5)
-        fast = sort_fast(x, _cfg(nbhd)).ordering.perm
-        exact = sort_exact(x, _cfg(nbhd, mode="exact")).ordering.perm
-        assert fast == exact
+        assert sort(x, _cfg(nbhd)).ordering.perm == oracle_sort(x, LAP, nbhd)[0]
 
     def test_sparse_graph_agreement_with_fast(self):
         agree, errs = 0, []
@@ -173,34 +194,20 @@ class TestSortExact:
                             graph=LargeSparse(root_frac=0.05))
             w, _, x = sample_dataset(cfg)
             nbhd = markov_blankets(w.dag)
-            fast = sort_fast(x, _cfg(nbhd))
-            exact = sort_exact(x, _cfg(nbhd, mode="exact"))
-            agree += fast.ordering.perm == exact.ordering.perm
-            errs.append(max(order_error(w.dag, fast.ordering), order_error(w.dag, exact.ordering)))
-        assert agree >= 18
+            res = sort(x, _cfg(nbhd))
+            agree += res.ordering.perm == oracle_sort(x, LAP, nbhd)[0]
+            errs.append(order_error(w.dag, res.ordering))
+        assert agree == 20
         assert max(errs) <= 0.02
-
-    def test_truncates_oversized_regressor_sets(self):
-        rng = np.random.default_rng(8)
-        x = DataMatrix(rng.standard_normal((5, 8)))
-        with pytest.warns(UserWarning, match="truncating"):
-            res = sort_exact(x, _cfg(full_neighborhoods(8), mode="exact"))
-        assert sorted(res.ordering.perm) == list(range(8))
-        assert res.diagnostics["truncated"]
 
     def test_deterministic(self):
         cfg = SimConfig(p=9, n=500, seed=10, family=LAP)
         _, _, x = sample_dataset(cfg)
         nbhd = full_neighborhoods(9)
-        a = sort_exact(x, _cfg(nbhd, mode="exact"))
-        b = sort_exact(x, _cfg(nbhd, mode="exact"))
+        a = sort(x, _cfg(nbhd, trace=True))
+        b = sort(x, _cfg(nbhd, trace=True))
         assert a.ordering.perm == b.ordering.perm
-
-    def test_dispatch(self):
-        cfg = SimConfig(p=4, n=100, seed=11, family=LAP)
-        _, _, x = sample_dataset(cfg)
-        res = sort(x, _cfg(full_neighborhoods(4), mode="exact"))
-        assert res.update_count == 0
+        assert a.step_scores == b.step_scores
 
 
 def _neighborhoods(kind, w, x):
@@ -212,22 +219,31 @@ def _neighborhoods(kind, w, x):
     return full_neighborhoods(x.p)
 
 
-class TestFastMatchesExact:
-    """Both modes compute the joint-OLS residual on the sorted neighbors, so
-    they must give the same ordering for every kind of neighborhood."""
+# Laplace, the default scoring family, keeps the bare neighborhood id.
+_FAMILY_CASES = [
+    pytest.param(kind, family, id=kind if family == LAP else f"{kind}-{family.tag}")
+    for family in (LAP, NoiseFamily.logistic(), NoiseFamily.scaled_t(10))
+    for kind in ("mb", "corr", "full")
+]
 
-    @pytest.mark.parametrize("kind", ["mb", "corr", "full"])
-    def test_same_ordering(self, kind):
+
+class TestFastMatchesExact:
+    """``sort``'s incrementally updated residuals are the joint-OLS residuals
+    that :func:`oracle_sort` re-solves at every step, so both must give the
+    same ordering and scores for every kind of neighborhood and family."""
+
+    @pytest.mark.parametrize("kind, family", _FAMILY_CASES)
+    def test_same_ordering(self, kind, family):
         for r in range(3):
             for p in (15, 40):
-                cfg = SimConfig(p=p, n=4 * p, seed=derive_seed(9100, p, r), family=LAP,
+                cfg = SimConfig(p=p, n=4 * p, seed=derive_seed(9100, p, r), family=family,
                                 graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
                 w, _, x = sample_dataset(cfg)
                 nbhd = _neighborhoods(kind, w, x)
-                fast = sort_fast(x, _cfg(nbhd, trace=True))
-                exact = sort_exact(x, _cfg(nbhd, mode="exact", trace=True))
-                assert fast.ordering.perm == exact.ordering.perm, (kind, p, r)
-                for a, b in zip(fast.step_scores, exact.step_scores):
+                res = sort(x, _cfg(nbhd, family, trace=True))
+                perm, steps = oracle_sort(x, family, nbhd)
+                assert res.ordering.perm == perm, (kind, p, r)
+                for a, b in zip(res.step_scores, steps):
                     assert [k for k, _ in a] == [k for k, _ in b]
                     np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
                                                rtol=1e-8, atol=1e-10)
