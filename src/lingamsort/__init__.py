@@ -18,12 +18,10 @@ from .model import (
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .regression import (
     RankDeficient,
-    ResidualState,
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
     ols_residual,
-    partial_update,
     standardize,
 )
 from .scoring import (
@@ -65,7 +63,6 @@ __all__ = [
     "NoiseFamily",
     "Ordering",
     "RankDeficient",
-    "ResidualState",
     "STREAM_GRAPH",
     "STREAM_NOISE",
     "STREAM_REPLICATE",
@@ -93,7 +90,6 @@ __all__ = [
     "mixing_matrix",
     "ols_residual",
     "order_error",
-    "partial_update",
     "population_check",
     "reversed_edge_count",
     "rng_stream",

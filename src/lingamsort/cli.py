@@ -38,7 +38,14 @@ from .model import (
     is_topological,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
-from .regression import ZeroVarianceColumn, apply_moments, column_moments, standardize
+from .regression import (
+    RankDeficient,
+    ZeroVarianceColumn,
+    apply_moments,
+    column_moments,
+    standardize,
+)
+from .scoring import DegenerateResidual
 from .simulate import (
     STREAM_REPLICATE,
     STREAM_SPLIT,
@@ -259,11 +266,14 @@ def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets,
     """Parse ``full`` / ``file.json`` / ``corr:m:frac:seed``.
 
     Returns the sets, the rows left for estimation (the input minus any
-    correlation holdout), and a normalized descriptor string.
+    correlation holdout), and a normalized descriptor string.  Every set
+    must fit in the estimation rows: a node cannot have more neighbors
+    than there are rows to regress it on.
     """
+    rows = x
     if option == "full":
-        return full_neighborhoods(x.p), x, "full"
-    if option.startswith("corr:"):
+        nbhd = full_neighborhoods(x.p)
+    elif option.startswith("corr:"):
         parts = option.split(":")
         if len(parts) != 4:
             raise UsageError("expected corr:m:frac:seed")
@@ -271,17 +281,30 @@ def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets,
             m, frac, seed = int(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise UsageError(f"bad corr specification: {exc}") from None
-        hold, rest = _split_rows(x, frac, seed)
+        hold, rows = _split_rows(x, frac, seed)
         if not 0 < m < x.p:
             raise UsageError(f"corr: need 0 < m < p, got m={m}, p={x.p}")
-        return top_correlated(hold, m), rest, option
-    path = Path(option)
-    if not path.exists():
-        raise UsageError(f"neighborhood file not found: {option}")
-    nbhd = read_neighborhoods(path)
-    if nbhd.p != x.p:
-        raise UsageError(f"{option}: covers {nbhd.p} nodes, data has {x.p}")
-    return nbhd, x, option
+        nbhd = top_correlated(hold, m)
+    else:
+        path = Path(option)
+        if not path.exists():
+            raise UsageError(f"neighborhood file not found: {option}")
+        nbhd = read_neighborhoods(path)
+        if nbhd.p != x.p:
+            raise UsageError(f"{option}: covers {nbhd.p} nodes, data has {x.p}")
+    for k, s in enumerate(nbhd.sets):
+        if s.size > rows.n:
+            raise UsageError(f"{option}: node {k} has {s.size} neighbors, "
+                             f"more than the {rows.n} estimation rows")
+    return nbhd, rows, option
+
+
+def _read_estimation_csv(path: str | Path) -> DataMatrix:
+    """A data CSV that a model is estimated from: at least two rows."""
+    x = read_data_csv(path)
+    if x.n < 2:
+        raise UsageError(f"{path}: estimation needs at least two data rows, found {x.n}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sort(args: argparse.Namespace) -> int:
-    x = read_data_csv(args.data)
+    x = _read_estimation_csv(args.data)
     family = family_from_doc(args.family, "--family")
     nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
     try:
@@ -425,7 +448,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    x = read_data_csv(args.data)
+    x = _read_estimation_csv(args.data)
     ordering = read_ordering(args.ordering)
     if ordering.p != x.p:
         raise UsageError(f"ordering has {ordering.p} nodes, data has {x.p}")
@@ -435,7 +458,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if np.any(sd == 0):
         raise UsageError(f"{args.data}: column v{np.flatnonzero(sd == 0)[0]} is constant")
     train = standardize(rows)
-    b_hat, scales = fit_coefficients(train, ordering, nbhd, family)
+    try:
+        b_hat, scales = fit_coefficients(train, ordering, nbhd, family)
+    except RankDeficient as exc:
+        raise UsageError(f"{args.data}: the predecessors of column v{exc.node} "
+                         "are collinear") from None
+    except DegenerateResidual as exc:
+        raise UsageError(f"{args.data}: column v{exc.node} is explained exactly "
+                         "by its predecessors") from None
     nz = np.nonzero(b_hat)
     doc = {
         "p": x.p,

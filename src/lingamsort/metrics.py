@@ -5,7 +5,7 @@ import numpy as np
 
 from .model import Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering
 from .regression import RankDeficient, ols_residual
-from .scoring import fit_scale, log_density
+from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, fit_scale, log_density
 
 
 def reversed_edge_count(dag: Dag, ordering: Ordering) -> int:
@@ -36,6 +36,12 @@ def fit_coefficients(
     predecessors in the ordering; column k of the returned matrix holds the
     coefficients (zero elsewhere) and ``scales[k]`` is the family's scale
     estimate on the final residual.  Requires self-standardized data.
+
+    Raises :class:`RankDeficient` for the first node whose regressors are
+    collinear; failing that, :class:`DegenerateResidual` for the first node
+    that its regressors explain exactly (residual mean square under
+    ``DEGENERATE_MEAN_SQUARE``, the bar at which ``sort`` defers a node).
+    Both carry the node in ``.node``.
     """
     if not x.standardized:
         raise ValueError("fit_coefficients expects standardized data")
@@ -44,6 +50,7 @@ def fit_coefficients(
     pos = ordering.positions()
     b_hat = np.zeros((x.p, x.p))
     scales = np.empty(x.p)
+    degenerate: list[int] = []
     for k in range(x.p):
         candidates = nbhd.sets[k]
         regressors = candidates[pos[candidates] < pos[k]]
@@ -56,7 +63,12 @@ def fit_coefficients(
             b_hat[regressors, k] = beta
         else:
             resid = x.values[:, k]
-        scales[k] = fit_scale(family, resid)[0]
+        if float(resid @ resid) / resid.size < DEGENERATE_MEAN_SQUARE:
+            degenerate.append(k)
+        else:
+            scales[k] = fit_scale(family, resid)[0]
+    if degenerate:
+        raise DegenerateResidual(degenerate[0])
     return b_hat, scales
 
 

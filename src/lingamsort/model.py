@@ -289,9 +289,6 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def column(self, k: int) -> np.ndarray:
-        return self.values[:, k]
-
 
 @dataclass(frozen=True)
 class Ordering:

@@ -1,11 +1,30 @@
-"""Least-squares kernels: standardization, joint OLS, partial regression.
+"""Least-squares kernels: standardization, joint OLS, incremental Cholesky.
 
 No intercepts appear anywhere: columns are standardized to mean zero
 before any fitting, so regressions go through the origin.  Joint OLS
 solves the normal equations by Cholesky with a relative pivot floor;
 neighborhoods are small, so this is both fast and numerically adequate.
+
+The sorter keeps each node's joint-OLS residual current as its regressor
+set grows one column at a time.  :class:`ResidualState` holds the raw
+columns, their residuals and the count of inner products spent.  Each
+regressor set has a lower Cholesky factor of its Gram matrix (Golub & Van
+Loan, *Matrix Computations* 6.5), and :func:`partial_update` extends one
+factor by one column and returns the new direction u.
+
+``update_count`` counts the length-n inner products spent on residual
+updates.  Each update event (one node gaining one regressor) costs 1, for
+u'r_k.  Extending a factor by ``sel`` costs |S_k| + 1 more, for Z_k'x_sel
+and delta = u'u, and serves every node that shares the factor: an event
+costs |S_k| + 2 when it extends a factor and 1 when the factor is shared.
+When k's factor is the one ``sel`` was regressed on, u = r_sel and the
+extension costs 1, for delta alone; such a factor defers its own Cholesky
+row, and filling it in later, if an extension needs it, costs |S| once.
+Work therefore grows as O(p d) for neighborhoods of size at most d.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -15,10 +34,6 @@ from .model import DataMatrix
 # Relative floor for the Cholesky pivots of Z'Z: below it the design is
 # treated as rank deficient.
 PIVOT_RTOL = 1e-10
-
-# A residual column with squared norm below this fraction of n carries no
-# usable signal; partial updates against it are skipped.
-DEGENERATE_NORM2_PER_ROW = 1e-12
 
 
 class ZeroVarianceColumn(ValueError):
@@ -33,10 +48,9 @@ class RankDeficient(ValueError):
     """The regression design matrix is numerically rank deficient."""
 
     def __init__(self, message: str = "design matrix is rank deficient",
-                 node: int | None = None, step: int | None = None):
+                 node: int | None = None):
         super().__init__(message)
         self.node = node
-        self.step = step
 
 
 def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,59 +118,90 @@ def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y - z @ beta, beta
 
 
+@dataclass(eq=False, slots=True)
+class _Factor:
+    """Lower Cholesky factor of the Gram matrix of some raw columns.
+
+    ``cols`` lists the columns in the order they joined.  A factor made
+    through the shared direction u = r_sel leaves ``chol`` unset and keeps
+    its ``parent`` and ``delta`` = u'u instead; its last row is computed
+    only if a later extension needs the whole factor.  Factors compare by
+    identity: nodes share a factor exactly when they hold the same object.
+    """
+
+    cols: np.ndarray
+    chol: np.ndarray | None = None
+    parent: _Factor | None = None
+    delta: float = 0.0
+
+
 class ResidualState:
-    """Evolving residual matrix R and partial-regression coefficient rows.
+    """Raw columns, their evolving residuals, and the inner products spent.
 
-    ``rows[k]`` maps source column a to the coefficient used when R_k was
-    regressed on R_a; the diagonal entry rows[k][k] = 1 is set at
-    construction and never rewritten.  Presence in the dict is the support
-    marker: an off-diagonal entry is written at most once, even when the
-    fitted coefficient happens to be zero.
+    ``values`` are the standardized columns; ``r`` is a private copy of
+    them that the caller updates into residuals.  ``root`` is the empty
+    factor every node starts from.
     """
 
-    def __init__(self, standardized_values: np.ndarray):
-        values = np.asarray(standardized_values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("need an n x p matrix")
-        # private copy in column-major order: every operation here touches
-        # single columns
-        self.r = np.array(values, dtype=float, order="F")
-        self.rows: list[dict[int, float]] = [{k: 1.0} for k in range(values.shape[1])]
-        self.update_count = 0
-        self.skipped: list[tuple[int, int]] = []
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.r = values.copy(order="F")
+        self.pivot_floor = PIVOT_RTOL * values.shape[0]
+        self.inner_products = 0
+        self.root = _Factor(np.empty(0, dtype=np.int64), np.empty((0, 0)))
 
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
+    def chol(self, factor: _Factor) -> np.ndarray:
+        """The factor's lower Cholesky matrix, filling in deferred rows."""
+        pending = []
+        while factor.chol is None:
+            pending.append(factor)
+            factor = factor.parent
+        for f in reversed(pending):
+            lower = f.parent.chol
+            c = self.values[:, f.parent.cols].T @ self.values[:, f.cols[-1]]
+            self.inner_products += c.size
+            y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
+            f.chol = _append_row(lower, y, f.delta)
+            f.parent = None
+            factor = f
+        return factor.chol
 
-    @property
-    def p(self) -> int:
-        return self.r.shape[1]
 
-    @classmethod
-    def from_data(cls, x: DataMatrix) -> "ResidualState":
-        return cls(x.values)
+def partial_update(state: ResidualState, factor: _Factor, sel: int, shared: bool):
+    """(child factor, u, delta) for ``factor`` extended by column ``sel``,
+    or None when x_sel is numerically in the span of its columns.
 
-
-def partial_update(state: ResidualState, k: int, a: int) -> bool:
-    """Regress residual column k on residual column a and subtract the fit.
-
-    Writes the simple-regression coefficient into ``state.rows[k][a]`` and
-    increments the update counter.  If column a is numerically degenerate
-    (squared norm under ``DEGENERATE_NORM2_PER_ROW`` per row) the update is
-    skipped and recorded instead of raising.  Returns True when performed.
+    u is x_sel's residual on the factor's columns and delta = u'u; a
+    regressor with ``delta <= PIVOT_RTOL * n`` counts as collinear.  When
+    the factor is the one ``sel`` itself was regressed on (``shared``),
+    that residual is r_sel and nothing is solved.  A node on the factor
+    then takes ``r_k <- r_k - (u'r_k / delta) u``.
     """
-    if k == a:
-        raise ValueError("cannot regress a column on itself")
-    if a in state.rows[k]:
-        raise ValueError(f"column {k} was already regressed on column {a}")
-    ra = state.r[:, a]
-    denom = float(ra @ ra)
-    if denom < DEGENERATE_NORM2_PER_ROW * state.n:
-        state.skipped.append((k, a))
-        return False
-    coef = float(ra @ state.r[:, k]) / denom
-    state.rows[k][a] = coef
-    state.r[:, k] -= coef * ra
-    state.update_count += 1
-    return True
+    if shared:
+        u = state.r[:, sel]
+    else:
+        lower = state.chol(factor)
+        z = state.values[:, factor.cols]
+        c = z.T @ state.values[:, sel]
+        state.inner_products += c.size
+        y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
+        beta = scipy.linalg.solve_triangular(lower, y, trans="T", lower=True,
+                                             check_finite=False)
+        u = state.values[:, sel] - z @ beta
+    delta = float(u @ u)
+    state.inner_products += 1
+    if delta <= state.pivot_floor:
+        return None
+    cols = np.append(factor.cols, sel)
+    if shared:
+        return _Factor(cols, parent=factor, delta=delta), u, delta
+    return _Factor(cols, _append_row(lower, y, delta)), u, delta
+
+
+def _append_row(lower: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
+    m = y.size
+    out = np.zeros((m + 1, m + 1))
+    out[:m, :m] = lower
+    out[m, :m] = y
+    out[m, m] = np.sqrt(delta)
+    return out

@@ -16,6 +16,10 @@ from .model import GAUSSIAN, LAPLACE, LOGISTIC, SCALED_T, NoiseFamily
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Residual mean square below this is treated as numerically zero: the
+# residual is degenerate, its node explained exactly by its regressors.
+DEGENERATE_MEAN_SQUARE = 1e-12
+
 
 class DegenerateResidual(ValueError):
     """A residual vector is identically zero and carries no information."""

@@ -8,18 +8,10 @@ already-sorted set.  Every unsorted node's residual is kept current: when
 the selected node ``sel`` is appended, each unsorted k with ``sel`` in its
 neighborhood gains one regressor, and its residual is updated by one step
 of an incremental Cholesky factorization of the Gram matrix of k's sorted
-neighbors (Golub & Van Loan, *Matrix Computations* 6.5).  Nodes whose
-sorted-neighbor sets are equal share one factor.
-
-``update_count`` counts the length-n inner products spent on residual
-updates.  Each update event (one node gaining one regressor) costs 1, for
-u'r_k.  Extending a factor by ``sel`` costs |S_k| + 1 more, for Z_k'x_sel
-and delta = u'u, and serves every node that shares the factor: an event
-costs |S_k| + 2 when it extends a factor and 1 when the factor is shared.
-When k's factor is the one ``sel`` was regressed on, u = r_sel and the
-extension costs 1, for delta alone; such a factor defers its own Cholesky
-row, and filling it in later, if an extension needs it, costs |S| once.
-Work therefore grows as O(p d) for neighborhoods of size at most d.
+neighbors, :func:`lingamsort.regression.partial_update`.  Nodes whose
+sorted-neighbor sets are equal share one factor.  ``update_count`` counts
+the length-n inner products spent on these updates, as the
+:mod:`lingamsort.regression` docstring sets out.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -33,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     GAUSSIAN,
@@ -45,14 +36,9 @@ from .model import (
     is_topological,
 )
 from .neighborhoods import markov_blankets
-from .regression import PIVOT_RTOL, standardize
-# perfbench/trace_step.py wraps this name here; the sorter no longer calls it
-from .regression import partial_update  # noqa: F401
-from .scoring import DegenerateResidual, llr_score
+from .regression import ResidualState, partial_update, standardize
+from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, llr_score
 from .simulate import sample_data
-
-# Residual mean square below this is treated as numerically zero when scoring.
-DEGENERATE_MEAN_SQUARE = 1e-12
 
 
 @dataclass
@@ -85,87 +71,6 @@ def _score_or_neginf(family, residual, node, step, degenerate_log):
         return -np.inf
 
 
-@dataclass(eq=False, slots=True)
-class _Factor:
-    """Lower Cholesky factor of the Gram matrix of some raw columns.
-
-    ``cols`` lists the columns in the order they joined.  A factor made
-    through the shared direction u = r_sel leaves ``chol`` unset and keeps
-    its ``parent`` and ``delta`` = u'u instead; its last row is computed
-    only if a later extension needs the whole factor.  Factors compare by
-    identity: nodes share a factor exactly when they hold the same object.
-    """
-
-    cols: np.ndarray
-    chol: np.ndarray | None = None
-    parent: _Factor | None = None
-    delta: float = 0.0
-
-
-class _FactorUpdater:
-    """Extends factors by one column and counts the inner products spent."""
-
-    def __init__(self, values: np.ndarray, r: np.ndarray):
-        self.values = values
-        self.r = r
-        self.pivot_floor = PIVOT_RTOL * values.shape[0]
-        self.inner_products = 0
-        self.root = _Factor(np.empty(0, dtype=np.int64), np.empty((0, 0)))
-
-    def chol(self, factor: _Factor) -> np.ndarray:
-        """The factor's lower Cholesky matrix, filling in deferred rows."""
-        pending = []
-        while factor.chol is None:
-            pending.append(factor)
-            factor = factor.parent
-        for f in reversed(pending):
-            lower = f.parent.chol
-            c = self.values[:, f.parent.cols].T @ self.values[:, f.cols[-1]]
-            self.inner_products += c.size
-            y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
-            f.chol = _append_row(lower, y, f.delta)
-            f.parent = None
-            factor = f
-        return factor.chol
-
-    def extend(self, factor: _Factor, sel: int, shared: bool):
-        """(child factor, u, delta) for ``factor`` extended by column ``sel``,
-        or None when x_sel is numerically in the span of its columns.
-
-        u is x_sel's residual on the factor's columns and delta = u'u.  When
-        the factor is the one ``sel`` itself was regressed on (``shared``),
-        that residual is r_sel and nothing is solved.
-        """
-        if shared:
-            u = self.r[:, sel]
-        else:
-            lower = self.chol(factor)
-            z = self.values[:, factor.cols]
-            c = z.T @ self.values[:, sel]
-            self.inner_products += c.size
-            y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
-            beta = scipy.linalg.solve_triangular(lower, y, trans="T", lower=True,
-                                                 check_finite=False)
-            u = self.values[:, sel] - z @ beta
-        delta = float(u @ u)
-        self.inner_products += 1
-        if delta <= self.pivot_floor:
-            return None
-        cols = np.append(factor.cols, sel)
-        if shared:
-            return _Factor(cols, parent=factor, delta=delta), u, delta
-        return _Factor(cols, _append_row(lower, y, delta)), u, delta
-
-
-def _append_row(lower: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-    m = y.size
-    out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = lower
-    out[m, :m] = y
-    out[m, m] = np.sqrt(delta)
-    return out
-
-
 def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
 
@@ -187,7 +92,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
     by all nodes on the factor, so |S_k| + 2 for an event that extends a
-    factor and 1 for one that shares it; see the module docstring.
+    factor and 1 for one that shares it; see :mod:`lingamsort.regression`.
     Raises ValueError when the neighborhoods cover another node count than
     the data or a neighborhood has more members than there are samples.
     """
@@ -204,10 +109,9 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     p = x.p
     # column-major, as every update touches single columns; a standardized
     # copy made here is dropped at once, which keeps two n x p arrays alive
-    values = np.asfortranarray((x if x.standardized else standardize(x)).values)
-    r = values.copy(order="F")
-    updater = _FactorUpdater(values, r)
-    factor = [updater.root] * p
+    state = ResidualState(np.asfortranarray((x if x.standardized else standardize(x)).values))
+    r = state.r
+    factor = [state.root] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
     for k, s in enumerate(cfg.neighborhoods.sets):
         for j in s:
@@ -231,14 +135,15 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         sel = int(live[np.argmax(scores[live])])
         chosen.append(sel)
         unsorted[sel] = False
-        extended: dict[_Factor, tuple | None] = {}
+        extended: dict = {}  # factor -> partial_update's result this step
         for k in affected[sel]:
             if not unsorted[k]:
                 continue
             rescore_events += 1
             f = factor[k]
             if f not in extended:
-                extended[f] = updater.extend(f, sel, shared=f is factor[sel])
+                # looked up in this module at every call, so it can be wrapped
+                extended[f] = partial_update(state, f, sel, shared=f is factor[sel])
             step = extended[f]
             if step is None:
                 skipped.append((k, sel))
@@ -246,11 +151,11 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
                 factor[k], u, delta = step
                 rk = r[:, k]
                 rk -= (float(u @ rk) / delta) * u
-                updater.inner_products += 1
+                state.inner_products += 1
             scores[k] = _score_or_neginf(cfg.family, r[:, k], k, t + 1, degenerate)
     return SortResult(
         ordering=Ordering(chosen),
-        update_count=updater.inner_products,
+        update_count=state.inner_products,
         wall_time=time.perf_counter() - started,
         step_scores=trace,
         diagnostics={

@@ -243,6 +243,50 @@ class TestSortEvalPipeline:
                      "--out", str(tmp_path / "m.json")]) == 2
         assert "column v1 is constant" in capsys.readouterr().err
 
+    def test_one_row_csv_exits_2_naming_file(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("v0,v1\n1.0,2.0\n")
+        out = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--out", str(out)]) == 2
+        assert f"{data}: estimation needs at least two data rows" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text(json.dumps({"ordering": [0, 1]}))
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--ordering", str(out),
+                     "--out", str(model)]) == 2
+        assert f"{data}: estimation needs at least two data rows" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_hub_bigger_than_n_exits_2_naming_node(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(rng_stream(5, 0).laplace(size=(4, 8))))
+        hub = tmp_path / "hub.json"
+        hub.write_text(json.dumps([list(range(1, 8))] + [[0]] * 7))
+        out = tmp_path / "o.json"
+        for option in (str(hub), "full"):
+            assert main(["sort", "--data", str(data), "--neighborhoods", option,
+                         "--out", str(out)]) == 2
+            assert "node 0 has 7 neighbors" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text(json.dumps({"ordering": list(range(8))}))
+        assert main(["fit", "--data", str(data), "--ordering", str(out),
+                     "--neighborhoods", str(hub), "--out", str(tmp_path / "m.json")]) == 2
+        assert "node 0 has 7 neighbors" in capsys.readouterr().err
+
+    def test_single_column_sorts_to_zero(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("v0\n1.0\n2.5\n-0.3\n")
+        out = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ordering"] == [0]
+
+    def test_two_rows_give_a_permutation(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("v0,v1,v2\n1.0,2.0,0.5\n-1.0,0.3,0.7\n")
+        out = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--out", str(out)]) == 0
+        assert sorted(json.loads(out.read_text())["ordering"]) == [0, 1, 2]
+
     def test_removed_mode_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sort", "--data", str(tmp_path / "d.csv"), "--mode", "fast"])
@@ -370,6 +414,30 @@ class TestFitLoglik:
         gau = json.loads(capsys.readouterr().out)
         assert lap["units"] == "per-observation-per-variable"
         assert lap["mean_loglik"] > gau["mean_loglik"]
+
+    def test_duplicate_column_fit_exits_2_naming_it(self, tmp_path, capsys):
+        values = rng_stream(8, 0).laplace(size=(200, 3))
+        values[:, 2] = values[:, 0]
+        data = tmp_path / "dup.csv"
+        write_data_csv(data, DataMatrix(values))
+        ordering = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--out", str(ordering)]) == 0
+        assert json.loads(ordering.read_text())["diagnostics"]["degenerate"] == [[2, 2]]
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--ordering", str(ordering),
+                     "--out", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: column v2 is explained exactly by its predecessors" in err
+        assert not model.exists()
+
+    def test_one_row_test_csv_is_accepted(self, tmp_path, capsys):
+        data, model = self._pipeline(tmp_path, "laplace")
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(data.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        assert main(["loglik", "--model", str(model), "--data", str(one)]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["mean_loglik"])
 
     def test_model_data_p_mismatch(self, tmp_path, capsys):
         data, model = self._pipeline(tmp_path, "laplace")

@@ -7,6 +7,7 @@ from conftest import all_dags, all_orderings, chain_dag
 from lingamsort import (
     Dag,
     DataMatrix,
+    DegenerateResidual,
     NoiseFamily,
     Ordering,
     RankDeficient,
@@ -118,6 +119,16 @@ class TestFitCoefficients:
         values = np.column_stack([col, col * 2.0, rng.standard_normal(30)])
         x = standardize(DataMatrix(values))
         with pytest.raises(RankDeficient) as err:
+            fit_coefficients(x, Ordering([0, 1, 2]), full_neighborhoods(3), LAP)
+        assert err.value.node == 2
+
+
+    def test_degenerate_residual_reports_node(self):
+        rng = np.random.default_rng(3)
+        values = rng.laplace(size=(40, 3))
+        values[:, 2] = values[:, 0]
+        x = standardize(DataMatrix(values))
+        with pytest.raises(DegenerateResidual) as err:
             fit_coefficients(x, Ordering([0, 1, 2]), full_neighborhoods(3), LAP)
         assert err.value.node == 2
 

@@ -6,14 +6,13 @@ import pytest
 from lingamsort import (
     DataMatrix,
     RankDeficient,
-    ResidualState,
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
     ols_residual,
-    partial_update,
     standardize,
 )
+from lingamsort.regression import ResidualState, partial_update
 
 
 class TestStandardize:
@@ -92,80 +91,102 @@ class TestOlsResidual:
         assert beta.size == 0
 
 
+def _take(state, factor, k, sel, shared=False):
+    """Extend node k's factor by column ``sel`` and update r_k as the sorter
+    does; returns the extended factor."""
+    factor, u, delta = partial_update(state, factor, sel, shared)
+    rk = state.r[:, k]
+    rk -= (float(u @ rk) / delta) * u
+    return factor
+
+
 class TestPartialUpdate:
     def test_identical_columns_zero_out(self):
-        state = ResidualState(np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        assert partial_update(state, 1, 0)
-        assert state.rows[1][0] == 1.0
+        state = ResidualState(np.array([[1.0, 1.0], [-1.0, -1.0]], order="F"))
+        _take(state, state.root, 1, 0)
         assert np.array_equal(state.r[:, 1], np.zeros(2))
-        assert state.update_count == 1
+        # extending the empty factor costs 1 inner product, for delta
+        assert state.inner_products == 1
 
     def test_orthogonal_columns_record_zero(self):
-        state = ResidualState(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert partial_update(state, 1, 0)
-        assert state.rows[1][0] == 0.0  # written, value zero
+        state = ResidualState(np.array([[1.0, 0.0], [0.0, 1.0]], order="F"))
+        _take(state, state.root, 1, 0)  # coefficient u'r_1 / delta = 0
         assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
 
     def test_hand_case(self):
-        # coefficient <(1,0),(1,1)> / <(1,0),(1,0)> = 1; residual (0, 1)
-        state = ResidualState(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        partial_update(state, 1, 0)
-        assert state.rows[1][0] == 1.0
+        # u = (1, 0), delta = 1, coefficient <(1,0),(1,1)> = 1; residual (0, 1)
+        state = ResidualState(np.array([[1.0, 1.0], [0.0, 1.0]], order="F"))
+        factor = _take(state, state.root, 1, 0)
         assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
+        assert np.array_equal(factor.cols, [0])
+        assert np.array_equal(state.chol(factor), np.array([[1.0]]))
 
-    def test_degenerate_source_skipped(self):
-        state = ResidualState(np.array([[0.0, 1.0], [0.0, -1.0]]))
-        assert not partial_update(state, 1, 0)
-        assert state.skipped == [(1, 0)]
-        assert 0 not in state.rows[1]
-        assert state.update_count == 0
+    def test_collinear_column_returns_none(self):
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal((50, 2))
+        values = np.asfortranarray(np.column_stack([z, z @ [0.5, -2.0]]))
+        state = ResidualState(values)
+        factor = partial_update(state, state.root, 0, shared=False)[0]
+        factor = partial_update(state, factor, 1, shared=False)[0]
+        assert partial_update(state, factor, 2, shared=False) is None
+        # a column already in the factor is in its span too
+        assert partial_update(state, factor, 0, shared=False) is None
 
-    def test_self_and_rewrite_rejected(self):
-        state = ResidualState(np.eye(3))
-        with pytest.raises(ValueError):
-            partial_update(state, 1, 1)
-        partial_update(state, 1, 0)
-        with pytest.raises(ValueError, match="already"):
-            partial_update(state, 1, 0)
-
-    def test_diagonal_is_one_and_preserved(self):
-        state = ResidualState(np.eye(4))
-        assert all(state.rows[k][k] == 1.0 for k in range(4))
+    def test_shared_deferred_row_equals_direct_row(self):
+        # nodes 1 and 2 both sit on the factor of column 0; when 1 is
+        # selected, u = r_1 and the new Cholesky row is deferred
+        rng = np.random.default_rng(7)
+        mixed = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 3))
+        values = np.asfortranarray(standardize(DataMatrix(mixed)).values)
+        state = ResidualState(values)
+        base = _take(state, state.root, 1, 0)
+        _take(state, state.root, 2, 0)
+        shared = partial_update(state, base, 1, shared=True)[0]
+        direct = partial_update(state, base, 1, shared=False)[0]
+        assert shared.chol is None and direct.chol is not None
+        before = state.inner_products
+        lower = state.chol(shared)
+        assert state.inner_products - before == 1  # |S| = 1 for the deferred row
+        assert np.max(np.abs(lower - direct.chol)) <= 1e-10
+        gram = values[:, :2].T @ values[:, :2]
+        assert np.max(np.abs(lower - np.linalg.cholesky(gram))) <= 1e-10
 
     def test_norm_never_increases(self):
         rng = np.random.default_rng(3)
-        state = ResidualState(rng.standard_normal((100, 6)))
+        state = ResidualState(np.asfortranarray(rng.standard_normal((100, 6))))
+        factor = state.root
         for a in range(5):
             before = np.linalg.norm(state.r[:, 5])
-            partial_update(state, 5, a)
+            factor = _take(state, factor, 5, a)
             assert np.linalg.norm(state.r[:, 5]) <= before + 1e-12
 
     def test_state_does_not_alias_input(self):
         values = np.asfortranarray(np.array([[1.0, 1.0], [2.0, -2.0]]))
         state = ResidualState(values)
-        partial_update(state, 1, 0)
+        _take(state, state.root, 1, 0)
         assert np.array_equal(values[:, 1], np.array([1.0, -2.0]))
 
 
 class TestJointVsSequential:
-    def test_orthogonal_design_any_order(self):
-        # on pairwise-orthogonal regressors, one-at-a-time partial updates
-        # reproduce the joint OLS residual in any order
+    def test_any_column_order_gives_joint_ols_residual(self):
+        # on a correlated, non-orthogonal design, taking the regressors one
+        # at a time reproduces the joint OLS residual in any order
         rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((40, 3)))
-        y = rng.standard_normal(40)
-        joint, _ = ols_residual(y, q)
+        mix = np.eye(4) + 0.6 * rng.standard_normal((4, 4))
+        values = standardize(DataMatrix(rng.laplace(size=(40, 4)) @ mix)).values
+        joint, _ = ols_residual(values[:, 3], values[:, :3])
         for order in permutations(range(3)):
-            state = ResidualState(np.column_stack([q, y]))
+            state = ResidualState(np.asfortranarray(values))
+            factor = state.root
             for a in order:
-                partial_update(state, 3, a)
-            seq = state.r[:, 3]
-            assert np.linalg.norm(seq - joint) <= 1e-8 * np.linalg.norm(y)
+                factor = _take(state, factor, 3, a)
+            assert np.max(np.abs(state.r[:, 3] - joint)) <= 1e-10
 
     def test_mean_zero_preserved(self):
         rng = np.random.default_rng(5)
         x = standardize(DataMatrix(rng.standard_normal((64, 5))))
-        state = ResidualState(x.values)
+        state = ResidualState(np.asfortranarray(x.values))
+        factor = state.root
         for a in range(4):
-            partial_update(state, 4, a)
+            factor = _take(state, factor, 4, a)
         assert np.max(np.abs(state.r.mean(axis=0))) <= 1e-8

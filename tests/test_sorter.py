@@ -25,7 +25,8 @@ from lingamsort import (
     standardize,
     top_correlated,
 )
-from lingamsort.sorter import DEGENERATE_MEAN_SQUARE
+import lingamsort.sorter
+from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
 LAP = NoiseFamily.laplace()
 
@@ -153,6 +154,26 @@ class TestSortFast:
         res = sort(x, _cfg(full_neighborhoods(6), trace=True))
         assert len(res.step_scores) == 6
         assert [len(step) for step in res.step_scores] == [6, 5, 4, 3, 2, 1]
+
+    def test_factor_extensions_go_through_partial_update(self, monkeypatch):
+        # the sorter must look partial_update up in its own module at every
+        # call, so that a wrapper there sees the real factor-extension step
+        cfg = SimConfig(p=30, n=300, seed=12, family=LAP)
+        w, _, x = sample_dataset(cfg)
+        nbhd = markov_blankets(w.dag)
+        base = sort(x, _cfg(nbhd))
+        calls = []
+        real = lingamsort.sorter.partial_update
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lingamsort.sorter, "partial_update", counting)
+        wrapped = sort(x, _cfg(nbhd))
+        assert len(calls) >= 1
+        assert wrapped.ordering.perm == base.ordering.perm
+        assert wrapped.update_count == base.update_count
 
     def test_neighborhood_size_cannot_exceed_n(self):
         x = DataMatrix(np.random.default_rng(3).standard_normal((5, 8)))
