@@ -71,10 +71,12 @@ def write_data_csv(path: str | Path, x: DataMatrix) -> None:
     """CSV with header v0..v{p-1}; floats carry full round-trip precision."""
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"v{k}" for k in range(x.p)])
+        fh.write(",".join(f"v{k}" for k in range(x.p)) + "\r\n")
+        # the repr of a list of floats is their shortest round-trip reprs
+        # joined by ", "; no float repr needs CSV quoting, so these are the
+        # bytes csv.writer writes for [repr(v) for v in row]
         for row in x.values:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
     os.replace(tmp, path)
 
 

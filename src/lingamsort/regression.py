@@ -2,15 +2,23 @@
 
 No intercepts appear anywhere: columns are standardized to mean zero
 before any fitting, so regressions go through the origin.  Joint OLS
-solves the normal equations by Cholesky with a relative pivot floor;
-neighborhoods are small, so this is both fast and numerically adequate.
+checks the rank by a Cholesky factorization with a relative pivot floor
+and solves the normal equations; neighborhoods are small, so this is both
+fast and numerically adequate.  Only numpy is used.
 
 The sorter keeps each node's joint-OLS residual current as its regressor
 set grows one column at a time.  :class:`ResidualState` holds the raw
 columns, their residuals and the count of inner products spent.  Each
-regressor set has a lower Cholesky factor of its Gram matrix (Golub & Van
-Loan, *Matrix Computations* 6.5), and :func:`partial_update` extends one
-factor by one column and returns the new direction u.
+regressor set Z (m columns) keeps the inverse W = L^-1 of the lower
+Cholesky factor L of its Gram matrix G = Z'Z (Golub & Van Loan, *Matrix
+Computations* 6.5), so that G^-1 = W'W and no triangular solve is needed.
+:func:`partial_update` extends one factor by one column x and returns the
+new direction u::
+
+    c = Z'x,  beta = W'(W c),  u = x - Z beta,  delta = u'u
+    W gains the row (-beta', 1) / sqrt(delta)
+
+W c and W'(W c) are m x m products, not length-n ones.
 
 ``update_count`` counts the length-n inner products spent on residual
 updates.  Each update event (one node gaining one regressor) costs 1, for
@@ -27,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import DataMatrix
 
@@ -88,10 +95,10 @@ def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix
 def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares residual and coefficients of y on the columns of z.
 
-    Solves the normal equations (z'z) beta = z'y through a Cholesky
-    factorization; raises :class:`RankDeficient` when the factorization
-    fails or its smallest pivot falls below ``PIVOT_RTOL`` times the
-    largest.  An empty z (zero columns) returns y unchanged.
+    Solves the normal equations (z'z) beta = z'y; raises
+    :class:`RankDeficient` when the Cholesky factorization of z'z fails or
+    its smallest pivot falls below ``PIVOT_RTOL`` times the largest
+    diagonal entry of z'z.  An empty z (zero columns) returns y unchanged.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -106,31 +113,32 @@ def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficient(f"more regressors ({m}) than samples ({n})")
     gram = z.T @ z
     try:
-        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise RankDeficient(str(exc)) from exc
     # classical pivots are the squared factor diagonals; compare on the
     # Gram matrix's own scale
-    pivots = np.diag(chol[0]) ** 2
+    pivots = np.diag(lower) ** 2
     if pivots.min() < PIVOT_RTOL * np.max(np.diag(gram)):
         raise RankDeficient("Cholesky pivot below the relative floor")
-    beta = scipy.linalg.cho_solve(chol, z.T @ y, check_finite=False)
+    beta = np.linalg.solve(gram, z.T @ y)
     return y - z @ beta, beta
 
 
 @dataclass(eq=False, slots=True)
 class _Factor:
-    """Lower Cholesky factor of the Gram matrix of some raw columns.
+    """Inverse lower Cholesky factor W = L^-1 of the Gram matrix of some
+    raw columns.
 
     ``cols`` lists the columns in the order they joined.  A factor made
-    through the shared direction u = r_sel leaves ``chol`` unset and keeps
+    through the shared direction u = r_sel leaves ``inv`` unset and keeps
     its ``parent`` and ``delta`` = u'u instead; its last row is computed
     only if a later extension needs the whole factor.  Factors compare by
     identity: nodes share a factor exactly when they hold the same object.
     """
 
     cols: np.ndarray
-    chol: np.ndarray | None = None
+    inv: np.ndarray | None = None
     parent: _Factor | None = None
     delta: float = 0.0
 
@@ -150,21 +158,20 @@ class ResidualState:
         self.inner_products = 0
         self.root = _Factor(np.empty(0, dtype=np.int64), np.empty((0, 0)))
 
-    def chol(self, factor: _Factor) -> np.ndarray:
-        """The factor's lower Cholesky matrix, filling in deferred rows."""
+    def inverse(self, factor: _Factor) -> np.ndarray:
+        """The factor's W = L^-1, filling in deferred rows."""
         pending = []
-        while factor.chol is None:
+        while factor.inv is None:
             pending.append(factor)
             factor = factor.parent
         for f in reversed(pending):
-            lower = f.parent.chol
+            w = f.parent.inv
             c = self.values[:, f.parent.cols].T @ self.values[:, f.cols[-1]]
             self.inner_products += c.size
-            y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
-            f.chol = _append_row(lower, y, f.delta)
+            f.inv = _append_row(w, w.T @ (w @ c), f.delta)
             f.parent = None
             factor = f
-        return factor.chol
+        return factor.inv
 
 
 def partial_update(state: ResidualState, factor: _Factor, sel: int, shared: bool):
@@ -174,19 +181,17 @@ def partial_update(state: ResidualState, factor: _Factor, sel: int, shared: bool
     u is x_sel's residual on the factor's columns and delta = u'u; a
     regressor with ``delta <= PIVOT_RTOL * n`` counts as collinear.  When
     the factor is the one ``sel`` itself was regressed on (``shared``),
-    that residual is r_sel and nothing is solved.  A node on the factor
-    then takes ``r_k <- r_k - (u'r_k / delta) u``.
+    that residual is r_sel and nothing is computed but delta.  A node on
+    the factor then takes ``r_k <- r_k - (u'r_k / delta) u``.
     """
     if shared:
         u = state.r[:, sel]
     else:
-        lower = state.chol(factor)
+        w = state.inverse(factor)
         z = state.values[:, factor.cols]
         c = z.T @ state.values[:, sel]
         state.inner_products += c.size
-        y = scipy.linalg.solve_triangular(lower, c, lower=True, check_finite=False)
-        beta = scipy.linalg.solve_triangular(lower, y, trans="T", lower=True,
-                                             check_finite=False)
+        beta = w.T @ (w @ c)
         u = state.values[:, sel] - z @ beta
     delta = float(u @ u)
     state.inner_products += 1
@@ -195,13 +200,15 @@ def partial_update(state: ResidualState, factor: _Factor, sel: int, shared: bool
     cols = np.append(factor.cols, sel)
     if shared:
         return _Factor(cols, parent=factor, delta=delta), u, delta
-    return _Factor(cols, _append_row(lower, y, delta)), u, delta
+    return _Factor(cols, _append_row(w, beta, delta)), u, delta
 
 
-def _append_row(lower: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-    m = y.size
+def _append_row(w: np.ndarray, beta: np.ndarray, delta: float) -> np.ndarray:
+    """W extended by the row (-beta', 1) / sqrt(delta)."""
+    m = beta.size
+    scale = 1.0 / np.sqrt(delta)
     out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = lower
-    out[m, :m] = y
-    out[m, m] = np.sqrt(delta)
+    out[:m, :m] = w
+    out[m, :m] = -scale * beta
+    out[m, m] = scale
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import gammaln
 
 from .model import GAUSSIAN, LAPLACE, LOGISTIC, SCALED_T, NoiseFamily
 
@@ -50,8 +49,8 @@ def log_density(family: NoiseFamily, r: np.ndarray | float, eta: float) -> np.nd
     elif tag == SCALED_T:
         nu = family.df
         const = (
-            gammaln((nu + 1.0) / 2.0)
-            - gammaln(nu / 2.0)
+            math.lgamma((nu + 1.0) / 2.0)
+            - math.lgamma(nu / 2.0)
             - 0.5 * math.log(nu * math.pi)
             - math.log(eta)
         )

@@ -8,10 +8,11 @@ already-sorted set.  Every unsorted node's residual is kept current: when
 the selected node ``sel`` is appended, each unsorted k with ``sel`` in its
 neighborhood gains one regressor, and its residual is updated by one step
 of an incremental Cholesky factorization of the Gram matrix of k's sorted
-neighbors, :func:`lingamsort.regression.partial_update`.  Nodes whose
-sorted-neighbor sets are equal share one factor.  ``update_count`` counts
-the length-n inner products spent on these updates, as the
-:mod:`lingamsort.regression` docstring sets out.
+neighbors, :func:`lingamsort.regression.partial_update`, which keeps each
+factor as its inverse W = L^-1 so that no step solves a triangular system.
+Nodes whose sorted-neighbor sets are equal share one factor.
+``update_count`` counts the length-n inner products spent on these
+updates, as the :mod:`lingamsort.regression` docstring sets out.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -79,10 +80,11 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     ``sel`` in N(k) (found through a reverse index built once) takes ``sel``
     into S_k::
 
-        y = L_k^-1 Z_k' x_sel,  u = x_sel - Z_k L_k^-T y,  delta = u'u
-        r_k <- r_k - (u'r_k / delta) u,  L_k gains the row (y', sqrt(delta))
+        c = Z_k' x_sel,  beta = W_k'(W_k c),  u = x_sel - Z_k beta,  delta = u'u
+        r_k <- r_k - (u'r_k / delta) u,  W_k gains the row (-beta', 1) / sqrt(delta)
 
-    and is rescored; other scores stay cached, since theirs are the only
+    where W_k = L_k^-1 is the inverse lower Cholesky factor of Z_k'Z_k,
+    and k is rescored; other scores stay cached, since theirs are the only
     residuals that did not change.  Nodes with equal S_k share one factor,
     and (u, delta) is computed once per factor and step; when S_k equals
     S_sel, u is r_sel itself.  A regressor with ``delta <= PIVOT_RTOL * n``

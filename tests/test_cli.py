@@ -1,9 +1,16 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lingamsort
 from lingamsort import DataMatrix, NoiseFamily, Ordering, WeightedDag, rng_stream
 from lingamsort.cli import (
     UsageError,
@@ -40,6 +47,18 @@ class TestFileFormats:
         write_data_csv(path, x)
         back = read_data_csv(path)
         assert back.values.tobytes() == x.values.tobytes()
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        awkward = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 3.0]
+        values = np.array([awkward, awkward[::-1], [-v for v in awkward]])
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"v{k}" for k in range(values.shape[1])])
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])
+        path = tmp_path / "x.csv"
+        write_data_csv(path, DataMatrix(values))
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_truth_round_trip_reproduces_b_exactly(self):
         dag = chain_dag(4)
@@ -444,3 +463,50 @@ class TestFitLoglik:
         small = tmp_path / "small.csv"
         write_data_csv(small, DataMatrix(np.random.default_rng(0).standard_normal((10, 3))))
         assert main(["loglik", "--model", str(model), "--data", str(small)]) == 2
+
+
+# Runs in a child whose sys.modules blocks scipy, so any scipy import fails.
+_PIPELINE_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from lingamsort.cli import main
+config, family = sys.argv[1:]
+codes = [
+    main(["generate", "--config", config, "--out-data", "d.csv", "--out-truth", "t.json"]),
+    main(["sort", "--data", "d.csv", "--family", family, "--neighborhoods", "corr:5:0.2:1",
+          "--out", "o.json"]),
+    main(["fit", "--data", "d.csv", "--ordering", "o.json", "--family", family,
+          "--out", "m.json"]),
+    main(["loglik", "--model", "m.json", "--data", "d.csv"]),
+]
+print(json.dumps(codes))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    @staticmethod
+    def _python(args, cwd):
+        env = dict(os.environ)
+        src = str(Path(lingamsort.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        out = self._python(["-c", "import sys, lingamsort.cli; print(sorted("
+                            "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                           tmp_path)
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("family", ["laplace", "scaled-t:10"])
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path, family):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "p": 20, "n": 400, "seed": 3, "family": family,
+            "graph": {"scheme": "large-sparse"},
+        }))
+        script = tmp_path / "pipeline.py"
+        script.write_text(_PIPELINE_WITHOUT_SCIPY)
+        out = self._python([str(script), str(config), family], tmp_path)
+        assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
+        assert math.isfinite(json.loads(out.splitlines()[-2])["mean_loglik"])

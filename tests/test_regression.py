@@ -119,7 +119,8 @@ class TestPartialUpdate:
         factor = _take(state, state.root, 1, 0)
         assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
         assert np.array_equal(factor.cols, [0])
-        assert np.array_equal(state.chol(factor), np.array([[1.0]]))
+        # G = [[1]], so L = W = [[1]]
+        assert np.array_equal(state.inverse(factor), np.array([[1.0]]))
 
     def test_collinear_column_returns_none(self):
         rng = np.random.default_rng(6)
@@ -134,7 +135,7 @@ class TestPartialUpdate:
 
     def test_shared_deferred_row_equals_direct_row(self):
         # nodes 1 and 2 both sit on the factor of column 0; when 1 is
-        # selected, u = r_1 and the new Cholesky row is deferred
+        # selected, u = r_1 and the new row of W = L^-1 is deferred
         rng = np.random.default_rng(7)
         mixed = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 3))
         values = np.asfortranarray(standardize(DataMatrix(mixed)).values)
@@ -143,13 +144,28 @@ class TestPartialUpdate:
         _take(state, state.root, 2, 0)
         shared = partial_update(state, base, 1, shared=True)[0]
         direct = partial_update(state, base, 1, shared=False)[0]
-        assert shared.chol is None and direct.chol is not None
+        assert shared.inv is None and direct.inv is not None
         before = state.inner_products
-        lower = state.chol(shared)
+        w = state.inverse(shared)
         assert state.inner_products - before == 1  # |S| = 1 for the deferred row
-        assert np.max(np.abs(lower - direct.chol)) <= 1e-10
+        assert np.max(np.abs(w - direct.inv)) <= 1e-10
         gram = values[:, :2].T @ values[:, :2]
-        assert np.max(np.abs(lower - np.linalg.cholesky(gram))) <= 1e-10
+        assert np.max(np.abs(w @ np.linalg.cholesky(gram) - np.eye(2))) <= 1e-10
+
+    def test_inverse_factor_whitens_gram(self):
+        # after five extensions on a correlated design, W G W' = I for the
+        # Gram matrix G of the factor's columns, in the order they joined
+        rng = np.random.default_rng(8)
+        mix = np.eye(6) + 0.7 * rng.standard_normal((6, 6))
+        values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(60, 6)) @ mix)).values)
+        state = ResidualState(values)
+        factor = state.root
+        for a in (3, 0, 4, 1, 2):
+            factor = _take(state, factor, 5, a)
+        z = values[:, factor.cols]
+        w = state.inverse(factor)
+        assert np.array_equal(w, np.tril(w))
+        assert np.max(np.abs(w @ (z.T @ z) @ w.T - np.eye(5))) <= 1e-10
 
     def test_norm_never_increases(self):
         rng = np.random.default_rng(3)
