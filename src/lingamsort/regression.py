@@ -67,14 +67,20 @@ def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(x: DataMatrix) -> DataMatrix:
-    """Center and scale every column to mean 0, sd 1 (denominator n)."""
+    """Center and scale every column to mean 0, sd 1 (denominator n).
+
+    The result is column-major, the layout the residual engine works in.
+    """
     if x.n < 2:
         raise ValueError("standardization needs at least two rows")
     mean, sd = column_moments(x.values)
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
-    return DataMatrix((x.values - mean) / sd, standardized=True)
+    out = np.empty(x.values.shape, order="F")
+    np.subtract(x.values, mean, out=out)
+    out /= sd
+    return DataMatrix(out, standardized=True)
 
 
 def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix:

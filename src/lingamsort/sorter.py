@@ -14,6 +14,13 @@ Nodes whose sorted-neighbor sets are equal share one factor.
 ``update_count`` counts the length-n inner products spent on these
 updates, as the :mod:`lingamsort.regression` docstring sets out.
 
+Each step works on blocks of columns.  The nodes that gain ``sel`` are
+grouped by factor; each group costs one ``partial_update`` and one
+rank-one update of its residual columns, and every node the step touched
+is rescored by one block call of :func:`lingamsort.scoring.llr_score`.
+Blocks are cut into chunks of at most ``BLOCK_BYTES``, so that no n x p
+temporary is built.
+
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
 neighbors) score -inf, which defers them behind every finite-scored
@@ -38,8 +45,11 @@ from .model import (
 )
 from .neighborhoods import markov_blankets
 from .regression import ResidualState, partial_update, standardize
-from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, llr_score
+from .scoring import llr_score
 from .simulate import sample_data
+
+# Largest residual block, in bytes, that one update or scoring call touches.
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -60,18 +70,6 @@ class SortResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _score_or_neginf(family, residual, node, step, degenerate_log):
-    ms = float(residual @ residual) / residual.size
-    if ms < DEGENERATE_MEAN_SQUARE:
-        degenerate_log.append((int(node), int(step)))
-        return -np.inf
-    try:
-        return llr_score(family, residual)
-    except DegenerateResidual:
-        degenerate_log.append((int(node), int(step)))
-        return -np.inf
-
-
 def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
 
@@ -87,9 +85,15 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     and k is rescored; other scores stay cached, since theirs are the only
     residuals that did not change.  Nodes with equal S_k share one factor,
     and (u, delta) is computed once per factor and step; when S_k equals
-    S_sel, u is r_sel itself.  A regressor with ``delta <= PIVOT_RTOL * n``
-    is numerically collinear with S_k: it is skipped and recorded as
-    (k, sel) in ``diagnostics["skipped_updates"]``.
+    S_sel, u is r_sel itself.  The K nodes on one factor are updated as a
+    block, ``R_K <- R_K - u (u'R_K) / delta``, and every node the step
+    touched is rescored by one block call of ``llr_score`` per chunk of at
+    most ``BLOCK_BYTES``; step 0 scores all p columns so.  A regressor
+    with ``delta <= PIVOT_RTOL * n`` is numerically collinear with S_k: it
+    is skipped and recorded as (k, sel) in ``diagnostics["skipped_updates"]``.
+
+    The next node is the argmax of the scores, in which sorted nodes hold
+    -inf; when every live node is degenerate the lowest live index is taken.
 
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
@@ -109,10 +113,12 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     p = x.p
-    # column-major, as every update touches single columns; a standardized
-    # copy made here is dropped at once, which keeps two n x p arrays alive
+    # column-major, as every update touches single columns; standardize
+    # already writes column-major, so this copies only caller-standardized
+    # row-major data
     state = ResidualState(np.asfortranarray((x if x.standardized else standardize(x)).values))
     r = state.r
+    width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
     factor = [state.root] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
     for k, s in enumerate(cfg.neighborhoods.sets):
@@ -122,39 +128,55 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     degenerate: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
     scores = np.empty(p)
-    for k in range(p):
-        scores[k] = _score_or_neginf(cfg.family, r[:, k], k, 0, degenerate)
 
+    def rescore(nodes: list[int], step: int) -> None:
+        for lo in range(0, len(nodes), width):
+            part = nodes[lo:lo + width]
+            # looked up in this module at every call, so it can be wrapped
+            fresh = llr_score(cfg.family, r[:, part])
+            scores[part] = fresh
+            degenerate.extend((int(part[i]), step) for i in np.flatnonzero(fresh == -np.inf))
+
+    rescore(list(range(p)), 0)
     chosen: list[int] = []
     unsorted = np.ones(p, dtype=bool)
     trace: list[list[tuple[int, float]]] | None = [] if cfg.trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
     for t in range(p):
-        live = np.flatnonzero(unsorted)
         if trace is not None:
-            trace.append([(int(k), float(scores[k])) for k in live])
+            trace.append([(int(k), float(scores[k])) for k in np.flatnonzero(unsorted)])
         # np.argmax returns the first maximum, which is the lowest index here
-        sel = int(live[np.argmax(scores[live])])
+        sel = int(np.argmax(scores))
+        if scores[sel] == -np.inf:  # every live node is degenerate
+            sel = int(np.argmax(unsorted))
         chosen.append(sel)
         unsorted[sel] = False
-        extended: dict = {}  # factor -> partial_update's result this step
-        for k in affected[sel]:
-            if not unsorted[k]:
-                continue
-            rescore_events += 1
-            f = factor[k]
-            if f not in extended:
-                # looked up in this module at every call, so it can be wrapped
-                extended[f] = partial_update(state, f, sel, shared=f is factor[sel])
-            step = extended[f]
+        scores[sel] = -np.inf
+        touched = [k for k in affected[sel] if unsorted[k]]
+        groups: dict = {}  # factor -> its nodes in touched
+        for k in touched:
+            groups.setdefault(factor[k], []).append(k)
+        for f, nodes in groups.items():
+            # looked up in this module at every call, so it can be wrapped
+            step = partial_update(state, f, sel, shared=f is factor[sel])
             if step is None:
-                skipped.append((k, sel))
-            else:
-                factor[k], u, delta = step
-                rk = r[:, k]
+                skipped.extend((k, sel) for k in nodes)
+                continue
+            child, u, delta = step
+            for k in nodes:
+                factor[k] = child
+            if len(nodes) == 1:
+                rk = r[:, nodes[0]]
                 rk -= (float(u @ rk) / delta) * u
-                state.inner_products += 1
-            scores[k] = _score_or_neginf(cfg.family, r[:, k], k, t + 1, degenerate)
+            else:
+                for lo in range(0, len(nodes), width):
+                    part = nodes[lo:lo + width]
+                    block = r[:, part]
+                    r[:, part] = block - np.outer(u, (u @ block) / delta)
+            state.inner_products += len(nodes)
+        rescore_events += len(touched)
+        if touched:
+            rescore(touched, t + 1)
     return SortResult(
         ordering=Ordering(chosen),
         update_count=state.inner_products,

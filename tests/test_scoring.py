@@ -171,3 +171,63 @@ class TestLaplaceFastScore:
     def test_degenerate(self):
         with pytest.raises(DegenerateResidual):
             laplace_fast_score(np.zeros(3))
+
+
+class TestBlockScore:
+    """``llr_score`` on an n x K block scores each column in one pass."""
+
+    @staticmethod
+    def _block(n=300, k=6, seed=41):
+        rng = rng_stream(seed, 0)
+        cols = [rng.laplace(size=n), rng.logistic(size=n), rng.standard_t(10, size=n),
+                rng.standard_normal(n), rng.uniform(-1, 1, n), rng.standard_normal(n) ** 3]
+        return np.column_stack(cols[:k]) * rng.uniform(0.01, 100.0, k)
+
+    @pytest.mark.parametrize("family", [LAP, LOGI, T10, GAU], ids=lambda f: f.tag)
+    def test_matches_column_scores(self, family):
+        block = self._block()
+        per_column = [llr_score(family, block[:, k]) for k in range(block.shape[1])]
+        np.testing.assert_allclose(llr_score(family, block), per_column, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("family", [LAP, LOGI, T10, GAU], ids=lambda f: f.tag)
+    def test_far_tail_column(self, family):
+        # |z| = |r| / eta reaches sqrt(n) pi / sqrt(3) for a single spike,
+        # past 700 at this n, where exp(|z|) would overflow
+        n = 160_000
+        spike = np.zeros(n)
+        spike[0] = 1.0
+        spike[1:] = 1e-9 * rng_stream(43, 0).standard_normal(n - 1)
+        block = np.column_stack([spike, rng_stream(43, 1).laplace(size=n)])
+        eta, _ = fit_scale(LOGI, spike)
+        assert spike[0] / eta > 700
+        with np.errstate(over="raise"):
+            scores = llr_score(family, block)
+        assert np.all(np.isfinite(scores))
+        per_column = [llr_score(family, block[:, k]) for k in range(2)]
+        np.testing.assert_allclose(scores, per_column, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("family", [LAP, LOGI, T10], ids=lambda f: f.tag)
+    def test_column_rescaling_invariance(self, family):
+        block = self._block()
+        scale = np.array([1e-4, 0.3, 1.0, 7.0, 1e3, 1e5])
+        np.testing.assert_allclose(llr_score(family, block * scale), llr_score(family, block),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_degenerate_column_scores_neginf(self):
+        block = self._block(k=3)
+        block[:, 1] = 0.0
+        block[:, 2] *= 1e-7 / np.abs(block[:, 2]).max()  # mean square under 1e-12
+        for family in (LAP, LOGI, T10, GAU):
+            scores = llr_score(family, block)
+            assert scores[1] == scores[2] == -np.inf
+            assert scores[0] == pytest.approx(llr_score(family, block[:, 0]), rel=1e-12)
+
+    def test_laplace_gap_on_the_block_path(self):
+        # criterion 03's bar, on the block path that the sorter takes
+        rng = rng_stream(1303, 0)
+        for _ in range(20):
+            n = int(rng.integers(16, 400))
+            block = rng.standard_normal((n, 20)) * rng.uniform(0.05, 20, 20)
+            full = np.array([llr_score(LAP, block[:, k]) for k in range(20)])
+            assert np.max(np.abs(llr_score(LAP, block) - full)) <= 1e-12
+            assert np.max(np.abs(full - laplace_fast_score(block) - LAPLACE_GAP)) <= 1e-12

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_dag, weighted_chain
 from lingamsort import (
+    Dag,
     DataMatrix,
     DegenerateResidual,
     LargeSparse,
+    NeighborhoodSets,
     NoiseFamily,
     SimConfig,
     SortConfig,
@@ -268,6 +272,115 @@ class TestFastMatchesExact:
                     assert [k for k, _ in a] == [k for k, _ in b]
                     np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
                                                rtol=1e-8, atol=1e-10)
+
+
+class TestBlockStep:
+    """Block updates and block scoring inside ``sort``."""
+
+    def test_zero_residual_in_a_block_scores_neginf(self, monkeypatch):
+        # column 2 duplicates column 0: once 0 is sorted, 2's residual is
+        # zero, and it is rescored in one block with the other live nodes
+        rng = np.random.default_rng(5)
+        a, b, c = rng.laplace(size=(3, 200))
+        x = DataMatrix(np.column_stack([a, b + a, a, c - b]))
+        nbhd = full_neighborhoods(4)
+        blocks = []
+        real = lingamsort.sorter.llr_score
+
+        def recording(family, block):
+            scores = real(family, block)
+            blocks.append((block.shape[1], scores))
+            return scores
+
+        monkeypatch.setattr(lingamsort.sorter, "llr_score", recording)
+        res = sort(x, _cfg(nbhd, trace=True))
+        perm, steps = oracle_sort(x, LAP, nbhd)
+        assert res.ordering.perm == perm
+        twin = 2 if perm[0] == 0 else 0
+        assert any(width >= 2 and np.isneginf(scores).sum() == 1 for width, scores in blocks)
+        assert (twin, 1) in res.diagnostics["degenerate"]
+        assert dict(res.step_scores[1])[twin] == -np.inf
+        assert perm[-1] == twin
+
+    def test_all_live_degenerate_takes_lowest_live_index(self):
+        # every column is the root's, and every other node's neighborhood is
+        # the root alone: after node 0 is sorted, every live node scores
+        # -inf, as do the sorted ones, so the choice must fall back to the
+        # lowest live index, not to node 0 again
+        col = np.random.default_rng(6).laplace(size=100)
+        x = DataMatrix(np.column_stack([col] * 5))
+        nbhd = NeighborhoodSets([[1, 2, 3, 4], [0], [0], [0], [0]])
+        res = sort(x, _cfg(nbhd, trace=True))
+        assert res.ordering.perm == oracle_sort(x, LAP, nbhd)[0] == (0, 1, 2, 3, 4)
+        assert res.diagnostics["degenerate"] == [(1, 1), (2, 1), (3, 1), (4, 1)]
+        for step in res.step_scores[1:]:
+            assert all(score == -np.inf for _, score in step)
+
+    def test_blocks_wider_than_one_chunk(self, monkeypatch):
+        # a chunk of 3 columns cuts every block; nothing else may change
+        cfg = SimConfig(p=25, n=100, seed=13, family=NoiseFamily.logistic())
+        _, _, x = sample_dataset(cfg)
+        nbhd = full_neighborhoods(25)
+        family = NoiseFamily.logistic()
+        base = sort(x, _cfg(nbhd, family, trace=True))
+        monkeypatch.setattr(lingamsort.sorter, "BLOCK_BYTES", 3 * 8 * 100)
+        cut = sort(x, _cfg(nbhd, family, trace=True))
+        assert cut.ordering.perm == base.ordering.perm
+        assert cut.update_count == base.update_count
+        for a, b in zip(cut.step_scores, base.step_scores):
+            np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
+                                       rtol=1e-12, atol=1e-14)
+
+
+_FAMILIES = (LAP, NoiseFamily.logistic(), NoiseFamily.scaled_t(10))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A random small DAG with its data, a neighborhood kind and a family."""
+    p = draw(st.integers(2, 12))
+    label = draw(st.permutations(range(p)))  # topological position -> node
+    parents: list[list[int]] = [[] for _ in range(p)]
+    weights: list[list[float]] = [[] for _ in range(p)]
+    for pos in range(1, p):
+        for j in sorted(draw(st.sets(st.integers(0, pos - 1), max_size=min(pos, 3)))):
+            parents[label[pos]].append(label[j])
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            weights[label[pos]].append(sign * draw(st.floats(0.3, 1.0)))
+    family = draw(st.sampled_from(_FAMILIES))
+    scales = [draw(st.floats(0.25, 1.0)) for _ in range(p)]
+    w = WeightedDag(Dag(p, parents), weights, family, scales)
+    x = sample_data(w, draw(st.integers(max(30, 4 * p), 150)), draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("mb", "corr", "superset", "full")))
+    if kind == "mb":
+        nbhd = markov_blankets(w.dag)
+    elif kind == "corr":
+        nbhd = top_correlated(x, draw(st.integers(1, p - 1)))
+    elif kind == "superset":
+        extra = [draw(st.sets(st.integers(0, p - 1).filter(lambda j, k=k: j != k)))
+                 for k in range(p)]
+        nbhd = NeighborhoodSets([set(s) | e for s, e in zip(markov_blankets(w.dag).to_lists(), extra)])
+    else:
+        nbhd = full_neighborhoods(p)
+    return x, family, nbhd
+
+
+class TestOracleProperty:
+    """On random small DAGs, neighborhoods and families, ``sort`` reproduces
+    :func:`oracle_sort`: the same ordering and the same per-step scores."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_oracle_cases())
+    def test_matches_oracle(self, case):
+        x, family, nbhd = case
+        res = sort(x, _cfg(nbhd, family, trace=True))
+        perm, steps = oracle_sort(x, family, nbhd)
+        assert res.ordering.perm == perm
+        for a, b in zip(res.step_scores, steps):
+            assert [k for k, _ in a] == [k for k, _ in b]
+            np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
+                                       rtol=1e-8, atol=1e-10)
 
 
 class TestPopulationCheck:
