@@ -150,22 +150,32 @@ def truth_to_doc(w: WeightedDag, ordering: Ordering, seed: int) -> dict:
     }
 
 
-def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
+def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag:
+    """The model in a truth or model file: ``p``, ``family``, ``scales`` and
+    ``{from, to, weight}`` records under ``edge_field``.  An out-of-range
+    node, self-loop, cycle, zero or non-finite weight or bad scale is a UsageError."""
     try:
         p = int(doc["p"])
-        edges = [(int(e["from"]), int(e["to"]), float(e["weight"])) for e in doc["edges"]]
         family = family_from_doc(doc["family"], where)
-        scales = doc["scales"]
-        ordering = Ordering(doc["ordering"])
-        seed = int(doc["seed"])
+        incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
+        for e in doc[edge_field]:
+            k = e["to"]
+            if not 0 <= k < p:
+                raise ValueError(f"edge into node {k} out of range [0, {p})")
+            incoming[k].append((int(e["from"]), float(e["weight"])))
+        cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
+        dag = Dag(p, [pa for pa, _ in cols])
+        return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{where}: missing or malformed field ({exc})") from None
-    dag = Dag.from_edges(p, [(j, k) for j, k, _ in edges])
-    by_child: dict[int, dict[int, float]] = {}
-    for j, k, wt in edges:
-        by_child.setdefault(k, {})[j] = wt
-    weights = [[by_child.get(k, {})[j] for j in dag.parents[k]] for k in range(p)]
-    return WeightedDag(dag, weights, family, scales), ordering, seed
+
+
+def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
+    w = weighted_dag_from_doc(doc, "edges", where)
+    try:
+        return w, Ordering(doc["ordering"]), int(doc["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: missing or malformed field ({exc})") from None
 
 
 def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
@@ -182,13 +192,8 @@ def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
                 edges.append((int(tokens[0]), int(tokens[1])))
             except ValueError:
                 raise UsageError(f"{path}:{i}: node indices must be integers") from None
-    inferred = 1 + max((max(j, k) for j, k in edges), default=-1)
     if p is None:
-        p = inferred
-    elif p < inferred:
-        raise UsageError(f"{path}: edge list references node {inferred - 1} but p={p}")
-    if p < 1:
-        raise UsageError(f"{path}: empty edge list and no node count given")
+        p = 1 + max((max(j, k) for j, k in edges), default=-1)
     try:
         return Dag.from_edges(p, edges)
     except ValueError as exc:
@@ -264,6 +269,18 @@ def _split_rows(x: DataMatrix, frac: float, seed: int) -> tuple[DataMatrix, Data
     return DataMatrix(x.values[hold]), DataMatrix(x.values[rest])
 
 
+def _parse_corr(spec: str, with_seed: bool, where: str) -> tuple:
+    """``corr:m:frac`` as (m, frac), or ``corr:m:frac:seed`` as (m, frac, seed)."""
+    fields = spec.split(":")[1:]
+    if len(fields) != 2 + with_seed:
+        form = "corr:m:frac:seed" if with_seed else "corr:m:frac (split seed is derived)"
+        raise UsageError(f"{where}: expected {form}")
+    try:
+        return (int(fields[0]), float(fields[1]), *map(int, fields[2:]))
+    except ValueError as exc:
+        raise UsageError(f"{where}: bad corr specification: {exc}") from None
+
+
 def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets, DataMatrix, str]:
     """Parse ``full`` / ``file.json`` / ``corr:m:frac:seed``.
 
@@ -276,13 +293,7 @@ def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets,
     if option == "full":
         nbhd = full_neighborhoods(x.p)
     elif option.startswith("corr:"):
-        parts = option.split(":")
-        if len(parts) != 4:
-            raise UsageError("expected corr:m:frac:seed")
-        try:
-            m, frac, seed = int(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise UsageError(f"bad corr specification: {exc}") from None
+        m, frac, seed = _parse_corr(option, True, "--neighborhoods")
         hold, rows = _split_rows(x, frac, seed)
         if not 0 < m < x.p:
             raise UsageError(f"corr: need 0 < m < p, got m={m}, p={x.p}")
@@ -387,10 +398,7 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
     family = family_from_doc(_require(cell, "family", where), where)
     scheme = cell.get("neighborhoods", "mb")
     if scheme.startswith("corr:"):
-        parts = scheme.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"{where}: expected corr:m:frac (split seed is derived)")
-        corr_m, corr_frac = int(parts[1]), float(parts[2])
+        corr_m, corr_frac = _parse_corr(scheme, False, where)
     elif scheme not in ("mb", "full"):
         raise UsageError(f"{where}: unknown neighborhood scheme {scheme!r}")
     graph_doc = cell.get("graph", {"scheme": "large-sparse"})
@@ -461,55 +469,52 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.data}: column v{np.flatnonzero(sd == 0)[0]} is constant")
     train = standardize(rows)
     try:
-        b_hat, scales = fit_coefficients(train, ordering, nbhd, family)
+        model = fit_coefficients(train, ordering, nbhd, family)
     except RankDeficient as exc:
         raise UsageError(f"{args.data}: the predecessors of column v{exc.node} "
                          "are collinear") from None
     except DegenerateResidual as exc:
         raise UsageError(f"{args.data}: column v{exc.node} is explained exactly "
                          "by its predecessors") from None
-    nz = np.nonzero(b_hat)
+    # edges by parent: the (from, to) order of model files, with no sorted copy
+    by_parent: list[list[dict]] = [[] for _ in range(x.p)]
+    for j, k, wt in model.weighted_edges():
+        by_parent[j].append({"from": j, "to": k, "weight": wt})
     doc = {
         "p": x.p,
         "family": family_to_doc(family),
-        "coefficients": [
-            {"from": int(j), "to": int(k), "weight": float(b_hat[j, k])}
-            for j, k in zip(*nz)
-        ],
-        "scales": [float(s) for s in scales],
+        "coefficients": [e for edges in by_parent for e in edges],
+        "scales": [float(s) for s in model.scales],
         "train_means": [float(v) for v in mean],
         "train_sds": [float(v) for v in sd],
     }
     _write_json(args.out, doc)
-    print(json.dumps({"model": str(args.out), "nonzero_coefficients": int(nz[0].size)}))
+    print(json.dumps({"model": str(args.out), "nonzero_coefficients": model.dag.edge_count}))
     return 0
 
 
-def read_model(path: str | Path) -> tuple[np.ndarray, np.ndarray, NoiseFamily, np.ndarray, np.ndarray]:
+def read_model(path: str | Path) -> tuple[WeightedDag, np.ndarray, np.ndarray]:
+    """A model file as (model, train_means, train_sds)."""
     doc = _read_json(path)
+    model = weighted_dag_from_doc(doc, "coefficients", str(path))
     try:
-        p = int(doc["p"])
-        family = family_from_doc(doc["family"], str(path))
-        b_hat = np.zeros((p, p))
-        for e in doc["coefficients"]:
-            b_hat[int(e["from"]), int(e["to"])] = float(e["weight"])
-        scales = np.asarray(doc["scales"], dtype=float)
-        mean = np.asarray(doc["train_means"], dtype=float)
-        sd = np.asarray(doc["train_sds"], dtype=float)
+        return model, np.asarray(doc["train_means"], float), np.asarray(doc["train_sds"], float)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: missing or malformed field ({exc})") from None
-    return b_hat, scales, family, mean, sd
 
 
 def cmd_loglik(args: argparse.Namespace) -> int:
-    b_hat, scales, family, mean, sd = read_model(args.model)
+    model, mean, sd = read_model(args.model)
     x = read_data_csv(args.data)
-    if x.p != b_hat.shape[0]:
-        raise UsageError(f"model has {b_hat.shape[0]} nodes, data has {x.p}")
-    test = apply_moments(x, mean, sd)
-    value = heldout_loglik(test, b_hat, scales, family)
+    if x.p != model.p:
+        raise UsageError(f"model has {model.p} nodes, data has {x.p}")
+    try:
+        test = apply_moments(x, mean, sd)
+    except ValueError as exc:
+        raise UsageError(f"{args.model}: {exc}") from None
+    value = heldout_loglik(test, model)
     print(json.dumps({"mean_loglik": value, "units": "per-observation-per-variable",
-                      "family": str(family)}))
+                      "family": str(model.family)}))
     return 0
 
 

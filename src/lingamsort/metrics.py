@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering
+from .model import Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering, WeightedDag
 from .regression import RankDeficient, ols_residual
 from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, fit_scale, log_density
 
@@ -29,13 +29,14 @@ def fit_coefficients(
     ordering: Ordering,
     nbhd: NeighborhoodSets,
     family: NoiseFamily,
-) -> tuple[np.ndarray, np.ndarray]:
-    """OLS coefficients and noise scales implied by an ordering.
+) -> WeightedDag:
+    """The OLS model implied by an ordering, as a :class:`WeightedDag`.
 
-    Each node is regressed on the intersection of its neighborhood with its
-    predecessors in the ordering; column k of the returned matrix holds the
-    coefficients (zero elsewhere) and ``scales[k]`` is the family's scale
-    estimate on the final residual.  Requires self-standardized data.
+    Node k's parents are its regressors: its neighborhood's members that
+    precede it in the ordering, ascending, less any with an exactly zero
+    coefficient.  Its weights are the OLS coefficients and its scale is the
+    family's estimate on the residual.  No p x p array is built.  Requires
+    self-standardized data.
 
     Raises :class:`RankDeficient` for the first node whose regressors are
     collinear; failing that, :class:`DegenerateResidual` for the first node
@@ -48,49 +49,41 @@ def fit_coefficients(
     if ordering.p != x.p or nbhd.p != x.p:
         raise ValueError("ordering / neighborhoods / data disagree on p")
     pos = ordering.positions()
-    b_hat = np.zeros((x.p, x.p))
-    scales = np.empty(x.p)
-    degenerate: list[int] = []
+    cols: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, weights) per node
+    scales = np.zeros(x.p)  # stays 0 at a degenerate node
     for k in range(x.p):
         candidates = nbhd.sets[k]
         regressors = candidates[pos[candidates] < pos[k]]
+        resid, beta = x.values[:, k], np.empty(0)
         if regressors.size:
             try:
-                resid, beta = ols_residual(x.values[:, k], x.values[:, regressors])
+                resid, beta = ols_residual(resid, x.values[:, regressors])
             except RankDeficient as exc:
                 exc.node = k
                 raise
-            b_hat[regressors, k] = beta
-        else:
-            resid = x.values[:, k]
-        if float(resid @ resid) / resid.size < DEGENERATE_MEAN_SQUARE:
-            degenerate.append(k)
-        else:
+        cols.append((regressors[beta != 0.0], beta[beta != 0.0]))
+        if float(resid @ resid) / resid.size >= DEGENERATE_MEAN_SQUARE:
             scales[k] = fit_scale(family, resid)[0]
-    if degenerate:
-        raise DegenerateResidual(degenerate[0])
-    return b_hat, scales
+    if np.any(scales == 0.0):
+        raise DegenerateResidual(int(np.flatnonzero(scales == 0.0)[0]))
+    dag = Dag(x.p, [pa for pa, _ in cols])
+    return WeightedDag(dag, [wt for _, wt in cols], family, scales)
 
 
-def heldout_loglik(
-    x_test: DataMatrix,
-    b_hat: np.ndarray,
-    scales_hat: np.ndarray,
-    family: NoiseFamily,
-) -> float:
+def heldout_loglik(x_test: DataMatrix, model: WeightedDag) -> float:
     """Mean per-observation-per-variable log-likelihood of test residuals.
 
-    ``x_test`` must already carry the training standardization (training
-    means and sds applied; never the test set's own statistics).  The value
-    is comparable across density families fitted to the same residuals.
+    Column k's residual is ``x_k - X[:, pa_k] @ w_k`` under ``model``'s
+    family and scale k, in O(n (p + nnz)) time.  ``x_test`` must already
+    carry the training standardization (training means and sds applied;
+    never the test set's own statistics).  The value is comparable across
+    density families fitted to the same residuals.
     """
-    b_hat = np.asarray(b_hat, dtype=float)
-    scales_hat = np.asarray(scales_hat, dtype=float)
     n, p = x_test.n, x_test.p
-    if b_hat.shape != (p, p) or scales_hat.shape != (p,):
-        raise ValueError("model dimensions do not match the test data")
-    resid = x_test.values - x_test.values @ b_hat
+    if model.p != p:
+        raise ValueError(f"model has {model.p} nodes, test data has {p}")
     total = 0.0
-    for k in range(p):
-        total += float(np.sum(log_density(family, resid[:, k], float(scales_hat[k]))))
+    for k, pa in enumerate(model.dag.parents):
+        resid = x_test.values[:, k] - x_test.values[:, list(pa)] @ model.weights[k]
+        total += float(np.sum(log_density(model.family, resid, float(model.scales[k]))))
     return total / (n * p)

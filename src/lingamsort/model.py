@@ -125,6 +125,8 @@ class Dag:
     def from_edges(cls, p: int, edges: Iterable[tuple[int, int]]) -> "Dag":
         parents: list[list[int]] = [[] for _ in range(int(p))]
         for j, k in edges:
+            if not 0 <= int(k) < int(p):
+                raise ValueError(f"child {k} of edge ({j}, {k}) out of range [0, {p})")
             parents[int(k)].append(int(j))
         return cls(p, parents)
 
@@ -206,14 +208,14 @@ class WeightedDag:
             w = np.asarray(w, dtype=float)
             if w.shape != (len(dag.parents[k]),):
                 raise ValueError(f"weights of node {k} do not match its parent list")
-            if np.any(w == 0.0):
-                raise ValueError(f"zero weight on an edge into node {k}")
+            if not np.all(np.isfinite(w) & (w != 0.0)):
+                raise ValueError(f"non-finite or zero weight on an edge into node {k}")
             cols.append(w)
         scales = np.asarray(scales, dtype=float)
         if scales.shape != (dag.p,):
             raise ValueError("need one scale per node")
-        if not np.all(scales > 0):
-            raise ValueError("all noise scales must be strictly positive")
+        if not np.all((scales > 0) & np.isfinite(scales)):
+            raise ValueError("all noise scales must be finite and strictly positive")
         self.dag = dag
         self.weights: tuple[np.ndarray, ...] = tuple(cols)
         self.family = family

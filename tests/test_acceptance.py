@@ -252,8 +252,8 @@ def test_criterion_10_heldout_likelihood_ordering():
         test_std = apply_moments(test, mean, sd)
         values = {}
         for family in (LAP, GAU):
-            b_hat, scales = fit_coefficients(train_std, res.ordering, nbhd, family)
-            values[family.tag] = heldout_loglik(test_std, b_hat, scales, family)
+            model = fit_coefficients(train_std, res.ordering, nbhd, family)
+            values[family.tag] = heldout_loglik(test_std, model)
         wins += values["laplace"] > values["gaussian"]
     ok = wins >= 48
     _report(10, "laplace density wins the held-out likelihood", ok,

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import lingamsort
-from lingamsort import DataMatrix, NoiseFamily, Ordering, WeightedDag, rng_stream
+from lingamsort import Dag, DataMatrix, NoiseFamily, Ordering, WeightedDag, rng_stream
 from lingamsort.cli import (
     UsageError,
     load_edge_list,
     main,
     read_data_csv,
+    read_model,
     truth_from_doc,
     truth_to_doc,
     write_data_csv,
@@ -72,12 +73,30 @@ class TestFileFormats:
         assert np.array_equal(w2.scales, w.scales)
         assert str(w2.family) == "scaled-t:10"
 
+    def test_truth_edges_load_in_any_order(self):
+        # each weight stays on its own edge whatever order the file lists them in
+        dag = Dag(4, [[], [0], [0, 1], [0, 1, 2]])
+        weights = [[], [0.5], [0.6, -0.7], [0.8, -0.9, 0.3]]
+        w = WeightedDag(dag, weights, NoiseFamily.laplace(), [1.0] * 4)
+        doc = truth_to_doc(w, Ordering([0, 1, 2, 3]), 7)
+        doc["edges"].reverse()
+        w2, _, _ = truth_from_doc(doc)
+        assert w2.b_matrix().tobytes() == w.b_matrix().tobytes()
+
     def test_edge_list_loader(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0 1\n1 2\n\n0 2\n")
         dag = load_edge_list(path)
         assert dag.p == 3
         assert list(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("line", ["1 -1", "-1 1", "0 3", "1 1"])
+    def test_edge_list_rejects_bad_nodes(self, tmp_path, line):
+        # a negative child used to wrap round to node p - 1
+        path = tmp_path / "e.txt"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(UsageError, match=str(path)):
+            load_edge_list(path, p=3)
 
     def test_edge_list_rejects_triples(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -342,6 +361,20 @@ class TestSortEvalPipeline:
         assert main(["eval", "--truth", str(tmp_path / "t.json"),
                      "--ordering", str(ordering)]) == 2
 
+    @pytest.mark.parametrize("edges", [
+        [{"from": 0, "to": 1, "weight": 0.5}, {"from": 1, "to": 0, "weight": 0.5}],
+        [{"from": 0, "to": 3, "weight": 0.5}],
+        [{"from": 0, "to": 1, "weight": 0.0}],
+    ], ids=["cycle", "node-out-of-range", "zero-weight"])
+    def test_eval_bad_truth_exits_2_naming_it(self, tmp_path, capsys, edges):
+        truth = tmp_path / "t.json"
+        truth.write_text(json.dumps({"p": 3, "edges": edges, "family": {"tag": "laplace"},
+                                     "scales": [1.0] * 3, "ordering": [0, 1, 2], "seed": 1}))
+        ordering = tmp_path / "o.json"
+        ordering.write_text(json.dumps({"ordering": [0, 1, 2]}))
+        assert main(["eval", "--truth", str(truth), "--ordering", str(ordering)]) == 2
+        assert f"error: {truth}: " in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_small_grid_stable_and_sorted(self, tmp_path, capsys):
@@ -376,6 +409,16 @@ class TestBenchmark:
         out = tmp_path / "r.jsonl"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("spec", ["corr:x:0.2", "corr:2:y", "corr:2"])
+    def test_bad_corr_spec_exits_2_naming_the_cell(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"base_seed": 1, "cells": [
+            {"p": 5, "n": 40, "family": "laplace", "neighborhoods": spec}]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: cells[0]: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replicate_failure_recorded_run_continues(self, tmp_path):
         # n too small for the corr split: the replicate records the error
@@ -463,6 +506,45 @@ class TestFitLoglik:
         small = tmp_path / "small.csv"
         write_data_csv(small, DataMatrix(np.random.default_rng(0).standard_normal((10, 3))))
         assert main(["loglik", "--model", str(model), "--data", str(small)]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"coefficients": [{"from": -1, "to": 1, "weight": 0.5}]},
+        {"coefficients": [{"from": 1, "to": 1, "weight": 0.5}]},
+        {"coefficients": [{"from": 0, "to": 1, "weight": 0.5},
+                          {"from": 1, "to": 0, "weight": 0.5}]},
+        {"coefficients": [{"from": 0, "to": 3, "weight": 0.5}]},
+        {"scales": [1.0, 1.0]},
+        {"train_sds": [1.0, 1.0]},
+        {"coefficients": [{"from": 0, "to": 1, "weight": math.nan}]},
+        {"scales": [1.0, math.inf, 1.0]},
+    ], ids=["negative-node", "self-loop", "cycle", "node-out-of-range", "short-scales",
+            "short-train-sds", "nan-weight", "infinite-scale"])
+    def test_bad_model_exits_2_naming_it(self, tmp_path, capsys, change):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(rng_stream(9, 0).laplace(size=(20, 3))))
+        good = {"p": 3, "family": {"tag": "laplace"},
+                "coefficients": [{"from": 0, "to": 1, "weight": 0.5}],
+                "scales": [1.0] * 3, "train_means": [0.0] * 3, "train_sds": [1.0] * 3}
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(good))
+        assert main(["loglik", "--model", str(model), "--data", str(data)]) == 0
+        model.write_text(json.dumps({**good, **change}))
+        capsys.readouterr()
+        assert main(["loglik", "--model", str(model), "--data", str(data)]) == 2
+        assert f"error: {model}: " in capsys.readouterr().err
+
+    def test_fit_writes_what_loglik_reads(self, tmp_path, capsys):
+        # model.json lists coefficients by (from, to); read back, it is the
+        # same WeightedDag that fit_coefficients returned
+        data, model = self._pipeline(tmp_path, "laplace")
+        doc = json.loads(model.read_text())
+        pairs = [(e["from"], e["to"]) for e in doc["coefficients"]]
+        assert pairs == sorted(pairs) and len(pairs) > 0
+        w, mean, sd = read_model(model)
+        assert sorted(w.weighted_edges()) == [
+            (e["from"], e["to"], e["weight"]) for e in doc["coefficients"]]
+        assert list(w.scales) == doc["scales"]
+        assert list(mean) == doc["train_means"] and list(sd) == doc["train_sds"]
 
 
 # Runs in a child whose sys.modules blocks scipy, so any scipy import fails.

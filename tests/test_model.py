@@ -44,6 +44,12 @@ class TestDag:
         assert list(dag.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
         assert dag.edge_count == 4
 
+    @pytest.mark.parametrize("child", [-1, 4])
+    def test_from_edges_rejects_child_out_of_range(self, child):
+        # a negative child must not wrap round to node p - 1
+        with pytest.raises(ValueError, match="out of range"):
+            Dag.from_edges(4, [(0, 1), (1, child)])
+
     def test_topological_order_exists_for_every_dag(self):
         # Kahn traversal provides the existence witness
         for dag in [chain_dag(6), diamond_dag(), Dag(4, [[], [], [], []])]:
@@ -85,6 +91,12 @@ class TestWeightedDag:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="zero weight"):
             WeightedDag(chain_dag(2), [[], [0.0]], NoiseFamily.laplace(), [1, 1])
+
+    @pytest.mark.parametrize("weight, scale", [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.inf),
+                                               (0.5, np.nan)])
+    def test_non_finite_weight_or_scale_rejected(self, weight, scale):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedDag(chain_dag(2), [[], [weight]], NoiseFamily.laplace(), [1, scale])
 
     def test_scales_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
