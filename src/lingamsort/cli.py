@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,39 @@ def write_data_csv(path: str | Path, x: DataMatrix) -> None:
     os.replace(tmp, path)
 
 
-def read_data_csv(path: str | Path) -> DataMatrix:
+def _count_lines(path: str | Path) -> int:
+    """Lines in a file; an unterminated last line counts as one."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _read_clean_csv(path: str | Path) -> tuple[list[str], np.ndarray] | None:
+    """Header and values of a clean data CSV through numpy's C parser, or
+    None for anything else: a parse error, a warning, or a shape other than
+    one row per data line and one column per header field.  numpy skips
+    blank lines, so they show up as missing rows."""
+    data_lines = _count_lines(path) - 1
+    if data_lines < 1:
+        return None
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except (ValueError, Warning):
+            return None
+    if values.shape != (data_lines, len(header)):
+        return None
+    return header, values
+
+
+def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header and values through ``csv.reader``, naming the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -98,7 +131,14 @@ def read_data_csv(path: str | Path) -> DataMatrix:
                 raise UsageError(f"{path}:{i}: {exc}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    values = np.asarray(rows)
+    return header, np.asarray(rows)
+
+
+def read_data_csv(path: str | Path) -> DataMatrix:
+    """A data CSV as a DataMatrix.  A clean file is parsed by numpy's C
+    parser; any other file goes through ``csv.reader``, which gives the same
+    values or names the bad line."""
+    header, values = _read_clean_csv(path) or _read_csv_rows(path)
     if not np.isfinite(values).all():
         i, k = np.argwhere(~np.isfinite(values))[0]
         raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}")
@@ -269,16 +309,28 @@ def _split_rows(x: DataMatrix, frac: float, seed: int) -> tuple[DataMatrix, Data
     return DataMatrix(x.values[hold]), DataMatrix(x.values[rest])
 
 
-def _parse_corr(spec: str, with_seed: bool, where: str) -> tuple:
-    """``corr:m:frac`` as (m, frac), or ``corr:m:frac:seed`` as (m, frac, seed)."""
+def _parse_corr(spec: str, p: int, with_seed: bool, where: str) -> tuple:
+    """``corr:m:frac`` as (m, frac), or ``corr:m:frac:seed`` as (m, frac,
+    seed), with 0 < m < p checked."""
     fields = spec.split(":")[1:]
     if len(fields) != 2 + with_seed:
         form = "corr:m:frac:seed" if with_seed else "corr:m:frac (split seed is derived)"
         raise UsageError(f"{where}: expected {form}")
     try:
-        return (int(fields[0]), float(fields[1]), *map(int, fields[2:]))
+        parsed = (int(fields[0]), float(fields[1]), *map(int, fields[2:]))
     except ValueError as exc:
         raise UsageError(f"{where}: bad corr specification: {exc}") from None
+    if not 0 < parsed[0] < p:
+        raise UsageError(f"{where}: corr: need 0 < m < p, got m={parsed[0]}, p={p}")
+    return parsed
+
+
+def _corr_neighborhoods(x: DataMatrix, m: int, frac: float,
+                        seed: int) -> tuple[NeighborhoodSets, DataMatrix]:
+    """The top-m correlated sets from a held-out share of the rows, and the
+    rows left for estimation."""
+    hold, rows = _split_rows(x, frac, seed)
+    return top_correlated(hold, m), rows
 
 
 def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets, DataMatrix, str]:
@@ -293,11 +345,7 @@ def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets,
     if option == "full":
         nbhd = full_neighborhoods(x.p)
     elif option.startswith("corr:"):
-        m, frac, seed = _parse_corr(option, True, "--neighborhoods")
-        hold, rows = _split_rows(x, frac, seed)
-        if not 0 < m < x.p:
-            raise UsageError(f"corr: need 0 < m < p, got m={m}, p={x.p}")
-        nbhd = top_correlated(hold, m)
+        nbhd, rows = _corr_neighborhoods(x, *_parse_corr(option, x.p, True, "--neighborhoods"))
     else:
         path = Path(option)
         if not path.exists():
@@ -398,7 +446,7 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
     family = family_from_doc(_require(cell, "family", where), where)
     scheme = cell.get("neighborhoods", "mb")
     if scheme.startswith("corr:"):
-        corr_m, corr_frac = _parse_corr(scheme, False, where)
+        corr_m, corr_frac = _parse_corr(scheme, p, False, where)
     elif scheme not in ("mb", "full"):
         raise UsageError(f"{where}: unknown neighborhood scheme {scheme!r}")
     graph_doc = cell.get("graph", {"scheme": "large-sparse"})
@@ -422,8 +470,8 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
             elif scheme == "full":
                 nbhd, rows = full_neighborhoods(p), x
             else:
-                hold, rows = _split_rows(x, corr_frac, derive_seed(seed, STREAM_SPLIT))
-                nbhd = top_correlated(hold, corr_m)
+                nbhd, rows = _corr_neighborhoods(x, corr_m, corr_frac,
+                                                 derive_seed(seed, STREAM_SPLIT))
             result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd))
             record["order_error"] = order_error(w.dag, result.ordering)
             record["is_topological"] = is_topological(w.dag, result.ordering)

@@ -283,6 +283,15 @@ class DataMatrix:
             if np.max(np.abs(mean)) > 1e-10 or np.max(np.abs(sd - 1.0)) > 1e-10:
                 raise ValueError("standardized flag set but columns are not standardized")
 
+    @classmethod
+    def _standardized(cls, values: np.ndarray) -> DataMatrix:
+        """Flag values that are standardized by construction, skipping the
+        O(np) check of ``__post_init__``; for ``regression.standardize``."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "values", values)
+        object.__setattr__(x, "standardized", True)
+        return x
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -328,7 +337,8 @@ class NeighborhoodSets:
         p = len(sets)
         norm: list[np.ndarray] = []
         for k, s in enumerate(sets):
-            arr = np.unique(np.asarray(list(s), dtype=np.int64))
+            arr = np.unique(np.asarray(s if isinstance(s, np.ndarray) else list(s),
+                                       dtype=np.int64))
             if arr.size and (arr[0] < 0 or arr[-1] >= p):
                 raise ValueError(f"neighbor index out of range in set {k}")
             if np.any(arr == k):

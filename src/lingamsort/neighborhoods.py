@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import Dag, DataMatrix, NeighborhoodSets
 
-_CHUNK = 512  # columns per block when correlating wide matrices
+_CHUNK = 128  # columns per block: about 2 MB of strengths at p = 2000
 
 
 def markov_blankets(dag: Dag) -> NeighborhoodSets:
@@ -30,7 +30,9 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
 
     Ties break toward the lower index; zero-variance columns correlate as 0
     with everything.  Works blockwise so the full p x p correlation matrix
-    is never materialized.
+    is never materialized.  Per column, ``np.partition`` finds the m-th
+    largest strength; the set is every column strictly above it plus the
+    lowest-index columns equal to it, up to m.
     """
     n, p = x_holdout.n, x_holdout.p
     if not 0 < m < p:
@@ -46,13 +48,18 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
     sets: list[np.ndarray] = []
     for start in range(0, p, _CHUNK):
         stop = min(start + _CHUNK, p)
-        corr = np.clip(z.T @ z[:, start:stop] / n, -1.0, 1.0)
-        for k in range(start, stop):
-            strength = np.abs(corr[:, k - start])
-            strength[k] = -np.inf
-            # stable sort on descending strength keeps lower indices first on ties
-            order = np.argsort(-strength, kind="stable")
-            sets.append(np.sort(order[:m]))
+        # |clip(corr, -1, 1)|, one row per column start..stop-1
+        strength = np.divide((z.T @ z[:, start:stop]).T, n, order="C")
+        np.abs(strength, out=strength)
+        np.minimum(strength, 1.0, out=strength)
+        cols = np.arange(stop - start)
+        strength[cols, start + cols] = -np.inf
+        kth = np.partition(strength, p - m, axis=1)[:, p - m, None]
+        above = strength > kth
+        tied = strength == kth
+        room = m - np.count_nonzero(above, axis=1)[:, None]
+        keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+        sets.extend(np.flatnonzero(row) for row in keep)
     return NeighborhoodSets(sets)
 
 

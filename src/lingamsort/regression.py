@@ -77,10 +77,14 @@ def standardize(x: DataMatrix) -> DataMatrix:
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
+    if not np.isfinite(sd).all():
+        raise ValueError("column variance overflows")
+    # a finite sd makes every entry finite, with |z| <= sqrt(n), so the result
+    # is flagged without DataMatrix's second pass over the moments
     out = np.empty(x.values.shape, order="F")
     np.subtract(x.values, mean, out=out)
     out /= sd
-    return DataMatrix(out, standardized=True)
+    return DataMatrix._standardized(out)
 
 
 def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix:

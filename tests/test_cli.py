@@ -118,6 +118,114 @@ class TestFileFormats:
         assert f"{path}:3: column v1" in capsys.readouterr().err
 
 
+def read_data_csv_by_csv_reader(path) -> DataMatrix:
+    """Reference reader: every row through csv.reader and float()."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise UsageError(f"{path}: empty file") from None
+        p = len(header)
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if len(row) != p:
+                raise UsageError(f"{path}:{i}: expected {p} fields, found {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise UsageError(f"{path}:{i}: {exc}") from None
+    if not rows:
+        raise UsageError(f"{path}: no data rows")
+    values = np.asarray(rows)
+    if not np.isfinite(values).all():
+        i, k = np.argwhere(~np.isfinite(values))[0]
+        raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}")
+    return DataMatrix(values)
+
+
+def _random_doubles_csv(newline: str) -> str:
+    rng = rng_stream(9, 0)
+    values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4))
+    values[0] = [5e-324, -2.5e-310, -0.0, 2.2250738585072009e-308]
+    lines = ["v0,v1,v2,v3"]
+    for r, row in enumerate(values):
+        # shortest round-trip reprs and 17 significant digits
+        lines.append(",".join(repr(float(v)) if r % 2 else f"{v:.17g}" for v in row))
+    return newline.join(lines) + newline
+
+
+CSV_CASES = {
+    "random-lf": _random_doubles_csv("\n"),
+    "random-crlf": _random_doubles_csv("\r\n"),
+    "unterminated": "v0,v1\n1.5,2\n3,-4e-3",
+    "unterminated-crlf": "v0,v1\r\n1.5,2\r\n3,-4e-3",
+    "blank-middle": "v0,v1\n1,2\n\n3,4\n",
+    "blank-end": "v0,v1\n1,2\n3,4\n\n",
+    "hash-in-cell": "v0,v1\n1,2\n#3,4\n",
+    "quoted-number": 'v0,v1\n1,"2.5"\n3,4\n',
+    "spaces": "v0,v1\n 1 , 2\t\n3 ,  4\n",
+    "underscore": "v0,v1\n1_0,2\n3,4\n",
+    "ragged": "v0,v1\n1,2\n3\n5,6\n",
+    "too-many": "v0,v1\n1,2,3\n",
+    "nan": "v0,v1\n1,2\n3,nan\n",
+    "inf": "v0,v1\n1,2\n-inf,4\n",
+    "single-row": "v0,v1,v2\n1,2,3\n",
+    "single-column": "v0\n1\n2\n",
+    "header-only": "v0,v1\n",
+    "header-only-unterminated": "v0,v1",
+    "empty": "",
+    "header-wider-than-rows": "v0,v1,v2\n1,2\n3,4\n",
+}
+
+
+class TestCsvReader:
+    """The C-parsed read gives the reference reader's values bit for bit, or
+    its UsageError text."""
+
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_matches_csv_reader(self, tmp_path, case):
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(CSV_CASES[case].encode())
+        try:
+            expected = read_data_csv_by_csv_reader(path)
+        except UsageError as exc:
+            with pytest.raises(UsageError) as got:
+                read_data_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_data_csv(path).values
+        assert got.shape == expected.values.shape
+        assert np.array_equal(got.view(np.int64), expected.values.view(np.int64))
+
+    @pytest.mark.parametrize("case", ["random-lf", "random-crlf", "unterminated", "spaces"])
+    def test_clean_file_skips_csv_reader(self, tmp_path, monkeypatch, case):
+        import lingamsort.cli as cli
+
+        def refuse(path):
+            raise AssertionError("clean file fell back to csv.reader")
+
+        path = tmp_path / "x.csv"
+        path.write_bytes(CSV_CASES[case].encode())
+        monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+        assert read_data_csv(path).n >= 2
+
+    def test_traced_peak_stays_under_twice_the_array(self, tmp_path):
+        import tracemalloc
+
+        x = DataMatrix(rng_stream(10, 0).standard_normal((500, 1000)))
+        path = tmp_path / "x.csv"
+        write_data_csv(path, x)
+        tracemalloc.start()
+        try:
+            back = read_data_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == x.values.tobytes()
+        assert peak < 2 * x.values.nbytes
+
+
 class TestGenerate:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -418,6 +526,18 @@ class TestBenchmark:
         out = tmp_path / "r.jsonl"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {cfg}: cells[0]: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [0, 5, 9])
+    def test_corr_m_out_of_range_exits_2_naming_the_cell(self, tmp_path, capsys, m):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"base_seed": 1, "cells": [
+            {"p": 8, "n": 40, "family": "laplace", "neighborhoods": "mb"},
+            {"p": 5, "n": 40, "family": "laplace", "neighborhoods": f"corr:{m}:0.2"}]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"error: {cfg}: cells[1]: corr: need 0 < m < p, got m={m}, p=5"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_replicate_failure_recorded_run_continues(self, tmp_path):

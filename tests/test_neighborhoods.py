@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lingamsort.neighborhoods as nbh
 from conftest import chain_dag, diamond_dag
 from lingamsort import (
     Dag,
@@ -103,6 +104,59 @@ class TestTopCorrelated:
             assert top_correlated(x, 3).to_lists() == expected
         finally:
             nbh._CHUNK = old
+
+
+def top_correlated_by_argsort(values: np.ndarray, m: int) -> list[list[int]]:
+    """Reference selection: per column, a stable argsort of the other columns
+    by descending |corr|, so ties go to the lower index; keep the first m."""
+    n, p = values.shape
+    mean, sd = values.mean(axis=0), values.std(axis=0)
+    z = (values - mean) / np.where(sd > 0, sd, 1.0)
+    z[:, sd == 0] = 0.0
+    corr = np.clip(z.T @ z / n, -1.0, 1.0)
+    sets = []
+    for k in range(p):
+        strength = np.abs(corr[:, k])
+        strength[k] = -np.inf
+        sets.append(sorted(np.argsort(-strength, kind="stable")[:m].tolist()))
+    return sets
+
+
+class TestTopCorrelatedMatchesArgsort:
+    """The partition-based selection picks the stable-argsort sets, ties included."""
+
+    @staticmethod
+    def _tied_data(p: int, seed: int) -> np.ndarray:
+        # balanced +-1 columns standardize to themselves, so every |corr| is
+        # an exact multiple of 1/16 whatever order the Gram sums in: ties
+        # everywhere.  Duplicated and negated columns tie at 1, and a
+        # constant column's row is all ties at 0.
+        rng = rng_stream(seed, 0)
+        signs = np.repeat([1.0, -1.0], 16)
+        values = np.column_stack([rng.permutation(signs) for _ in range(p)])
+        values[:, 3] = values[:, 0]
+        values[:, 5] = -values[:, 0]
+        values[:, p - 1] = values[:, 1]
+        values[:, p - 2] = -values[:, 1]
+        values[:, 7] = 2.5
+        values[:, p // 2] = -1.0
+        return values
+
+    @pytest.mark.parametrize("p", [12, 2 * nbh._CHUNK + 37])
+    def test_ties_and_m_extremes(self, p):
+        values = self._tied_data(p, seed=p)
+        for m in (1, 2, p - 1):
+            assert top_correlated(DataMatrix(values), m).to_lists() == \
+                top_correlated_by_argsort(values, m), m
+
+    def test_random_data_across_chunks(self):
+        rng = rng_stream(7, 0)
+        p = nbh._CHUNK + 50
+        mixing = np.eye(p) + np.triu(rng.uniform(-1, 1, (p, p)) * (rng.random((p, p)) < 0.02))
+        values = rng.standard_normal((20, p)) @ mixing
+        for m in (1, 2, 10, p - 1):
+            assert top_correlated(DataMatrix(values), m).to_lists() == \
+                top_correlated_by_argsort(values, m), m
 
 
 class TestFullNeighborhoods:

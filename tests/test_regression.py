@@ -33,6 +33,18 @@ class TestStandardize:
             standardize(DataMatrix(np.array([[1.0, 2.0], [1.5, 2.0]])))
         assert err.value.column == 1
 
+    def test_output_passes_the_standardized_check(self):
+        # standardize flags its output without DataMatrix's check; the check
+        # itself must still accept it
+        rng = np.random.default_rng(1)
+        x = standardize(DataMatrix(rng.laplace(3.0, 7.0, size=(40, 6))))
+        assert DataMatrix(x.values, standardized=True).standardized
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_variance_raises(self):
+        with pytest.raises(ValueError, match="overflows"):
+            standardize(DataMatrix(np.array([[1e308, 1.0], [-1e308, 2.0]])))
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             standardize(DataMatrix(np.array([[1.0, 2.0]])))
