@@ -18,6 +18,7 @@ from .model import (
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .regression import (
     RankDeficient,
+    VarianceOverflow,
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
@@ -72,6 +73,7 @@ __all__ = [
     "SimConfig",
     "SortConfig",
     "SortResult",
+    "VarianceOverflow",
     "WeightedDag",
     "ZeroVarianceColumn",
     "apply_moments",

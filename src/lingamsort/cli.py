@@ -41,9 +41,9 @@ from .model import (
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .regression import (
     RankDeficient,
+    VarianceOverflow,
     ZeroVarianceColumn,
     apply_moments,
-    column_moments,
     standardize,
 )
 from .scoring import DegenerateResidual
@@ -385,14 +385,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_column(path: str, exc: ZeroVarianceColumn | VarianceOverflow) -> UsageError:
+    what = "is constant" if isinstance(exc, ZeroVarianceColumn) else "variance overflows"
+    return UsageError(f"{path}: column v{exc.column} {what}")
+
+
 def cmd_sort(args: argparse.Namespace) -> int:
     x = _read_estimation_csv(args.data)
     family = family_from_doc(args.family, "--family")
-    nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
     try:
+        nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
         result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd, trace=args.trace))
-    except ZeroVarianceColumn as exc:
-        raise UsageError(f"{args.data}: column v{exc.column} is constant") from None
+    except (ZeroVarianceColumn, VarianceOverflow) as exc:
+        raise _bad_column(args.data, exc) from None
     doc = {
         "p": x.p,
         "n_sorted": rows.n,
@@ -511,11 +516,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if ordering.p != x.p:
         raise UsageError(f"ordering has {ordering.p} nodes, data has {x.p}")
     family = family_from_doc(args.family, "--family")
-    nbhd, rows, _ = resolve_neighborhoods(args.neighborhoods, x)
-    mean, sd = column_moments(rows.values)
-    if np.any(sd == 0):
-        raise UsageError(f"{args.data}: column v{np.flatnonzero(sd == 0)[0]} is constant")
-    train = standardize(rows)
+    try:
+        nbhd, rows, _ = resolve_neighborhoods(args.neighborhoods, x)
+        train = standardize(rows)
+    except (ZeroVarianceColumn, VarianceOverflow) as exc:
+        raise _bad_column(args.data, exc) from None
+    mean, sd = train.moments
     try:
         model = fit_coefficients(train, ordering, nbhd, family)
     except RankDeficient as exc:

@@ -14,7 +14,7 @@ Node indices are 0-based everywhere, including file formats.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -264,11 +264,15 @@ class DataMatrix:
 
     ``standardized`` means each column has sample mean 0 and sample
     standard deviation 1 (denominator n), which is verified at construction
-    to absolute tolerance 1e-10.
+    to absolute tolerance 1e-10.  ``moments`` is the (mean, sd) of the
+    columns the matrix was standardized from when ``regression.standardize``
+    made it, and None otherwise.
     """
 
     values: np.ndarray
     standardized: bool = False
+    moments: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -284,12 +288,15 @@ class DataMatrix:
                 raise ValueError("standardized flag set but columns are not standardized")
 
     @classmethod
-    def _standardized(cls, values: np.ndarray) -> DataMatrix:
+    def _standardized(cls, values: np.ndarray,
+                      moments: tuple[np.ndarray, np.ndarray]) -> DataMatrix:
         """Flag values that are standardized by construction, skipping the
-        O(np) check of ``__post_init__``; for ``regression.standardize``."""
+        O(np) check of ``__post_init__``, and keep the source's ``moments``;
+        for ``regression.standardize``."""
         x = object.__new__(cls)
         object.__setattr__(x, "values", values)
         object.__setattr__(x, "standardized", True)
+        object.__setattr__(x, "moments", moments)
         return x
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Dag, DataMatrix, NeighborhoodSets
+from .regression import column_moments
 
 _CHUNK = 128  # columns per block: about 2 MB of strengths at p = 2000
 
@@ -29,10 +30,12 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
     """For each column, the m most |Pearson|-correlated other columns.
 
     Ties break toward the lower index; zero-variance columns correlate as 0
-    with everything.  Works blockwise so the full p x p correlation matrix
-    is never materialized.  Per column, ``np.partition`` finds the m-th
-    largest strength; the set is every column strictly above it plus the
-    lowest-index columns equal to it, up to m.
+    with everything, and a column whose variance overflows raises
+    :class:`lingamsort.regression.VarianceOverflow`.  Works blockwise so
+    the full p x p correlation matrix is never materialized.  Per column,
+    ``np.partition`` finds the m-th largest strength; the set is every
+    column strictly above it plus the lowest-index columns equal to it, up
+    to m.
     """
     n, p = x_holdout.n, x_holdout.p
     if not 0 < m < p:
@@ -40,8 +43,7 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
     if n < 3:
         raise ValueError("holdout needs at least 3 rows")
     values = x_holdout.values
-    mean = values.mean(axis=0)
-    sd = values.std(axis=0)
+    mean, sd = column_moments(values)
     safe = np.where(sd > 0, sd, 1.0)
     z = (values - mean) / safe
     z[:, sd == 0] = 0.0

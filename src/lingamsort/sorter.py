@@ -2,8 +2,8 @@
 
 At each step the unsorted node whose current residual looks most
 non-Gaussian (highest likelihood-ratio score) is appended to the ordering.
-A node's residual is its raw standardized column regressed, jointly and
-by least squares, on the raw columns of its neighbors among the
+A node's residual is its standardized column regressed, jointly and by
+least squares, on the standardized columns of its neighbors among the
 already-sorted set.  Every unsorted node's residual is kept current: when
 the selected node ``sel`` is appended, each unsorted k with ``sel`` in its
 neighborhood gains one regressor, and its residual is updated by one step
@@ -20,6 +20,11 @@ rank-one update of its residual columns, and every node the step touched
 is rescored by one block call of :func:`lingamsort.scoring.llr_score`.
 Blocks are cut into chunks of at most ``BLOCK_BYTES``, so that no n x p
 temporary is built.
+
+``sort`` adds one n x p array to the caller's data, the column-major
+``r`` of :class:`lingamsort.regression.ResidualState`: an unsorted node's
+column holds its current residual and a sorted node's column its
+standardized values, which are all a regressor needs.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -73,10 +78,10 @@ class SortResult:
 def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
 
-    Node k's residual is its column regressed on the raw columns Z_k of its
-    sorted neighbors S_k.  When ``sel`` is appended, every unsorted k with
-    ``sel`` in N(k) (found through a reverse index built once) takes ``sel``
-    into S_k::
+    Node k's residual is its standardized column regressed on the
+    standardized columns Z_k of its sorted neighbors S_k.  When ``sel`` is
+    appended, every unsorted k with ``sel`` in N(k) (found through a reverse
+    index built once) takes ``sel`` into S_k::
 
         c = Z_k' x_sel,  beta = W_k'(W_k c),  u = x_sel - Z_k beta,  delta = u'u
         r_k <- r_k - (u'r_k / delta) u,  W_k gains the row (-beta', 1) / sqrt(delta)
@@ -95,12 +100,23 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     The next node is the argmax of the scores, in which sorted nodes hold
     -inf; when every live node is degenerate the lowest live index is taken.
 
+    Besides the caller's ``x``, ``sort`` holds one n x p array, the
+    column-major ``r``: column k is r_k while k is unsorted and x_k once it
+    is sorted, so Z_k is read from ``r``.  Raw data are standardized into a
+    fresh ``r`` in one chunked pass, and x_sel is rebuilt from the raw
+    column as ``(x[:, sel] - mean[sel]) / sd[sel]``, bit for bit the column
+    ``standardize`` wrote; caller-standardized data are copied into ``r``
+    once, and x_sel is the caller's column.  x_sel is written into
+    ``r[:, sel]`` at the end of ``sel``'s step, after any group that used
+    r_sel as its u.
+
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
     by all nodes on the factor, so |S_k| + 2 for an event that extends a
     factor and 1 for one that shares it; see :mod:`lingamsort.regression`.
     Raises ValueError when the neighborhoods cover another node count than
-    the data or a neighborhood has more members than there are samples.
+    the data or a neighborhood has more members than there are samples,
+    and ``standardize``'s errors for a constant or overflowing column.
     """
     started = time.perf_counter()
     if cfg.neighborhoods.p != x.p:
@@ -113,11 +129,15 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     p = x.p
-    # column-major, as every update touches single columns; standardize
-    # already writes column-major, so this copies only caller-standardized
-    # row-major data
-    state = ResidualState(np.asfortranarray((x if x.standardized else standardize(x)).values))
-    r = state.r
+    source = x.values
+    if x.standardized:
+        r = np.array(source, order="F")  # the caller's array is never updated
+        mean, sd = np.zeros(p), np.ones(p)  # (v - 0) / 1 is v, bit for bit
+    else:
+        std = standardize(x)
+        r = std.values
+        mean, sd = std.moments
+    state = ResidualState(r)
     width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
     factor = [state.root] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
@@ -152,13 +172,15 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         chosen.append(sel)
         unsorted[sel] = False
         scores[sel] = -np.inf
+        # standardize's column, bit for bit, from the caller's raw one
+        x_sel = (source[:, sel] - mean[sel]) / sd[sel]
         touched = [k for k in affected[sel] if unsorted[k]]
         groups: dict = {}  # factor -> its nodes in touched
         for k in touched:
             groups.setdefault(factor[k], []).append(k)
         for f, nodes in groups.items():
             # looked up in this module at every call, so it can be wrapped
-            step = partial_update(state, f, sel, shared=f is factor[sel])
+            step = partial_update(state, f, sel, x_sel, shared=f is factor[sel])
             if step is None:
                 skipped.extend((k, sel) for k in nodes)
                 continue
@@ -174,6 +196,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
                     block = r[:, part]
                     r[:, part] = block - np.outer(u, (u @ block) / delta)
             state.inner_products += len(nodes)
+        r[:, sel] = x_sel  # once every group that used r_sel as its u is done
         rescore_events += len(touched)
         if touched:
             rescore(touched, t + 1)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,28 @@ class TestSortEvalPipeline:
         assert main(["fit", "--data", str(data), "--ordering", str(out),
                      "--out", str(tmp_path / "m.json")]) == 2
         assert "column v1 is constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nbhd", ["full", "corr:2:0.2:1"])
+    def test_overflowing_variance_exits_2_naming_it(self, tmp_path, capsys, nbhd):
+        # finite cells whose squares overflow; a numpy warning would become
+        # an error here and exit 1
+        values = rng_stream(4, 0).laplace(size=(60, 4))
+        values[:, 2] *= 1e200
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(values))
+        out = tmp_path / "o.json"
+        ordering = tmp_path / "ordering.json"
+        ordering.write_text(json.dumps({"ordering": [0, 1, 2, 3]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sort", "--data", str(data), "--neighborhoods", nbhd,
+                         "--out", str(out)]) == 2
+            assert f"{data}: column v2 variance overflows" in capsys.readouterr().err
+            assert not out.exists()
+            assert main(["fit", "--data", str(data), "--ordering", str(ordering),
+                         "--neighborhoods", nbhd, "--out", str(out)]) == 2
+            assert f"{data}: column v2 variance overflows" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_one_row_csv_exits_2_naming_file(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -381,6 +383,56 @@ class TestOracleProperty:
             assert [k for k, _ in a] == [k for k, _ in b]
             np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
                                        rtol=1e-8, atol=1e-10)
+
+
+def _inputs(values):
+    """The three ways data reach ``sort``: raw row-major, raw column-major
+    and standardized by the caller."""
+    return [DataMatrix(np.ascontiguousarray(values)), DataMatrix(np.asfortranarray(values)),
+            DataMatrix(standardize(DataMatrix(values)).values, standardized=True)]
+
+
+class TestColumnRelabelling:
+    """Relabelling the columns, and the neighborhoods with them, relabels the
+    ordering the same way and spends the same inner products."""
+
+    @pytest.mark.parametrize("kind", ["mb", "corr", "full"])
+    def test_permuted_columns_permute_the_ordering(self, kind):
+        for r in range(2):
+            cfg = SimConfig(p=30, n=300, seed=derive_seed(9300, r), family=LAP,
+                            graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+            w, _, x = sample_dataset(cfg)
+            nbhd = _neighborhoods(kind, w, x)
+            perm = rng_stream(r, 7).permutation(x.p)  # new column j is old column perm[j]
+            inv = np.argsort(perm)
+            moved = NeighborhoodSets([np.sort(inv[nbhd.sets[old]]) for old in perm])
+            base = [sort(v, _cfg(nbhd)) for v in _inputs(x.values)]
+            relabelled = [sort(v, _cfg(moved)) for v in _inputs(x.values[:, perm])]
+            expected = tuple(int(inv[k]) for k in base[0].ordering.perm)
+            for a, b in zip(base, relabelled):
+                assert a.ordering.perm == base[0].ordering.perm, (kind, r)
+                assert b.ordering.perm == expected, (kind, r)
+                assert a.update_count == b.update_count == base[0].update_count
+
+
+class TestSorterMemory:
+    def test_raw_data_adds_one_array(self):
+        # sort keeps one n x p array of its own: the residuals, in which the
+        # sorted columns hold their standardized values; the chunk
+        # temporaries (BLOCK_BYTES) are small against it at this size
+        n, p = 500, 4000
+        rng = np.random.default_rng(14)
+        values = rng.laplace(size=(n, p))
+        values[:, 1:] += 0.5 * values[:, :-1]
+        nbhd = NeighborhoodSets([[j for j in (k - 1, k + 1) if 0 <= j < p] for k in range(p)])
+        for x in _inputs(values)[:2]:
+            tracemalloc.start()
+            try:
+                sort(x, _cfg(nbhd))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * values.nbytes, (x.values.flags.f_contiguous, peak / values.nbytes)
 
 
 class TestPopulationCheck:
