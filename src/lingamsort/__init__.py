@@ -51,7 +51,7 @@ from .simulate import (
     sample_noise,
     sample_weights,
 )
-from .sorter import SortConfig, SortResult, population_check, sort
+from .sorter import SortConfig, SortResult, sort
 from .metrics import fit_coefficients, heldout_loglik, order_error, reversed_edge_count
 
 __all__ = [
@@ -92,7 +92,6 @@ __all__ = [
     "mixing_matrix",
     "ols_residual",
     "order_error",
-    "population_check",
     "reversed_edge_count",
     "rng_stream",
     "sample_data",

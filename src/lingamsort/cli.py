@@ -333,26 +333,32 @@ def _corr_neighborhoods(x: DataMatrix, m: int, frac: float,
     return top_correlated(hold, m), rows
 
 
-def resolve_neighborhoods(option: str, x: DataMatrix) -> tuple[NeighborhoodSets, DataMatrix, str]:
-    """Parse ``full`` / ``file.json`` / ``corr:m:frac:seed``.
+def read_with_neighborhoods(path: str | Path,
+                            option: str) -> tuple[NeighborhoodSets, DataMatrix, str]:
+    """Read the data CSV at ``path`` and parse ``full`` / ``file.json`` /
+    ``corr:m:frac:seed``.
 
-    Returns the sets, the rows left for estimation (the input minus any
-    correlation holdout), and a normalized descriptor string.  Every set
-    must fit in the estimation rows: a node cannot have more neighbors
-    than there are rows to regress it on.
+    Returns the sets, the rows left for estimation (the CSV's rows minus any
+    correlation holdout), and a normalized descriptor string.  The CSV's
+    array is held here alone, so that with a holdout it is freed once its
+    rows are split, before the sets are computed.  Every set must fit in
+    the estimation rows: a node cannot have more neighbors than there are
+    rows to regress it on.
     """
-    rows = x
+    rows = _read_estimation_csv(path)
     if option == "full":
-        nbhd = full_neighborhoods(x.p)
+        nbhd = full_neighborhoods(rows.p)
     elif option.startswith("corr:"):
-        nbhd, rows = _corr_neighborhoods(x, *_parse_corr(option, x.p, True, "--neighborhoods"))
+        m, frac, seed = _parse_corr(option, rows.p, True, "--neighborhoods")
+        hold, rows = _split_rows(rows, frac, seed)  # drops the whole array
+        nbhd = top_correlated(hold, m)
     else:
-        path = Path(option)
-        if not path.exists():
+        nb_path = Path(option)
+        if not nb_path.exists():
             raise UsageError(f"neighborhood file not found: {option}")
-        nbhd = read_neighborhoods(path)
-        if nbhd.p != x.p:
-            raise UsageError(f"{option}: covers {nbhd.p} nodes, data has {x.p}")
+        nbhd = read_neighborhoods(nb_path)
+        if nbhd.p != rows.p:
+            raise UsageError(f"{option}: covers {nbhd.p} nodes, data has {rows.p}")
     for k, s in enumerate(nbhd.sets):
         if s.size > rows.n:
             raise UsageError(f"{option}: node {k} has {s.size} neighbors, "
@@ -391,15 +397,14 @@ def _bad_column(path: str, exc: ZeroVarianceColumn | VarianceOverflow) -> UsageE
 
 
 def cmd_sort(args: argparse.Namespace) -> int:
-    x = _read_estimation_csv(args.data)
     family = family_from_doc(args.family, "--family")
     try:
-        nbhd, rows, descriptor = resolve_neighborhoods(args.neighborhoods, x)
+        nbhd, rows, descriptor = read_with_neighborhoods(args.data, args.neighborhoods)
         result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd, trace=args.trace))
     except (ZeroVarianceColumn, VarianceOverflow) as exc:
         raise _bad_column(args.data, exc) from None
     doc = {
-        "p": x.p,
+        "p": rows.p,
         "n_sorted": rows.n,
         "family": args.family,
         "neighborhoods": descriptor,
@@ -511,13 +516,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    x = _read_estimation_csv(args.data)
     ordering = read_ordering(args.ordering)
-    if ordering.p != x.p:
-        raise UsageError(f"ordering has {ordering.p} nodes, data has {x.p}")
     family = family_from_doc(args.family, "--family")
     try:
-        nbhd, rows, _ = resolve_neighborhoods(args.neighborhoods, x)
+        nbhd, rows, _ = read_with_neighborhoods(args.data, args.neighborhoods)
+        if ordering.p != rows.p:
+            raise UsageError(f"ordering has {ordering.p} nodes, data has {rows.p}")
         train = standardize(rows)
     except (ZeroVarianceColumn, VarianceOverflow) as exc:
         raise _bad_column(args.data, exc) from None
@@ -531,11 +535,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.data}: column v{exc.node} is explained exactly "
                          "by its predecessors") from None
     # edges by parent: the (from, to) order of model files, with no sorted copy
-    by_parent: list[list[dict]] = [[] for _ in range(x.p)]
+    by_parent: list[list[dict]] = [[] for _ in range(rows.p)]
     for j, k, wt in model.weighted_edges():
         by_parent[j].append({"from": j, "to": k, "weight": wt})
     doc = {
-        "p": x.p,
+        "p": rows.p,
         "family": family_to_doc(family),
         "coefficients": [e for edges in by_parent for e in edges],
         "scales": [float(s) for s in model.scales],

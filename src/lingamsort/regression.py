@@ -13,15 +13,17 @@ in the same pass.
 
 The sorter keeps each node's joint-OLS residual current as its regressor
 set grows one column at a time.  :class:`ResidualState` holds one
-column-major n x p array ``r`` and the count of inner products spent.
-Column k of ``r`` holds node k's current residual while k is unsorted and
-its standardized values x_k once k is sorted.  Every regressor is a sorted
-node, so the regressor columns Z are read from ``r`` too.  Each
-regressor set Z (m columns) keeps the inverse W = L^-1 of the lower
-Cholesky factor L of its Gram matrix G = Z'Z (Golub & Van Loan, *Matrix
-Computations* 6.5), so that G^-1 = W'W and no triangular solve is needed.
-:func:`partial_update` extends one factor by one column x and returns the
-new direction u::
+column-major n x p array ``r``, the factors, and the count of inner
+products spent.  Column k of ``r`` holds node k's current residual while
+k is unsorted, and its standardized values x_k once k is sorted and has
+become some node's regressor.  Every regressor is such a node, so the
+regressor columns Z are read from ``r`` too.  Each regressor set Z (m
+columns) keeps the inverse W = L^-1 of the lower Cholesky factor L of
+its Gram matrix G = Z'Z (Golub & Van Loan, *Matrix Computations* 6.5),
+so that G^-1 = W'W and no triangular solve is needed.
+:func:`partial_update` extends every factor of one sorter step by the
+selected column x, in one batch, and returns each factor's new direction
+u::
 
     c = Z'x,  beta = W'(W c),  u = x - Z beta,  delta = u'u
     W gains the row (-beta', 1) / sqrt(delta)
@@ -40,7 +42,8 @@ Work therefore grows as O(p d) for neighborhoods of size at most d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from array import array
 
 import numpy as np
 
@@ -213,95 +216,152 @@ def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y - z @ beta, beta
 
 
-@dataclass(eq=False, slots=True)
-class _Factor:
-    """Inverse lower Cholesky factor W = L^-1 of the Gram matrix of some
-    standardized columns.
-
-    ``cols`` lists the columns in the order they joined.  A factor made
-    through the shared direction u = r_sel leaves ``inv`` unset and keeps
-    its ``parent`` and ``delta`` = u'u instead; its last row is computed
-    only if a later extension needs the whole factor.  Factors compare by
-    identity: nodes share a factor exactly when they hold the same object.
-    """
-
-    cols: np.ndarray
-    inv: np.ndarray | None = None
-    parent: _Factor | None = None
-    delta: float = 0.0
-
-
 class ResidualState:
-    """The sorter's one n x p array and the inner products spent.
+    """The sorter's one n x p array, its factors and the inner products spent.
 
     ``r`` is column-major and becomes the state's own: it is updated in
     place, not copied.  Column k holds node k's current residual while k
-    is unsorted and its standardized values x_k once k is sorted, so every
-    factor's columns are read from ``r``.  The caller writes x_sel into
-    ``r[:, sel]`` when ``sel``'s step is done.  ``root`` is the empty factor
-    every node starts from.
+    is unsorted.  When ``sel``'s step extends a factor, the caller writes
+    x_sel, ``sel``'s standardized values, into ``r[:, sel]`` at the end of
+    the step, so every factor's columns are read from ``r``; ``r.T`` is
+    the same array with those columns as contiguous rows.
+
+    Factors are numbered and form a tree: factor ``ROOT`` is the empty one
+    every node starts from, and factor f extends ``parent[f]`` by the one
+    column ``col[f]``, so its columns, in the order they joined, are the
+    ``col`` of the factors on its path from the root.  Its W is the rows
+    that those factors added: the row of a factor m columns deep holds its
+    m entries at ``w[row[f]:row[f] + m]``, so an extension stores m numbers
+    and the factors hold O(total factor size) in all.  A factor made
+    through the direction u = r_sel has ``row[f]`` None: its row is
+    deferred, and ``deferred[f]`` keeps its delta until an extension needs
+    the whole factor.
     """
+
+    ROOT = 0
 
     def __init__(self, r: np.ndarray):
         self.r = r
         self.pivot_floor = PIVOT_RTOL * r.shape[0]
         self.inner_products = 0
-        self.root = _Factor(np.empty(0, dtype=np.int64), np.empty((0, 0)))
+        self.parent = [-1]
+        self.col = [-1]
+        self.row: list[int | None] = [0]  # the root has no row; its 0 is never read
+        self.deferred: dict[int, float] = {}
+        self.w = array("d")
 
-    def inverse(self, factor: _Factor) -> np.ndarray:
-        """The factor's W = L^-1, filling in deferred rows."""
+    def path(self, factor: int) -> list[int]:
+        """The factors from the root's first child down to ``factor``."""
+        out = []
+        while factor != self.ROOT:
+            out.append(factor)
+            factor = self.parent[factor]
+        out.reverse()
+        return out
+
+    def complete(self, factor: int) -> None:
+        """Fill in the deferred rows of ``factor`` and its ancestors: each
+        costs |S| inner products, for the Gram column of its last member."""
         pending = []
-        while factor.inv is None:
+        while self.row[factor] is None:
             pending.append(factor)
-            factor = factor.parent
+            factor = self.parent[factor]
         for f in reversed(pending):
-            w = f.parent.inv
-            c = self.r[:, f.parent.cols].T @ self.r[:, f.cols[-1]]
+            path = self.path(self.parent[f])
+            c = self.r[:, [self.col[g] for g in path]].T @ self.r[:, self.col[f]]
             self.inner_products += c.size
-            f.inv = _append_row(w, w.T @ (w @ c), f.delta)
-            f.parent = None
-            factor = f
-        return factor.inv
+            coef = _solve(self.w, [self.row[g] for g in path], c.tolist())
+            self.row[f] = self._append(coef, self.deferred.pop(f))
+
+    def _append(self, coef: list[float], delta: float) -> int:
+        """Store the row (-beta', 1) / sqrt(delta), given coef = -beta, and
+        return its offset in ``w``."""
+        scale = 1.0 / math.sqrt(delta)
+        at = len(self.w)
+        self.w.extend([scale * b for b in coef])
+        self.w.append(scale)
+        return at
 
 
-def partial_update(state: ResidualState, factor: _Factor, sel: int, x: np.ndarray,
-                   shared: bool):
-    """(child factor, u, delta) for ``factor`` extended by column ``sel``,
-    or None when x_sel is numerically in the span of its columns.
+def _solve(w, rows: list[int], c: list[float]) -> list[float]:
+    """-beta = -W'(W c) for the lower-triangular W whose row i holds its
+    i + 1 entries at ``w[rows[i]:]``: the coefficients of u = x - Z beta on
+    the columns of Z."""
+    t = []
+    for i, at in enumerate(rows):
+        acc = 0.0
+        for j in range(i + 1):
+            acc += w[at + j] * c[j]
+        t.append(acc)
+    beta = [0.0] * len(rows)
+    for i, at in enumerate(rows):
+        for j in range(i + 1):
+            beta[j] += w[at + j] * t[i]
+    return [-b for b in beta]
 
-    ``x`` is x_sel, ``sel``'s standardized column; every column of the
-    factor is sorted, so its values Z are read from ``state.r``.  u is
-    x_sel's residual on the factor's columns and delta = u'u; a regressor
-    with ``delta <= PIVOT_RTOL * n`` counts as collinear.  When the factor
-    is the one ``sel`` itself was regressed on (``shared``), that residual
-    is r_sel, still in ``state.r[:, sel]``, and nothing is computed but
-    delta.  A node on the factor then takes ``r_k <- r_k - (u'r_k / delta) u``.
+
+def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.ndarray,
+                   own: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Extend every factor in ``factors`` by column ``sel``, in one batch.
+
+    ``x`` is x_sel, ``sel``'s standardized column.  Group g, on factor
+    ``factors[g]``, gets ``u[g]``, x_sel's residual on the factor's columns
+    Z (read from ``state.r``), and ``delta[g]`` = u'u, as the module
+    docstring sets out.  One gather puts every group's columns under x_sel
+    in a matrix z; c for all groups is one product, beta = W'(W c) is an
+    m x m product per group on Python floats (at neighborhood sizes, less
+    work than a padded batch of W's), and u for all groups is one product
+    ``mix @ z``, whose row g holds 1 for x_sel and -beta for the group's
+    columns.  The root factor is a group with no columns, whose u is x_sel.
+    The factor ``own``, if listed, is the one ``sel`` itself was regressed
+    on: its u is r_sel, still in ``state.r[:, sel]``, which joins z for
+    it, and its child defers its row of W.
+
+    Returns (children, u, delta), u as a groups x n array.  A regressor
+    with ``delta <= PIVOT_RTOL * n`` is collinear with its group's columns:
+    the group keeps its factor as its child and gets delta = inf, so that
+    the update ``r_k <- r_k - (u'r_k / delta) u`` leaves its nodes as they
+    are.
     """
-    if shared:
-        u = state.r[:, sel]
-    else:
-        w = state.inverse(factor)
-        z = state.r[:, factor.cols]
-        c = z.T @ x
-        state.inner_products += c.size
-        beta = w.T @ (w @ c)
-        u = x - z @ beta
-    delta = float(u @ u)
-    state.inner_products += 1
-    if delta <= state.pivot_floor:
-        return None
-    cols = np.append(factor.cols, sel)
-    if shared:
-        return _Factor(cols, parent=factor, delta=delta), u, delta
-    return _Factor(cols, _append_row(w, beta, delta)), u, delta
-
-
-def _append_row(w: np.ndarray, beta: np.ndarray, delta: float) -> np.ndarray:
-    """W extended by the row (-beta', 1) / sqrt(delta)."""
-    m = beta.size
-    scale = 1.0 / np.sqrt(delta)
-    out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = w
-    out[m, :m] = -scale * beta
-    out[m, m] = scale
-    return out
+    paths = []
+    for f in factors:
+        if f == own:
+            paths.append([])
+            continue
+        if state.row[f] is None:
+            state.complete(f)
+        paths.append(state.path(f))
+    flat = [state.col[g] for path in paths for g in path]
+    head = 1 + (own in factors)  # rows of z before the groups' columns
+    z = np.empty((head + len(flat), len(x)))
+    z[0] = x
+    state.r.T.take([sel] * (head - 1) + flat, axis=0, out=z[1:], mode="clip")
+    c = (z[head:] @ x).tolist()
+    state.inner_products += len(flat) + len(factors)
+    coefs, mix = [], []  # -beta per group; u = mix @ z
+    lo = 0
+    for f, path in zip(factors, paths):
+        hi = lo + len(path)
+        coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
+        row = [0.0] * (head + len(flat))
+        row[f == own] = 1.0
+        row[head + lo:head + hi] = coefs[-1]
+        mix.append(row)
+        lo = hi
+    u = np.array(mix) @ z
+    delta = (u[:, None, :] @ u[:, :, None]).ravel()  # one u'u per group
+    children = []
+    for g, (f, d) in enumerate(zip(factors, delta.tolist())):
+        if d <= state.pivot_floor:
+            delta[g] = np.inf
+            children.append(f)
+            continue
+        children.append(len(state.parent))
+        state.parent.append(f)
+        state.col.append(sel)
+        if f == own:
+            state.row.append(None)
+            state.deferred[children[-1]] = d
+        else:
+            state.row.append(state._append(coefs[g], d))
+    return children, u, delta

@@ -121,9 +121,10 @@ def llr_score(family: NoiseFamily, residual: np.ndarray) -> float | np.ndarray:
 
 
 def _block_scores(family: NoiseFamily, block: np.ndarray) -> np.ndarray:
-    mean_square = np.einsum("ij,ij->j", block, block) / block.shape[0]
-    live = mean_square >= DEGENERATE_MEAN_SQUARE
-    if not live.all():
+    cols = block.T
+    mean_square = (cols[:, None, :] @ cols[:, :, None]).ravel() / block.shape[0]
+    if not np.minimum.reduce(mean_square, initial=np.inf) >= DEGENERATE_MEAN_SQUARE:  # NaN too
+        live = mean_square >= DEGENERATE_MEAN_SQUARE
         out = np.full(block.shape[1], -np.inf)
         out[live] = _block_scores(family, block[:, live])
         return out
@@ -179,4 +180,4 @@ def laplace_fast_score(residual: np.ndarray) -> float | np.ndarray:
 
 def _log_norm_ratio(residual: np.ndarray, mean_square) -> np.ndarray:
     """log(sigma_hat / eta_hat) per column, given sigma_hat^2 = mean_square."""
-    return np.log(np.sqrt(mean_square) * residual.shape[0] / np.abs(residual).sum(axis=0))
+    return np.log(np.sqrt(mean_square) * residual.shape[0] / np.add.reduce(np.abs(residual.T), axis=-1))

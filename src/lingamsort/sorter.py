@@ -14,17 +14,19 @@ Nodes whose sorted-neighbor sets are equal share one factor.
 ``update_count`` counts the length-n inner products spent on these
 updates, as the :mod:`lingamsort.regression` docstring sets out.
 
-Each step works on blocks of columns.  The nodes that gain ``sel`` are
-grouped by factor; each group costs one ``partial_update`` and one
-rank-one update of its residual columns, and every node the step touched
-is rescored by one block call of :func:`lingamsort.scoring.llr_score`.
-Blocks are cut into chunks of at most ``BLOCK_BYTES``, so that no n x p
+Each step is one batch.  The nodes that gain ``sel`` are grouped by
+factor, and one call of ``partial_update`` extends every group's factor
+at once and returns each group's direction u.  The touched residuals are
+then gathered once per chunk of at most ``BLOCK_BYTES``, given their
+group's rank-one update, scored by one block call of
+:func:`lingamsort.scoring.llr_score` and written back, so that no n x p
 temporary is built.
 
 ``sort`` adds one n x p array to the caller's data, the column-major
 ``r`` of :class:`lingamsort.regression.ResidualState`: an unsorted node's
-column holds its current residual and a sorted node's column its
-standardized values, which are all a regressor needs.
+column holds its current residual and a sorted node's column, once some
+node has taken it as a regressor, its standardized values, which are all
+a regressor needs.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -39,19 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    GAUSSIAN,
-    DataMatrix,
-    NeighborhoodSets,
-    NoiseFamily,
-    Ordering,
-    WeightedDag,
-    is_topological,
-)
-from .neighborhoods import markov_blankets
+from .model import GAUSSIAN, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering
 from .regression import ResidualState, partial_update, standardize
 from .scoring import llr_score
-from .simulate import sample_data
 
 # Largest residual block, in bytes, that one update or scoring call touches.
 BLOCK_BYTES = 2 << 20
@@ -90,25 +82,28 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     and k is rescored; other scores stay cached, since theirs are the only
     residuals that did not change.  Nodes with equal S_k share one factor,
     and (u, delta) is computed once per factor and step; when S_k equals
-    S_sel, u is r_sel itself.  The K nodes on one factor are updated as a
-    block, ``R_K <- R_K - u (u'R_K) / delta``, and every node the step
-    touched is rescored by one block call of ``llr_score`` per chunk of at
-    most ``BLOCK_BYTES``; step 0 scores all p columns so.  A regressor
-    with ``delta <= PIVOT_RTOL * n`` is numerically collinear with S_k: it
-    is skipped and recorded as (k, sel) in ``diagnostics["skipped_updates"]``.
+    S_sel, u is r_sel itself.  One ``partial_update`` call per step
+    extends all the step's factors; then, per chunk of at most
+    ``BLOCK_BYTES`` of the touched columns R, each column takes its
+    group's u, ``R <- R - u (u'R) / delta``, and the chunk is rescored by
+    one block call of ``llr_score``; step 0 scores all p columns so.  A
+    regressor with ``delta <= PIVOT_RTOL * n`` is numerically collinear
+    with S_k: it is skipped and recorded as (k, sel) in
+    ``diagnostics["skipped_updates"]``.
 
     The next node is the argmax of the scores, in which sorted nodes hold
     -inf; when every live node is degenerate the lowest live index is taken.
 
     Besides the caller's ``x``, ``sort`` holds one n x p array, the
-    column-major ``r``: column k is r_k while k is unsorted and x_k once it
-    is sorted, so Z_k is read from ``r``.  Raw data are standardized into a
-    fresh ``r`` in one chunked pass, and x_sel is rebuilt from the raw
-    column as ``(x[:, sel] - mean[sel]) / sd[sel]``, bit for bit the column
+    column-major ``r``: column k is r_k while k is unsorted, and x_k from
+    the end of the step that sorts k if that step touched a node, so Z_k
+    is read from ``r``; a node that no unsorted node has as a neighbor
+    when it is sorted is never a regressor, and its column keeps its last
+    residual.  Raw data are standardized into a fresh ``r`` in one chunked
+    pass, and x_sel is rebuilt from the raw column as
+    ``(x[:, sel] - mean[sel]) / sd[sel]``, bit for bit the column
     ``standardize`` wrote; caller-standardized data are copied into ``r``
-    once, and x_sel is the caller's column.  x_sel is written into
-    ``r[:, sel]`` at the end of ``sel``'s step, after any group that used
-    r_sel as its u.
+    once, and x_sel is the caller's column.
 
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
@@ -138,8 +133,9 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         r = std.values
         mean, sd = std.moments
     state = ResidualState(r)
+    columns = r.T  # row k is column k of r, contiguous
     width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
-    factor = [state.root] * p
+    factor = [state.ROOT] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
     for k, s in enumerate(cfg.neighborhoods.sets):
         for j in s:
@@ -149,57 +145,59 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     skipped: list[tuple[int, int]] = []
     scores = np.empty(p)
 
-    def rescore(nodes: list[int], step: int) -> None:
-        for lo in range(0, len(nodes), width):
-            part = nodes[lo:lo + width]
-            # looked up in this module at every call, so it can be wrapped
-            fresh = llr_score(cfg.family, r[:, part])
-            scores[part] = fresh
-            degenerate.extend((int(part[i]), step) for i in np.flatnonzero(fresh == -np.inf))
+    def score(nodes, block: np.ndarray, step: int) -> None:
+        # looked up in this module at every call, so it can be wrapped
+        fresh = llr_score(cfg.family, block)
+        scores[nodes] = fresh
+        if np.minimum.reduce(fresh) == -np.inf:
+            degenerate.extend((int(nodes[i]), step) for i in np.flatnonzero(fresh == -np.inf))
 
-    rescore(list(range(p)), 0)
+    for lo in range(0, p, width):
+        score(range(lo, min(lo + width, p)), r[:, lo:lo + width], 0)
     chosen: list[int] = []
-    unsorted = np.ones(p, dtype=bool)
+    live = [True] * p
     trace: list[list[tuple[int, float]]] | None = [] if cfg.trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
+    x_sel = np.empty(x.n)
     for t in range(p):
         if trace is not None:
-            trace.append([(int(k), float(scores[k])) for k in np.flatnonzero(unsorted)])
-        # np.argmax returns the first maximum, which is the lowest index here
-        sel = int(np.argmax(scores))
+            trace.append([(k, float(scores[k])) for k in range(p) if live[k]])
+        # argmax returns the first maximum, which is the lowest index here
+        sel = int(scores.argmax())
         if scores[sel] == -np.inf:  # every live node is degenerate
-            sel = int(np.argmax(unsorted))
+            sel = live.index(True)
         chosen.append(sel)
-        unsorted[sel] = False
+        live[sel] = False
         scores[sel] = -np.inf
-        # standardize's column, bit for bit, from the caller's raw one
-        x_sel = (source[:, sel] - mean[sel]) / sd[sel]
-        touched = [k for k in affected[sel] if unsorted[k]]
-        groups: dict = {}  # factor -> its nodes in touched
-        for k in touched:
-            groups.setdefault(factor[k], []).append(k)
-        for f, nodes in groups.items():
-            # looked up in this module at every call, so it can be wrapped
-            step = partial_update(state, f, sel, x_sel, shared=f is factor[sel])
-            if step is None:
-                skipped.extend((k, sel) for k in nodes)
-                continue
-            child, u, delta = step
-            for k in nodes:
-                factor[k] = child
-            if len(nodes) == 1:
-                rk = r[:, nodes[0]]
-                rk -= (float(u @ rk) / delta) * u
-            else:
-                for lo in range(0, len(nodes), width):
-                    part = nodes[lo:lo + width]
-                    block = r[:, part]
-                    r[:, part] = block - np.outer(u, (u @ block) / delta)
-            state.inner_products += len(nodes)
-        r[:, sel] = x_sel  # once every group that used r_sel as its u is done
-        rescore_events += len(touched)
+        touched = [k for k in affected[sel] if live[k]]
         if touched:
-            rescore(touched, t + 1)
+            # standardize's column, bit for bit, from the caller's raw one
+            np.subtract(source[:, sel], mean[sel], out=x_sel)
+            x_sel /= sd[sel]
+            slot: dict = {}  # factor -> its group's index
+            group = [slot.setdefault(factor[k], len(slot)) for k in touched]
+            factors = list(slot)
+            # looked up in this module at every call, so it can be wrapped
+            children, u, delta = partial_update(state, factors, sel, x_sel, factor[sel])
+            for g, f in enumerate(factors):
+                if children[g] == f:  # sel is collinear with the group's regressors
+                    skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
+            for k, g in zip(touched, group):
+                factor[k] = children[g]
+            state.inner_products += sum(children[g] != factors[g] for g in group)
+            for lo in range(0, len(touched), width):
+                part, g = touched[lo:lo + width], group[lo:lo + width]
+                # "clip" skips take's bounds check: every index is a node
+                block = columns.take(part, axis=0, mode="clip")
+                ug = u.take(g, axis=0, mode="clip")
+                coef = (ug[:, None, :] @ block[:, :, None])[:, 0]  # u'r_k, one per node
+                coef /= delta.take(g, mode="clip")[:, None]
+                ug *= coef
+                block -= ug
+                score(part, block.T, t + 1)
+                columns[part] = block
+            rescore_events += len(touched)
+            r[:, sel] = x_sel  # the batch has already read r_sel
     return SortResult(
         ordering=Ordering(chosen),
         update_count=state.inner_products,
@@ -211,38 +209,3 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
             "rescore_events": rescore_events,
         },
     )
-
-
-def population_check(
-    w: WeightedDag,
-    n_large: int,
-    seeds: list[int],
-    score_family: NoiseFamily | None = None,
-) -> dict:
-    """Empirical stand-in for the identifiability guarantee.
-
-    For each seed, draws ``n_large`` observations from ``w``, sorts them
-    with the true Markov blankets, and records whether the result is a
-    topological ordering of the generating dag.  For Gaussian-noise
-    negative controls pass the scoring family explicitly (it defaults to
-    Laplace there, since Gaussian scores are uninformative).
-    """
-    if score_family is None:
-        score_family = NoiseFamily.laplace() if w.family.tag == GAUSSIAN else w.family
-    nbhd = markov_blankets(w.dag)
-    cfg = SortConfig(family=score_family, neighborhoods=nbhd)
-    outcomes: list[bool] = []
-    for seed in seeds:
-        x = standardize(sample_data(w, n_large, seed))
-        result = sort(x, cfg)
-        outcomes.append(is_topological(w.dag, result.ordering))
-    return {
-        "p": w.p,
-        "n": n_large,
-        "family": str(w.family),
-        "score_family": str(score_family),
-        "seeds": [int(s) for s in seeds],
-        "topological": outcomes,
-        "successes": int(sum(outcomes)),
-        "fraction": sum(outcomes) / len(outcomes) if outcomes else float("nan"),
-    }

@@ -5,7 +5,19 @@ from itertools import permutations
 
 import numpy as np
 
-from lingamsort import Dag, NoiseFamily, Ordering, WeightedDag
+from lingamsort import (
+    Dag,
+    NoiseFamily,
+    Ordering,
+    SortConfig,
+    WeightedDag,
+    is_topological,
+    markov_blankets,
+    sample_data,
+    sort,
+    standardize,
+)
+from lingamsort.model import GAUSSIAN
 
 
 def chain_dag(p: int) -> Dag:
@@ -36,3 +48,38 @@ def all_dags(p: int):
 def all_orderings(p: int):
     for perm in permutations(range(p)):
         yield Ordering(perm)
+
+
+def population_check(
+    w: WeightedDag,
+    n_large: int,
+    seeds: list[int],
+    score_family: NoiseFamily | None = None,
+) -> dict:
+    """Empirical stand-in for the identifiability guarantee.
+
+    For each seed, draws ``n_large`` observations from ``w``, sorts them
+    with the true Markov blankets, and records whether the result is a
+    topological ordering of the generating dag.  For Gaussian-noise
+    negative controls pass the scoring family explicitly (it defaults to
+    Laplace there, since Gaussian scores are uninformative).
+    """
+    if score_family is None:
+        score_family = NoiseFamily.laplace() if w.family.tag == GAUSSIAN else w.family
+    nbhd = markov_blankets(w.dag)
+    cfg = SortConfig(family=score_family, neighborhoods=nbhd)
+    outcomes: list[bool] = []
+    for seed in seeds:
+        x = standardize(sample_data(w, n_large, seed))
+        result = sort(x, cfg)
+        outcomes.append(is_topological(w.dag, result.ordering))
+    return {
+        "p": w.p,
+        "n": n_large,
+        "family": str(w.family),
+        "score_family": str(score_family),
+        "seeds": [int(s) for s in seeds],
+        "topological": outcomes,
+        "successes": int(sum(outcomes)),
+        "fraction": sum(outcomes) / len(outcomes) if outcomes else float("nan"),
+    }

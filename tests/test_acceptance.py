@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_dags, all_orderings, diamond_dag
+from conftest import all_dags, all_orderings, diamond_dag, population_check
 from lingamsort import (
     Dag,
     DataMatrix,
@@ -31,7 +31,6 @@ from lingamsort import (
     llr_score,
     markov_blankets,
     order_error,
-    population_check,
     rng_stream,
     sample_dataset,
     sample_noise,

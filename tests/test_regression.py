@@ -152,20 +152,35 @@ class TestOlsResidual:
         assert beta.size == 0
 
 
-def _take(state, values, factor, k, sel, shared=False):
-    """Extend node k's factor by column ``sel`` of ``values`` and update r_k
-    as the sorter does; returns the extended factor."""
-    factor, u, delta = partial_update(state, factor, sel, values[:, sel], shared)
+def _cols(state, factor):
+    return [state.col[g] for g in state.path(factor)]
+
+
+def _inverse(state, factor):
+    """The factor's W = L^-1 as an m x m array, its deferred rows filled in."""
+    state.complete(factor)
+    path = state.path(factor)
+    w = np.zeros((len(path), len(path)))
+    for i, g in enumerate(path):
+        w[i, :i + 1] = state.w[state.row[g]:state.row[g] + i + 1]
+    return w
+
+
+def _take(state, values, factor, k, sel, own=-1):
+    """Extend node k's factor by column ``sel`` of ``values`` in a one-group
+    batch and update r_k as the sorter does; returns the extended factor.
+    ``own`` is the factor ``sel`` was regressed on (none by default)."""
+    (child,), u, delta = partial_update(state, [factor], sel, values[:, sel], own)
     rk = state.r[:, k]
-    rk -= (float(u @ rk) / delta) * u
-    return factor
+    rk -= (float(u[0] @ rk) / delta[0]) * u[0]
+    return child
 
 
 class TestPartialUpdate:
     def test_identical_columns_zero_out(self):
         values = np.array([[1.0, 1.0], [-1.0, -1.0]], order="F")
         state = ResidualState(values.copy(order="F"))
-        _take(state, values, state.root, 1, 0)
+        _take(state, values, state.ROOT, 1, 0)
         assert np.array_equal(state.r[:, 1], np.zeros(2))
         # extending the empty factor costs 1 inner product, for delta
         assert state.inner_products == 1
@@ -173,29 +188,37 @@ class TestPartialUpdate:
     def test_orthogonal_columns_record_zero(self):
         values = np.array([[1.0, 0.0], [0.0, 1.0]], order="F")
         state = ResidualState(values.copy(order="F"))
-        _take(state, values, state.root, 1, 0)  # coefficient u'r_1 / delta = 0
+        _take(state, values, state.ROOT, 1, 0)  # coefficient u'r_1 / delta = 0
         assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
 
     def test_hand_case(self):
         # u = (1, 0), delta = 1, coefficient <(1,0),(1,1)> = 1; residual (0, 1)
         values = np.array([[1.0, 1.0], [0.0, 1.0]], order="F")
         state = ResidualState(values.copy(order="F"))
-        factor = _take(state, values, state.root, 1, 0)
+        factor = _take(state, values, state.ROOT, 1, 0)
         assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
-        assert np.array_equal(factor.cols, [0])
+        assert _cols(state, factor) == [0]
         # G = [[1]], so L = W = [[1]]
-        assert np.array_equal(state.inverse(factor), np.array([[1.0]]))
+        assert np.array_equal(_inverse(state, factor), np.array([[1.0]]))
 
     def test_collinear_column_returns_none(self):
+        # a collinear regressor is skipped: its group keeps its factor and
+        # gets delta = inf, so that its nodes' update is zero
         rng = np.random.default_rng(6)
         z = rng.standard_normal((50, 2))
         values = np.asfortranarray(np.column_stack([z, z @ [0.5, -2.0]]))
         state = ResidualState(values.copy(order="F"))
-        factor = partial_update(state, state.root, 0, values[:, 0], shared=False)[0]
-        factor = partial_update(state, factor, 1, values[:, 1], shared=False)[0]
-        assert partial_update(state, factor, 2, values[:, 2], shared=False) is None
-        # a column already in the factor is in its span too
-        assert partial_update(state, factor, 0, values[:, 0], shared=False) is None
+        factor = partial_update(state, [state.ROOT], 0, values[:, 0], -1)[0][0]
+        factor = partial_update(state, [factor], 1, values[:, 1], -1)[0][0]
+        count = len(state.parent)
+        (child,), _, delta = partial_update(state, [factor], 2, values[:, 2], -1)
+        assert child == factor and delta[0] == np.inf
+        # a column already in the factor is in its span too; in a batch,
+        # only the collinear group is skipped
+        children, _, delta = partial_update(state, [factor, state.ROOT], 0, values[:, 0], -1)
+        assert children[0] == factor and delta[0] == np.inf
+        assert children[1] != state.ROOT and np.isfinite(delta[1])
+        assert len(state.parent) == count + 1  # only the root gained a child
 
     def test_shared_deferred_row_equals_direct_row(self):
         # nodes 1 and 2 both sit on the factor of column 0; when 1 is
@@ -204,39 +227,45 @@ class TestPartialUpdate:
         mixed = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 3))
         values = np.asfortranarray(standardize(DataMatrix(mixed)).values)
         state = ResidualState(values.copy(order="F"))
-        base = _take(state, values, state.root, 1, 0)
-        _take(state, values, state.root, 2, 0)
-        shared = partial_update(state, base, 1, values[:, 1], shared=True)[0]
-        direct = partial_update(state, base, 1, values[:, 1], shared=False)[0]
-        assert shared.inv is None and direct.inv is not None
+        base = _take(state, values, state.ROOT, 1, 0)
+        _take(state, values, state.ROOT, 2, 0)
+        (shared,), u, _ = partial_update(state, [base], 1, values[:, 1], base)
+        assert np.array_equal(u[0], state.r[:, 1])  # the shared direction is r_1
+        (direct,), _, _ = partial_update(state, [base], 1, values[:, 1], -1)
+        assert state.row[shared] is None and state.row[direct] is not None
         state.r[:, 1] = values[:, 1]  # node 1 is sorted: its step is done
         before = state.inner_products
-        w = state.inverse(shared)
+        w = _inverse(state, shared)
         assert state.inner_products - before == 1  # |S| = 1 for the deferred row
-        assert np.max(np.abs(w - direct.inv)) <= 1e-10
+        _inverse(state, shared)
+        assert state.inner_products - before == 1  # filled once
+        assert np.max(np.abs(w - _inverse(state, direct))) <= 1e-10
         gram = values[:, :2].T @ values[:, :2]
         assert np.max(np.abs(w @ np.linalg.cholesky(gram) - np.eye(2))) <= 1e-10
 
     def test_inverse_factor_whitens_gram(self):
-        # after five extensions on a correlated design, W G W' = I for the
-        # Gram matrix G of the factor's columns, in the order they joined
+        # after five extensions on a correlated design, W G W' = I and
+        # W'W = G^-1 for the Gram matrix G of the factor's columns, in the
+        # order they joined
         rng = np.random.default_rng(8)
         mix = np.eye(6) + 0.7 * rng.standard_normal((6, 6))
         values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(60, 6)) @ mix)).values)
         state = ResidualState(values.copy(order="F"))
-        factor = state.root
+        factor = state.ROOT
         for a in (3, 0, 4, 1, 2):
             factor = _take(state, values, factor, 5, a)
-        z = values[:, factor.cols]
-        w = state.inverse(factor)
+        assert _cols(state, factor) == [3, 0, 4, 1, 2]
+        z = values[:, _cols(state, factor)]
+        w = _inverse(state, factor)
         assert np.array_equal(w, np.tril(w))
         assert np.max(np.abs(w @ (z.T @ z) @ w.T - np.eye(5))) <= 1e-10
+        assert np.max(np.abs(w.T @ w @ (z.T @ z) - np.eye(5))) <= 1e-10
 
     def test_norm_never_increases(self):
         rng = np.random.default_rng(3)
         values = np.asfortranarray(rng.standard_normal((100, 6)))
         state = ResidualState(values.copy(order="F"))
-        factor = state.root
+        factor = state.ROOT
         for a in range(5):
             before = np.linalg.norm(state.r[:, 5])
             factor = _take(state, values, factor, 5, a)
@@ -261,6 +290,46 @@ class TestPartialUpdate:
             assert np.array_equal(values, before)
         assert aliased == [False, False]
 
+    def test_batch_equals_one_group_at_a_time(self):
+        # one batch over a root, a shared and two general factors (m = 1
+        # and m = 3) gives each group the u, delta and new row of W that a
+        # one-group call gives it, and the same inner-product count
+        rng = np.random.default_rng(9)
+        mix = np.eye(7) + 0.5 * rng.standard_normal((7, 7))
+        values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(90, 7)) @ mix)).values)
+
+        def build():
+            state = ResidualState(values.copy(order="F"))
+            one = _take(state, values, state.ROOT, 6, 0)
+            three = state.ROOT
+            for a in (1, 2, 3):
+                three = _take(state, values, three, 5, a)
+            for k in (0, 1, 2, 3):
+                state.r[:, k] = values[:, k]  # sorted
+            return state, [state.ROOT, one, three, one]
+
+        state, factors = build()
+        before = state.inner_products
+        own = factors[1]
+        children, u, delta = partial_update(state, factors[:3], 4, values[:, 4], own)
+        spent = state.inner_products - before
+        alone_spent = 0
+        for g, f in enumerate(factors[:3]):
+            ref, _ = build()
+            start = ref.inner_products
+            (child,), ref_u, ref_delta = partial_update(ref, [f], 4, values[:, 4], own)
+            alone_spent += ref.inner_products - start
+            np.testing.assert_allclose(u[g], ref_u[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(delta[g], ref_delta[0], rtol=1e-12)
+            assert _cols(state, children[g]) == _cols(ref, child) == _cols(state, f) + [4]
+            if f == own:
+                assert state.row[children[g]] is None
+            else:
+                np.testing.assert_allclose(_inverse(state, children[g]), _inverse(ref, child),
+                                           rtol=0, atol=1e-12)
+        assert spent == alone_spent == (0 + 1) + 1 + (3 + 1)  # |S| + 1, or 1 when shared
+        assert np.array_equal(u[1], state.r[:, 4])  # the shared group's u is r_4
+
 
 class TestJointVsSequential:
     def test_any_column_order_gives_joint_ols_residual(self):
@@ -272,7 +341,7 @@ class TestJointVsSequential:
         joint, _ = ols_residual(values[:, 3], values[:, :3])
         for order in permutations(range(3)):
             state = ResidualState(np.array(values, order="F"))
-            factor = state.root
+            factor = state.ROOT
             for a in order:
                 factor = _take(state, values, factor, 3, a)
             assert np.max(np.abs(state.r[:, 3] - joint)) <= 1e-10
@@ -281,7 +350,7 @@ class TestJointVsSequential:
         rng = np.random.default_rng(5)
         x = standardize(DataMatrix(rng.standard_normal((64, 5))))
         state = ResidualState(np.array(x.values, order="F"))
-        factor = state.root
+        factor = state.ROOT
         for a in range(4):
             factor = _take(state, x.values, factor, 4, a)
         assert np.max(np.abs(state.r.mean(axis=0))) <= 1e-8

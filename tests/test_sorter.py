@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_dag, weighted_chain
+from conftest import chain_dag, population_check, weighted_chain
 from lingamsort import (
     Dag,
     DataMatrix,
@@ -23,7 +24,6 @@ from lingamsort import (
     markov_blankets,
     ols_residual,
     order_error,
-    population_check,
     rng_stream,
     sample_data,
     sample_dataset,
@@ -163,7 +163,8 @@ class TestSortFast:
 
     def test_factor_extensions_go_through_partial_update(self, monkeypatch):
         # the sorter must look partial_update up in its own module at every
-        # call, so that a wrapper there sees the real factor-extension step
+        # call, so that a wrapper there sees every factor extension: one
+        # call per step that touches a node, with that step's factors
         cfg = SimConfig(p=30, n=300, seed=12, family=LAP)
         w, _, x = sample_dataset(cfg)
         nbhd = markov_blankets(w.dag)
@@ -171,14 +172,19 @@ class TestSortFast:
         calls = []
         real = lingamsort.sorter.partial_update
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+        def counting(state, factors, sel, *args):
+            calls.append((sel, len(factors)))
+            return real(state, factors, sel, *args)
 
         monkeypatch.setattr(lingamsort.sorter, "partial_update", counting)
         wrapped = sort(x, _cfg(nbhd))
-        assert len(calls) >= 1
-        assert wrapped.ordering.perm == base.ordering.perm
+        perm = base.ordering.perm
+        touching = [sel for t, sel in enumerate(perm)
+                    if any(sel in nbhd.sets[k] for k in perm[t + 1:])]
+        assert [sel for sel, _ in calls] == touching
+        # the 34 factor extensions of the one-call-per-factor sorter
+        assert sum(groups for _, groups in calls) == 34
+        assert wrapped.ordering.perm == perm
         assert wrapped.update_count == base.update_count
 
     def test_neighborhood_size_cannot_exceed_n(self):
@@ -332,6 +338,122 @@ class TestBlockStep:
         for a, b in zip(cut.step_scores, base.step_scores):
             np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
                                        rtol=1e-12, atol=1e-14)
+
+
+_ALL_FAMILIES = [pytest.param(f, id=f.tag) for f in
+                 (LAP, NoiseFamily.logistic(), NoiseFamily.scaled_t(10), NoiseFamily.gaussian())]
+
+
+def _random_superset_case(seed, p=12, extra=3, n=200):
+    """A random DAG's data, and neighborhoods that add ``extra`` random
+    nodes to each Markov blanket."""
+    rng = np.random.default_rng(seed)
+    parents = [sorted(rng.choice(k, size=min(k, rng.integers(0, 3)), replace=False).tolist())
+               if k else [] for k in range(p)]
+    weights = [[float(rng.choice([-1, 1]) * rng.uniform(0.4, 0.9)) for _ in ps] for ps in parents]
+    w = WeightedDag(Dag(p, parents), weights, LAP, rng.uniform(0.3, 1.0, p))
+    values = sample_data(w, n, seed).values.copy()
+    sets = [sorted(set(s) | set(rng.choice([j for j in range(p) if j != k], size=extra,
+                                           replace=False).tolist()))
+            for k, s in enumerate(markov_blankets(w.dag).to_lists())]
+    return values, NeighborhoodSets(sets), rng
+
+
+def _assert_matches_oracle(x, family, nbhd):
+    res = sort(x, _cfg(nbhd, family, trace=True))
+    perm, steps = oracle_sort(x, family, nbhd)
+    assert res.ordering.perm == perm
+    for a, b in zip(res.step_scores, steps):
+        assert [k for k, _ in a] == [k for k, _ in b]
+        np.testing.assert_allclose([s for _, s in a], [s for _, s in b], rtol=1e-8, atol=1e-10)
+    return res
+
+
+class TestBatchedStep:
+    """The batched step against :func:`oracle_sort` and against the counts
+    of the sorter that extended one factor per call."""
+
+    def test_hub_wider_than_one_chunk(self, monkeypatch):
+        # node 0 is a parent of every other node, so it is in every Markov
+        # blanket; with 4-column chunks, its step updates and rescores its
+        # touched nodes in several chunks
+        p, n = 40, 200
+        rng = np.random.default_rng(11)
+        parents = [[]] + [[0] + ([k - 1] if k > 1 and k % 2 else []) for k in range(1, p)]
+        weights = [[float(rng.choice([-1, 1]) * rng.uniform(0.4, 0.9)) for _ in ps]
+                   for ps in parents]
+        w = WeightedDag(Dag(p, parents), weights, LAP, np.full(p, 0.5))
+        x = sample_data(w, n, 21)
+        nbhd = markov_blankets(w.dag)
+        whole = sort(x, _cfg(nbhd, trace=True))
+        monkeypatch.setattr(lingamsort.sorter, "BLOCK_BYTES", 4 * 8 * n)
+        cut = _assert_matches_oracle(x, LAP, nbhd)
+        perm = cut.ordering.perm
+        widest = max(sum(sel in nbhd.sets[k] for k in perm[t + 1:]) for t, sel in enumerate(perm))
+        assert widest > 4 * 5
+        assert cut.ordering.perm == whole.ordering.perm
+        assert cut.update_count == whole.update_count
+        assert cut.diagnostics == whole.diagnostics
+        for a, b in zip(cut.step_scores, whole.step_scores):
+            np.testing.assert_allclose([s for _, s in a], [s for _, s in b], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("family", _ALL_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:scoring with the Gaussian family")
+    def test_root_shared_and_general_groups_in_one_step(self, family, monkeypatch):
+        values, nbhd, _ = _random_superset_case(0)
+        x = DataMatrix(values)
+        kinds = []
+        real = lingamsort.sorter.partial_update
+
+        def spy(state, factors, sel, x_sel, own):
+            kinds.append({"shared" if f == own else "root" if f == state.ROOT
+                          else "general" if len(state.path(f)) >= 2 else "one"
+                          for f in factors})
+            return real(state, factors, sel, x_sel, own)
+
+        monkeypatch.setattr(lingamsort.sorter, "partial_update", spy)
+        _assert_matches_oracle(x, family, nbhd)
+        if family == LAP:
+            assert any({"root", "shared", "general"} <= step for step in kinds)
+
+    def test_near_collinear_regressor_skipped_in_a_multi_group_step(self, monkeypatch):
+        # column 11 is column 3 plus noise 1e-7 times smaller: 11 is sorted
+        # first, and once it is a regressor, 3 adds nothing and is skipped,
+        # in a step of three groups
+        values, nbhd, rng = _random_superset_case(6, extra=4)
+        values[:, 11] = values[:, 3] + 1e-7 * rng.standard_normal(values.shape[0])
+        groups = {}
+        real = lingamsort.sorter.partial_update
+
+        def spy(state, factors, sel, *args):
+            groups[sel] = len(factors)
+            return real(state, factors, sel, *args)
+
+        monkeypatch.setattr(lingamsort.sorter, "partial_update", spy)
+        res = sort(DataMatrix(values), _cfg(nbhd))
+        # the one-call-per-factor sorter's results
+        assert res.diagnostics["skipped_updates"] == [(6, 3), (10, 3)]
+        assert groups[3] == 3
+        assert res.ordering.perm == (7, 11, 3, 10, 9, 5, 0, 8, 6, 1, 2, 4)
+        assert res.update_count == 108
+        assert res.diagnostics["rescore_events"] == 36
+
+    @pytest.mark.parametrize("kind, updates, rescores, digest", [
+        ("mb", 1533, 587, "b85ce6ad9469fa27"),
+        ("corr", 5224, 1355, "eea2f7c89e1ad5d3"),
+    ])
+    def test_counts_work_not_calls(self, kind, updates, rescores, digest):
+        # p = 300: the update and rescore counts, and the ordering (by its
+        # sha256), of the sorter that extended one factor per call
+        cfg = SimConfig(p=300, n=600, seed=derive_seed(9400, 1), family=LAP,
+                        graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+        w, _, x = sample_dataset(cfg)
+        nbhd = markov_blankets(w.dag) if kind == "mb" else top_correlated(x, 10)
+        res = sort(x, _cfg(nbhd))
+        assert res.update_count == updates
+        assert res.diagnostics["rescore_events"] == rescores
+        perm = ",".join(map(str, res.ordering.perm)).encode()
+        assert hashlib.sha256(perm).hexdigest()[:16] == digest
 
 
 _FAMILIES = (LAP, NoiseFamily.logistic(), NoiseFamily.scaled_t(10))
