@@ -22,7 +22,6 @@ from .regression import (
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
-    ols_residual,
     standardize,
 )
 from .scoring import (
@@ -90,7 +89,6 @@ __all__ = [
     "log_density",
     "markov_blankets",
     "mixing_matrix",
-    "ols_residual",
     "order_error",
     "reversed_edge_count",
     "rng_stream",

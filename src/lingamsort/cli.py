@@ -24,7 +24,10 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -153,10 +156,86 @@ def _read_json(path: str | Path) -> dict:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
+def _integers(values: list, where: str) -> list:
+    """``values``, refused unless each is a JSON integer: a node index or a
+    node count is never truncated from a float or read from a boolean."""
+    for v in values:
+        if type(v) is not int:
+            raise UsageError(f"{where}: node indices and p must be integers, "
+                             f"found {json.dumps(v)}")
+    return values
+
+
+@dataclass(frozen=True)
+class EdgeRecords:
+    """A JSON list of ``{from, to, weight}`` records, held as three arrays.
+
+    :func:`_write_json` formats it straight into the bytes that
+    ``json.dump(..., indent=2)`` writes for the list of dicts, a block of
+    records at a time, without building one dict per edge.
+    """
+
+    frm: np.ndarray
+    to: np.ndarray
+    weight: np.ndarray
+
+    BLOCK = 4096  # records formatted per chunk of text
+
+    @classmethod
+    def of(cls, w: WeightedDag, by_parent: bool) -> EdgeRecords:
+        """The edges of ``w`` by (to, from), or by (from, to) when ``by_parent``."""
+        to = np.repeat(np.arange(w.p), [len(pa) for pa in w.dag.parents])
+        frm = np.fromiter(chain.from_iterable(w.dag.parents), dtype=np.int64, count=to.size)
+        weight = np.concatenate(w.weights)
+        if by_parent:  # a stable sort keeps each parent's children ascending
+            order = np.argsort(frm, kind="stable")
+            frm, to, weight = frm[order], to[order], weight[order]
+        return cls(frm, to, weight)
+
+    def chunks(self) -> Iterator[str]:
+        """The list as ``json.dumps`` indents the value of a top-level
+        field, in pieces; floats by their repr, as ``json`` writes them."""
+        if not self.frm.size:
+            yield "[]"
+            return
+        record = '\n    {\n      "from": %d,\n      "to": %d,\n      "weight": %r\n    }'
+        sep = "["
+        for lo in range(0, self.frm.size, self.BLOCK):
+            block = slice(lo, lo + self.BLOCK)
+            edges = zip(self.frm[block].tolist(), self.to[block].tolist(),
+                        self.weight[block].tolist())
+            yield sep + ",".join([record % e for e in edges])
+            sep = ","
+        yield "\n  ]"
+
+
+_ENCODER = json.JSONEncoder(indent=2)
+
+
+def _encode(doc: object) -> Iterator[str]:
+    """The chunks of ``json.dumps(doc, indent=2)``; a top-level field of a
+    dict may hold :class:`EdgeRecords`."""
+    if not isinstance(doc, dict) or not doc:
+        yield from _ENCODER.iterencode(doc)
+        return
+    sep = "{"
+    for key, value in doc.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        if isinstance(value, EdgeRecords):
+            yield from value.chunks()
+        else:  # one level deeper: every line break gains one indent
+            for chunk in _ENCODER.iterencode(value):
+                yield chunk.replace("\n", "\n  ")
+        sep = ","
+    yield "\n}"
+
+
 def _write_json(path: str | Path, doc: object) -> None:
+    """``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a newline,
+    through a temporary file that replaces ``path`` when complete."""
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.writelines(_encode(doc))
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -182,7 +261,7 @@ def family_from_doc(doc: object, where: str) -> NoiseFamily:
 def truth_to_doc(w: WeightedDag, ordering: Ordering, seed: int) -> dict:
     return {
         "p": w.p,
-        "edges": [{"from": j, "to": k, "weight": wt} for j, k, wt in w.weighted_edges()],
+        "edges": EdgeRecords.of(w, by_parent=False),
         "family": family_to_doc(w.family),
         "scales": [float(s) for s in w.scales],
         "ordering": list(ordering.perm),
@@ -195,14 +274,14 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
     ``{from, to, weight}`` records under ``edge_field``.  An out-of-range
     node, self-loop, cycle, zero or non-finite weight or bad scale is a UsageError."""
     try:
-        p = int(doc["p"])
+        p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
         for e in doc[edge_field]:
-            k = e["to"]
+            j, k = _integers([e["from"], e["to"]], where)
             if not 0 <= k < p:
                 raise ValueError(f"edge into node {k} out of range [0, {p})")
-            incoming[k].append((int(e["from"]), float(e["weight"])))
+            incoming[k].append((j, float(e["weight"])))
         cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
         dag = Dag(p, [pa for pa, _ in cols])
         return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
@@ -213,7 +292,7 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
 def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
     w = weighted_dag_from_doc(doc, "edges", where)
     try:
-        return w, Ordering(doc["ordering"]), int(doc["seed"])
+        return w, Ordering(_integers(doc["ordering"], where)), int(doc["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{where}: missing or malformed field ({exc})") from None
 
@@ -247,7 +326,7 @@ def write_neighborhoods(path: str | Path, nbhd: NeighborhoodSets) -> None:
 def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
     doc = _read_json(path)
     try:
-        return NeighborhoodSets(doc)
+        return NeighborhoodSets([_integers(s, str(path)) for s in doc])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -426,7 +505,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
 def read_ordering(path: str | Path) -> Ordering:
     doc = _read_json(path)
     try:
-        return Ordering(doc["ordering"])
+        return Ordering(_integers(doc["ordering"], str(path)))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -525,6 +604,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         train = standardize(rows)
     except (ZeroVarianceColumn, VarianceOverflow) as exc:
         raise _bad_column(args.data, exc) from None
+    del rows  # the raw array is not needed past standardization
     mean, sd = train.moments
     try:
         model = fit_coefficients(train, ordering, nbhd, family)
@@ -534,14 +614,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except DegenerateResidual as exc:
         raise UsageError(f"{args.data}: column v{exc.node} is explained exactly "
                          "by its predecessors") from None
-    # edges by parent: the (from, to) order of model files, with no sorted copy
-    by_parent: list[list[dict]] = [[] for _ in range(rows.p)]
-    for j, k, wt in model.weighted_edges():
-        by_parent[j].append({"from": j, "to": k, "weight": wt})
     doc = {
-        "p": rows.p,
+        "p": train.p,
         "family": family_to_doc(family),
-        "coefficients": [e for edges in by_parent for e in edges],
+        "coefficients": EdgeRecords.of(model, by_parent=True),
         "scales": [float(s) for s in model.scales],
         "train_means": [float(v) for v in mean],
         "train_sds": [float(v) for v in sd],

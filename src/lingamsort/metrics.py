@@ -4,8 +4,13 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering, WeightedDag
-from .regression import RankDeficient, ols_residual
+from .regression import PIVOT_RTOL, RankDeficient, ols_residual
 from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, fit_scale, log_density
+
+# Bytes of the columns of one stack of chains that ``fit_coefficients``
+# hands to ``ols_residual``; the QR's working copies and the residuals take
+# two to three times as much again.
+STACK_BYTES = 2 << 20
 
 
 def reversed_edge_count(dag: Dag, ordering: Ordering) -> int:
@@ -33,14 +38,21 @@ def fit_coefficients(
     """The OLS model implied by an ordering, as a :class:`WeightedDag`.
 
     Node k's parents are its regressors: its neighborhood's members that
-    precede it in the ordering, ascending, less any with an exactly zero
-    coefficient.  Its weights are the OLS coefficients and its scale is the
-    family's estimate on the residual.  No p x p array is built.  Requires
+    precede it in the ordering, less any with an exactly zero coefficient.
+    Its weights are the OLS coefficients and its scale is the family's
+    estimate on the residual.  No p x p array is built.  Requires
     self-standardized data.
 
-    Raises :class:`RankDeficient` for the first node whose regressors are
-    collinear; failing that, :class:`DegenerateResidual` for the first node
-    that its regressors explain exactly (residual mean square under
+    The regressions run along chains (:func:`_chains`): with full
+    neighborhoods the whole ordering is one chain, whose one QR gives every
+    node's fit.  Chains of one width and member count go through
+    :func:`ols_residual` in stacks of at most ``STACK_BYTES`` of columns.
+
+    Raises :class:`RankDeficient` for the lowest-index node whose regressors
+    are collinear (a regressor's pivot under ``PIVOT_RTOL`` * n, the
+    regressors taken in ordering order); failing that,
+    :class:`DegenerateResidual` for the lowest-index node that its
+    regressors explain exactly (residual mean square under
     ``DEGENERATE_MEAN_SQUARE``, the bar at which ``sort`` defers a node).
     Both carry the node in ``.node``.
     """
@@ -48,26 +60,67 @@ def fit_coefficients(
         raise ValueError("fit_coefficients expects standardized data")
     if ordering.p != x.p or nbhd.p != x.p:
         raise ValueError("ordering / neighborhoods / data disagree on p")
+    n, p = x.n, x.p
+    groups: dict[tuple[int, int], list[list[int]]] = {}
+    for columns, lead in _chains(ordering, nbhd):
+        groups.setdefault((len(columns), lead), []).append(columns)
+    rank_floor = PIVOT_RTOL * n
+    bar = DEGENERATE_MEAN_SQUARE * n
+    collinear: list[int] = []
+    degenerate: list[int] = []
+    parents: list[np.ndarray | None] = [None] * p  # every node is one chain's member
+    weights: list[np.ndarray | None] = [None] * p
+    scales = np.zeros(p)
+    rows = x.values.T
+    for (w, lead), chains in groups.items():
+        per = max(1, STACK_BYTES // (8 * n * w))
+        for lo in range(0, len(chains), per):
+            cols = np.array(chains[lo:lo + per], dtype=np.int64)
+            z = rows.take(cols.ravel(), axis=0).reshape(len(cols), w, n)
+            pivots, coef, resid = ols_residual(z, lead, bar)
+            # a low pivot at column t makes every later column's regressors collinear
+            low = np.logical_or.accumulate(pivots < rank_floor, axis=1)
+            for i, chain in enumerate(cols):
+                for j, t in enumerate(range(lead, w)):
+                    k = int(chain[t])
+                    if t and low[i, t - 1]:
+                        collinear.append(k)
+                    elif pivots[i, t] < bar:
+                        degenerate.append(k)
+                    elif coef is not None:
+                        order = np.argsort(chain[:t])
+                        beta = -coef[i, j, order]
+                        keep = beta != 0.0
+                        parents[k], weights[k] = chain[order][keep], beta[keep]
+                        scales[k] = fit_scale(family, resid[i, j])[0]
+    if collinear:
+        raise RankDeficient(node=min(collinear))
+    if degenerate:
+        raise DegenerateResidual(min(degenerate))
+    return WeightedDag(Dag(p, parents), weights, family, scales)
+
+
+def _chains(ordering: Ordering, nbhd: NeighborhoodSets) -> list[tuple[list[int], int]]:
+    """The ordering cut into chains of nested regressor sets.
+
+    Node k's regressors S_k are its neighbors that precede it, in ordering
+    order.  Walking the ordering, k joins the current chain, as its next
+    column, when S_k is exactly the chain's columns; otherwise a new chain
+    starts with S_k followed by k.  Returns (columns, lead) per chain: its
+    members are ``columns[lead:]``, and the member at column t is regressed
+    on ``columns[:t]``.
+    """
     pos = ordering.positions()
-    cols: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, weights) per node
-    scales = np.zeros(x.p)  # stays 0 at a degenerate node
-    for k in range(x.p):
-        candidates = nbhd.sets[k]
-        regressors = candidates[pos[candidates] < pos[k]]
-        resid, beta = x.values[:, k], np.empty(0)
-        if regressors.size:
-            try:
-                resid, beta = ols_residual(resid, x.values[:, regressors])
-            except RankDeficient as exc:
-                exc.node = k
-                raise
-        cols.append((regressors[beta != 0.0], beta[beta != 0.0]))
-        if float(resid @ resid) / resid.size >= DEGENERATE_MEAN_SQUARE:
-            scales[k] = fit_scale(family, resid)[0]
-    if np.any(scales == 0.0):
-        raise DegenerateResidual(int(np.flatnonzero(scales == 0.0)[0]))
-    dag = Dag(x.p, [pa for pa, _ in cols])
-    return WeightedDag(dag, [wt for _, wt in cols], family, scales)
+    chains: list[tuple[list[int], int]] = []
+    for k in ordering.perm:
+        s = nbhd.sets[k]
+        s = s[pos[s] < pos[k]]
+        s = s[np.argsort(pos[s])].tolist()
+        if chains and chains[-1][0] == s:
+            chains[-1][0].append(k)
+        else:
+            chains.append((s + [k], len(s)))
+    return chains
 
 
 def heldout_loglik(x_test: DataMatrix, model: WeightedDag) -> float:

@@ -1,10 +1,14 @@
-"""Least-squares kernels: standardization, joint OLS, incremental Cholesky.
+"""Least-squares kernels: standardization, chained QR, incremental Cholesky.
 
 No intercepts appear anywhere: columns are standardized to mean zero
-before any fitting, so regressions go through the origin.  Joint OLS
-checks the rank by a Cholesky factorization with a relative pivot floor
-and solves the normal equations; neighborhoods are small, so this is both
-fast and numerically adequate.  Only numpy is used.
+before any fitting, so regressions go through the origin.  Only numpy is
+used.
+
+:func:`ols_residual` fits along an ordering: regressor sets that are
+nested prefixes of one chain of columns share one Householder QR, whose
+pivots give every member's rank check and residual sum of squares and
+whose inverse triangular factor gives every member's coefficients.
+Chains of one shape go through numpy's stacked QR in one call.
 
 Column moments are computed a chunk of columns at a time, on the data's
 own layout, so that they equal ``np.mean`` and ``np.std`` over axis 0 bit
@@ -49,8 +53,9 @@ import numpy as np
 
 from .model import DataMatrix
 
-# Relative floor for the Cholesky pivots of Z'Z: below it the design is
-# treated as rank deficient.
+# Relative floor for the pivots of Z'Z (a regressor's squared residual norm
+# on the regressors before it), on the scale n of a standardized column's
+# squared norm: below it the design is treated as rank deficient.
 PIVOT_RTOL = 1e-10
 
 # Bytes of one column chunk of the moment pass, and so of its temporary.
@@ -183,37 +188,34 @@ def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix
     return DataMatrix((x.values - mean) / sd)
 
 
-def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares residual and coefficients of y on the columns of z.
+def ols_residual(z: np.ndarray, lead: int,
+                 floor: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Least squares along a stack of chains of nested regressor sets.
 
-    Solves the normal equations (z'z) beta = z'y; raises
-    :class:`RankDeficient` when the Cholesky factorization of z'z fails or
-    its smallest pivot falls below ``PIVOT_RTOL`` times the largest
-    diagonal entry of z'z.  An empty z (zero columns) returns y unchanged.
+    ``z`` is c x w x n: chain i's w columns, one per row, as a ``take`` of
+    rows of ``x.T`` gives them.  Column t of a chain is regressed on the
+    chain's columns before it.  One Householder QR per chain, Z = QR
+    (Golub & Van Loan, *Matrix Computations* 5.2), gives every column's
+    pivot R[t, t]^2: its residual sum of squares on columns 0..t-1.  A
+    column past the n-th has pivot 0.
+
+    When every pivot is at least ``floor`` (> 0), the inverse V = R^-1
+    gives the regressions of columns ``lead``..w-1 at once: column t of V
+    divided by V[t, t] is (-beta_t, 1, 0, ...), and Z times it is column
+    t's residual.  Returns (pivots, coef, resid): pivots c x w; coef
+    c x m x w, m = w - lead, whose row j is that vector for column
+    lead + j; resid = coef @ z, c x m x n.  Under the floor, coef and
+    resid are None.
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("z must be 2-d")
-    n, m = z.shape
-    if m == 0:
-        return y.copy(), np.empty(0)
-    if y.shape != (n,):
-        raise ValueError("y and z disagree on the sample count")
-    if m > n:
-        raise RankDeficient(f"more regressors ({m}) than samples ({n})")
-    gram = z.T @ z
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
-    # classical pivots are the squared factor diagonals; compare on the
-    # Gram matrix's own scale
-    pivots = np.diag(lower) ** 2
-    if pivots.min() < PIVOT_RTOL * np.max(np.diag(gram)):
-        raise RankDeficient("Cholesky pivot below the relative floor")
-    beta = np.linalg.solve(gram, z.T @ y)
-    return y - z @ beta, beta
+    c, w, n = z.shape
+    r = np.linalg.qr(z.transpose(0, 2, 1), mode="r")
+    pivots = np.zeros((c, w))
+    pivots[:, :min(n, w)] = np.diagonal(r, axis1=1, axis2=2) ** 2
+    if pivots.min() < floor:
+        return pivots, None, None
+    v = np.linalg.inv(r)
+    coef = (v[:, :, lead:] / np.diagonal(v, axis1=1, axis2=2)[:, None, lead:]).transpose(0, 2, 1)
+    return pivots, coef, coef @ z
 
 
 class ResidualState:

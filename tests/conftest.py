@@ -18,6 +18,7 @@ from lingamsort import (
     standardize,
 )
 from lingamsort.model import GAUSSIAN
+from lingamsort.regression import PIVOT_RTOL, RankDeficient
 
 
 def chain_dag(p: int) -> Dag:
@@ -83,3 +84,36 @@ def population_check(
         "successes": int(sum(outcomes)),
         "fraction": sum(outcomes) / len(outcomes) if outcomes else float("nan"),
     }
+
+
+def ols_residual(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-node OLS oracle: residual and coefficients of y on the columns of z.
+
+    Solves the normal equations (z'z) beta = z'y; raises
+    :class:`RankDeficient` when the Cholesky factorization of z'z fails or
+    its smallest pivot falls below ``PIVOT_RTOL`` times the largest
+    diagonal entry of z'z.  An empty z (zero columns) returns y unchanged.
+    """
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
+        raise ValueError("z must be 2-d")
+    n, m = z.shape
+    if m == 0:
+        return y.copy(), np.empty(0)
+    if y.shape != (n,):
+        raise ValueError("y and z disagree on the sample count")
+    if m > n:
+        raise RankDeficient(f"more regressors ({m}) than samples ({n})")
+    gram = z.T @ z
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(str(exc)) from exc
+    # classical pivots are the squared factor diagonals; compare on the
+    # Gram matrix's own scale
+    pivots = np.diag(lower) ** 2
+    if pivots.min() < PIVOT_RTOL * np.max(np.diag(gram)):
+        raise RankDeficient("Cholesky pivot below the relative floor")
+    beta = np.linalg.solve(gram, z.T @ y)
+    return y - z @ beta, beta

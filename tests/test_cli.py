@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lingamsort
+import lingamsort.cli as cli
 from lingamsort import Dag, DataMatrix, NoiseFamily, Ordering, WeightedDag, rng_stream
 from lingamsort.cli import (
     UsageError,
@@ -35,6 +36,13 @@ def _write_chain_config(path, p=20, n=1000, seed=1, coef=(0.8, 0.8), scale=(0.5,
         "coef_low": coef[0], "coef_high": coef[1],
         "scale_low": scale[0], "scale_high": scale[1],
     }))
+
+
+def _written(tmp_path, doc):
+    """``doc`` as the CLI writes it to a file, read back."""
+    path = tmp_path / "doc.json"
+    cli._write_json(path, doc)
+    return json.loads(path.read_text())
 
 
 class TestFileFormats:
@@ -62,27 +70,59 @@ class TestFileFormats:
         write_data_csv(path, DataMatrix(values))
         assert path.read_bytes() == ref.getvalue().encode()
 
-    def test_truth_round_trip_reproduces_b_exactly(self):
+    def test_truth_round_trip_reproduces_b_exactly(self, tmp_path):
         dag = chain_dag(4)
         rng = rng_stream(1, 0)
         weights = [rng.uniform(0.4, 0.9, len(dag.parents[k])) for k in range(4)]
         w = WeightedDag(dag, weights, NoiseFamily.scaled_t(10), [0.4, 0.5, 0.6, 0.7])
-        doc = json.loads(json.dumps(truth_to_doc(w, Ordering([0, 1, 2, 3]), 7)))
+        doc = _written(tmp_path, truth_to_doc(w, Ordering([0, 1, 2, 3]), 7))
         w2, _, seed = truth_from_doc(doc)
         assert seed == 7
         assert w2.b_matrix().tobytes() == w.b_matrix().tobytes()
         assert np.array_equal(w2.scales, w.scales)
         assert str(w2.family) == "scaled-t:10"
 
-    def test_truth_edges_load_in_any_order(self):
+    def test_truth_edges_load_in_any_order(self, tmp_path):
         # each weight stays on its own edge whatever order the file lists them in
         dag = Dag(4, [[], [0], [0, 1], [0, 1, 2]])
         weights = [[], [0.5], [0.6, -0.7], [0.8, -0.9, 0.3]]
         w = WeightedDag(dag, weights, NoiseFamily.laplace(), [1.0] * 4)
-        doc = truth_to_doc(w, Ordering([0, 1, 2, 3]), 7)
+        doc = _written(tmp_path, truth_to_doc(w, Ordering([0, 1, 2, 3]), 7))
         doc["edges"].reverse()
         w2, _, _ = truth_from_doc(doc)
         assert w2.b_matrix().tobytes() == w.b_matrix().tobytes()
+
+    @pytest.mark.parametrize("model", [
+        WeightedDag(Dag(3, [[]] * 3), [[]] * 3, NoiseFamily.laplace(), [0.5, 1.0, 2.0]),
+        WeightedDag(Dag(1, [[]]), [[]], NoiseFamily.logistic(), [1e-05]),
+        WeightedDag(Dag(4, [[], [0], [0, 1], [1, 2]]), [[], [-0.5], [1e-05, -1e+16], [3.0, -2.5e-300]],
+                    NoiseFamily.scaled_t(5.0), [0.1, 1e+16, 1e-05, 0.3]),
+        WeightedDag(Dag(5, [[3, 4], [0, 3], [], [2], [2]]),
+                    [[0.1, -0.2], [1 / 3, -1e-17], [], [7.0], [-1.5e22]],
+                    NoiseFamily.gaussian(), [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ], ids=["no-edges", "p-1", "negative-and-exponent-weights", "edges-out-of-index-order"])
+    def test_json_writer_bytes_match_json_dump(self, tmp_path, monkeypatch, model):
+        # model.json and truth.json are formatted without per-edge dicts;
+        # their bytes must be json.dump's, indent 2, plus a newline; blocks
+        # of two records put block boundaries inside every edge list
+        monkeypatch.setattr(cli.EdgeRecords, "BLOCK", 2)
+        by_parent = sorted(model.weighted_edges(), key=lambda e: e[0])
+        model_doc = {
+            "p": model.p, "family": cli.family_to_doc(model.family),
+            "coefficients": cli.EdgeRecords.of(model, by_parent=True),
+            "scales": [float(v) for v in model.scales],
+            "train_means": [-1e-05] * model.p, "train_sds": [1e+16] * model.p,
+        }
+        as_dicts = dict(model_doc, coefficients=[
+            {"from": j, "to": k, "weight": wt} for j, k, wt in by_parent])
+        truth_doc = truth_to_doc(model, Ordering(model.dag.topological_order()), 3)
+        truth_dicts = dict(truth_doc, edges=[
+            {"from": j, "to": k, "weight": wt} for j, k, wt in model.weighted_edges()])
+        for doc, expected in ((model_doc, as_dicts), (truth_doc, truth_dicts)):
+            path = tmp_path / "out.json"
+            cli._write_json(path, doc)
+            assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+            assert not (tmp_path / "out.json.tmp").exists()
 
     def test_edge_list_loader(self, tmp_path):
         path = tmp_path / "e.txt"
@@ -688,6 +728,69 @@ class TestFitLoglik:
             (e["from"], e["to"], e["weight"]) for e in doc["coefficients"]]
         assert list(w.scales) == doc["scales"]
         assert list(mean) == doc["train_means"] and list(sd) == doc["train_sds"]
+
+
+def _edit(doc, path, value):
+    """A copy of a JSON doc with the entry at ``path`` (keys and indices) set."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, kind, path, value", [
+    ("fit", "ordering", ["ordering", 1], 1.5),
+    ("fit", "ordering", ["ordering", 1], True),
+    ("fit", "neighborhoods", [0, 0], 1.5),
+    ("sort", "neighborhoods", [0, 0], 1.5),
+    ("sort", "neighborhoods", [0, 0], True),
+    ("loglik", "model", ["coefficients", 0, "from"], 0.5),
+    ("loglik", "model", ["coefficients", 0, "to"], 2.0),
+    ("loglik", "model", ["p"], 4.7),
+    ("eval", "ordering", ["ordering", 1], 1.5),
+    ("eval", "truth", ["ordering", 1], 1.5),
+    ("eval", "truth", ["edges", 0, "from"], False),
+    ("eval", "truth", ["p"], 4.0),
+], ids=["fit-ordering-float", "fit-ordering-bool", "fit-nbhd-float", "sort-nbhd-float",
+        "sort-nbhd-bool", "model-from-float", "model-to-float", "model-p-float",
+        "eval-ordering-float", "truth-ordering-float", "truth-from-bool", "truth-p-float"])
+def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, command, kind,
+                                                        path, value):
+    # each of these was truncated by int() and ran on the wrong graph
+    data = tmp_path / "d.csv"
+    write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 4))))
+    good = {
+        "ordering": {"ordering": [0, 1, 2, 3]},
+        "neighborhoods": [[1], [0, 2], [3], [2]],
+        "model": {"p": 4, "family": {"tag": "laplace"},
+                  "coefficients": [{"from": 0, "to": 1, "weight": 0.5}],
+                  "scales": [1.0] * 4, "train_means": [0.0] * 4, "train_sds": [1.0] * 4},
+        "truth": {"p": 4, "edges": [{"from": 0, "to": 1, "weight": 0.5}],
+                  "family": {"tag": "laplace"}, "scales": [1.0] * 4,
+                  "ordering": [0, 1, 2, 3], "seed": 1},
+    }
+    files = {}
+    for name, doc in good.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    args = {
+        "fit": ["fit", "--data", str(data), "--ordering", str(files["ordering"]),
+                "--neighborhoods", str(files["neighborhoods"]),
+                "--out", str(tmp_path / "m.json")],
+        "sort": ["sort", "--data", str(data), "--neighborhoods", str(files["neighborhoods"]),
+                 "--out", str(tmp_path / "o.json")],
+        "loglik": ["loglik", "--model", str(files["model"]), "--data", str(data)],
+        "eval": ["eval", "--truth", str(files["truth"]), "--ordering", str(files["ordering"])],
+    }[command]
+    assert main(args) == 0
+    files[kind].write_text(json.dumps(_edit(good[kind], path, value)))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {files[kind]}: " in err and json.dumps(value) in err
 
 
 # Runs in a child whose sys.modules blocks scipy, so any scipy import fails.

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_dags, all_orderings, chain_dag
+from conftest import all_dags, all_orderings, chain_dag, ols_residual
 from lingamsort import (
     Dag,
     DataMatrix,
     DegenerateResidual,
+    NeighborhoodSets,
     NoiseFamily,
     Ordering,
     RankDeficient,
@@ -28,9 +31,13 @@ from lingamsort import (
     rng_stream,
     sample_dataset,
     standardize,
+    top_correlated,
 )
 import lingamsort.metrics
+from lingamsort.metrics import _chains
 from lingamsort.model import DENSE_LIMIT
+from lingamsort.regression import PIVOT_RTOL
+from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
 LAP = NoiseFamily.laplace()
 GAU = NoiseFamily.gaussian()
@@ -146,22 +153,233 @@ class TestFitCoefficients:
 
     def test_parents_are_the_regressors_with_nonzero_coefficients(self, monkeypatch):
         # an exactly zero coefficient names no edge (WeightedDag rejects zero
-        # weights); force one per regression through the OLS kernel
+        # weights); force one per regression through the chain kernel, on the
+        # chain's first column: each node's first regressor in ordering order
         ols = lingamsort.metrics.ols_residual
+        calls = []
 
-        def first_coefficient_zero(y, z):
-            resid, beta = ols(y, z)
-            return resid, np.concatenate([[0.0], beta[1:]])
+        def first_coefficient_zero(z, lead, floor):
+            pivots, coef, resid = ols(z, lead, floor)
+            coef = coef.copy()
+            coef[:, lead == 0:, 0] = 0.0  # a lead-0 chain's first member has no regressor
+            calls.append(z.shape)
+            return pivots, coef, resid
 
         monkeypatch.setattr(lingamsort.metrics, "ols_residual", first_coefficient_zero)
         w, ordering, x = sample_dataset(SimConfig(p=8, n=400, seed=19, family=LAP))
         nbhd = markov_blankets(w.dag)
         model = fit_coefficients(standardize(x), ordering, nbhd, LAP)
+        assert calls
         pos = ordering.positions()
         for k in range(8):
-            regressors = [int(j) for j in nbhd.sets[k] if pos[j] < pos[k]]
-            assert model.dag.parents[k] == tuple(regressors[1:])
+            regressors = sorted((int(j) for j in nbhd.sets[k] if pos[j] < pos[k]),
+                                key=lambda j: pos[j])
+            assert model.dag.parents[k] == tuple(sorted(regressors[1:]))
             assert np.all(model.weights[k] != 0.0)
+
+
+def oracle_fit(x, ordering, nbhd, family):
+    """The post-ordering fit one node at a time, on :func:`ols_residual`:
+    each node's regressors in index order, a Gram matrix and a Cholesky
+    rank check each.  Returns the model, or the (exception type, node) that
+    ``fit_coefficients`` must raise."""
+    pos = ordering.positions()
+    parents, weights, scales = [], [], np.zeros(x.p)
+    for k in range(x.p):
+        regressors = nbhd.sets[k][pos[nbhd.sets[k]] < pos[k]]
+        resid, beta = x.values[:, k], np.empty(0)
+        if regressors.size:
+            try:
+                resid, beta = ols_residual(resid, x.values[:, regressors])
+            except RankDeficient:
+                return RankDeficient, k
+        parents.append(regressors[beta != 0.0])
+        weights.append(beta[beta != 0.0])
+        if float(resid @ resid) / resid.size >= DEGENERATE_MEAN_SQUARE:
+            scales[k] = fit_scale(family, resid)[0]
+    if np.any(scales == 0.0):
+        return DegenerateResidual, int(np.flatnonzero(scales == 0.0)[0])
+    return WeightedDag(Dag(x.p, parents), weights, family, scales)
+
+
+def _fit_or_error(x, ordering, nbhd, family):
+    try:
+        return fit_coefficients(x, ordering, nbhd, family)
+    except (RankDeficient, DegenerateResidual) as exc:
+        return type(exc), exc.node
+
+
+def assert_same_fit(x, ordering, nbhd, family, rtol=1e-10):
+    """``fit_coefficients`` against :func:`oracle_fit`: the same error and
+    node, or the same parent sets, with weights within ``rtol`` of the
+    largest weight and scales within ``rtol``."""
+    got = _fit_or_error(x, ordering, nbhd, family)
+    want = oracle_fit(x, ordering, nbhd, family)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, WeightedDag), got
+    assert got.dag == want.dag
+    big = max((float(np.max(np.abs(wt))) for wt in want.weights if wt.size), default=1.0)
+    for a, b in zip(got.weights, want.weights):
+        np.testing.assert_allclose(a, b, rtol=0, atol=rtol * big)
+    np.testing.assert_allclose(got.scales, want.scales, rtol=rtol, atol=0)
+
+
+@st.composite
+def _fit_cases(draw):
+    """Random data from a random DAG, a random ordering, random (asymmetric)
+    neighborhood sets and a family; some sets fill n - 1 or n rows."""
+    p = draw(st.integers(1, 8))
+    low = max(3, p - 1)
+    n = draw(st.one_of(st.integers(low, low + 3), st.integers(low, 60)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.laplace(size=(n, p))
+    for k in range(1, p):  # a random lower-triangular mixing: a DAG in index order
+        values[:, k] += values[:, :k] @ (rng.uniform(-1, 1, k) * (rng.random(k) < 0.5))
+    x = standardize(DataMatrix(values))
+    ordering = Ordering(draw(st.permutations(range(p))))
+    sets = [draw(st.sets(st.integers(0, p - 1).filter(lambda j, k=k: j != k)))
+            for k in range(p)]
+    family = draw(st.sampled_from((LAP, GAU, NoiseFamily.logistic(), NoiseFamily.scaled_t(5.0))))
+    return x, ordering, NeighborhoodSets(sets), family
+
+
+class TestChainFit:
+    """``fit_coefficients`` runs its regressions along chains of nested
+    regressor sets, one QR per chain; :func:`oracle_fit` runs one Gram
+    matrix per node."""
+
+    @pytest.mark.parametrize("kind", ["full", "mb", "corr", "asymmetric-file"])
+    @pytest.mark.parametrize("family", [LAP, NoiseFamily.logistic()], ids=["laplace", "logistic"])
+    def test_matches_per_node_oracle(self, kind, family):
+        w, ordering, raw = sample_dataset(SimConfig(p=30, n=400, seed=23, family=LAP))
+        x = standardize(raw)
+        rng = np.random.default_rng(24)
+        if kind == "full":
+            nbhd = full_neighborhoods(30)
+        elif kind == "mb":
+            nbhd = markov_blankets(w.dag)
+        elif kind == "corr":
+            nbhd = top_correlated(x, 6)
+        else:  # j may list k without k listing j
+            nbhd = NeighborhoodSets([[j for j in rng.choice(30, 8, replace=False) if j != k]
+                                     for k in range(30)])
+        for order in (ordering, Ordering(rng.permutation(30))):
+            assert_same_fit(x, order, nbhd, family)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fit_cases())
+    def test_matches_oracle_property(self, case):
+        assert_same_fit(*case, rtol=1e-8)
+
+    def test_chains_split_and_restart(self):
+        x = standardize(DataMatrix(np.random.default_rng(25).laplace(size=(80, 7))))
+        ordering = Ordering([0, 1, 2, 3, 4, 5, 6])
+        nbhd = NeighborhoodSets([[], [0], [0, 1], [0], [0, 3], [1, 2], [0, 1, 2, 3, 4, 5]])
+        assert _chains(ordering, nbhd) == [
+            ([0, 1, 2], 0),  # 1 and 2 join the chain that 0 started
+            ([0, 3, 4], 1),  # 3 regresses on a shorter prefix: a new chain
+            ([1, 2, 5], 2),
+            ([0, 1, 2, 3, 4, 5, 6], 6),
+        ]
+        assert_same_fit(x, ordering, nbhd, LAP)
+        # the ordering, not the node index, sets a chain's column order
+        shuffled = Ordering([3, 0, 4, 1, 2, 5, 6])
+        assert _chains(shuffled, full_neighborhoods(7)) == [([3, 0, 4, 1, 2, 5, 6], 0)]
+        assert_same_fit(x, shuffled, full_neighborhoods(7), LAP)
+
+    def test_full_neighborhoods_make_one_chain(self, monkeypatch):
+        shapes = []
+        ols = lingamsort.metrics.ols_residual
+
+        def spy(z, lead, floor):
+            shapes.append(z.shape)
+            return ols(z, lead, floor)
+
+        monkeypatch.setattr(lingamsort.metrics, "ols_residual", spy)
+        x = standardize(DataMatrix(np.random.default_rng(26).laplace(size=(50, 9))))
+        fit_coefficients(x, Ordering(range(9)), full_neighborhoods(9), LAP)
+        assert shapes == [(1, 9, 50)]
+
+    def test_stacks_do_not_change_the_fit(self, monkeypatch):
+        # one chain per ols_residual call gives the same bits as the stacks
+        w, ordering, raw = sample_dataset(SimConfig(p=60, n=200, seed=27, family=LAP))
+        x = standardize(raw)
+        nbhd = top_correlated(x, 4)
+        stacked = fit_coefficients(x, ordering, nbhd, LAP)
+        monkeypatch.setattr(lingamsort.metrics, "STACK_BYTES", 1)
+        alone = fit_coefficients(x, ordering, nbhd, LAP)
+        assert alone.dag == stacked.dag
+        assert all(np.array_equal(a, b) for a, b in zip(alone.weights, stacked.weights))
+        assert np.array_equal(alone.scales, stacked.scales)
+
+    @pytest.mark.parametrize("regressors, error", [
+        (9, RankDeficient),        # n centered columns span only n - 1 dimensions
+        (8, DegenerateResidual),   # n - 1 regressors explain the node exactly
+        (7, None),
+    ])
+    def test_n_regressors_as_the_oracle(self, regressors, error):
+        n = 9
+        x = standardize(DataMatrix(np.random.default_rng(28).laplace(size=(n, regressors + 1))))
+        p = regressors + 1
+        ordering = Ordering(range(p))
+        got = _fit_or_error(x, ordering, full_neighborhoods(p), LAP)
+        if error is None:
+            assert isinstance(got, WeightedDag)
+        else:
+            assert got == (error, regressors)
+        assert_same_fit(x, ordering, full_neighborhoods(p), LAP)
+
+    @pytest.mark.parametrize("gap, collinear", [(1e-7, False), (1e-13, True)],
+                             ids=["above-floor", "below-floor"])
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 3], [1, 0, 3, 2]])
+    def test_near_collinear_pivots(self, gap, collinear, perm):
+        # column 1 is column 0 plus noise, so its pivot on column 0 (or 0's
+        # on 1) is about gap * n, far on either side of PIVOT_RTOL * n
+        assert gap > 100 * PIVOT_RTOL or gap < PIVOT_RTOL / 100
+        rng = np.random.default_rng(29)
+        n = 300
+        values = rng.laplace(size=(n, 4))
+        values[:, 1] = values[:, 0] + np.sqrt(gap) * values[:, 1]
+        values[:, 3] += values[:, 0] - values[:, 2]
+        x = standardize(DataMatrix(values))
+        ordering = Ordering(perm)
+        got = _fit_or_error(x, ordering, full_neighborhoods(4), LAP)
+        if collinear:  # nodes 2 and 3 both follow the pair; 2 is the lower index
+            assert got == (RankDeficient, 2)
+            assert_same_fit(x, ordering, full_neighborhoods(4), LAP)
+        else:
+            # the oracle's normal equations square the condition number
+            assert isinstance(got, WeightedDag)
+            assert_same_fit(x, ordering, full_neighborhoods(4), LAP, rtol=1e-5)
+
+    def test_rank_deficient_before_degenerate_lowest_index(self):
+        # chains in ordering order, failures in index order: node 5 is
+        # degenerate and nodes 4 and 2 have collinear regressors, in
+        # separate chains, with the higher index met first
+        rng = np.random.default_rng(30)
+        values = rng.laplace(size=(100, 7))
+        values[:, 1] = 2.0 * values[:, 0]
+        values[:, 5] = values[:, 6] - values[:, 3]
+        x = standardize(DataMatrix(values))
+        ordering = Ordering([0, 1, 6, 3, 4, 5, 2])
+        nbhd = NeighborhoodSets([[], [], [0, 1], [], [0, 1], [3, 6], []])
+        with pytest.raises(RankDeficient) as err:
+            fit_coefficients(x, ordering, nbhd, LAP)
+        assert err.value.node == 2
+        assert_same_fit(x, ordering, nbhd, LAP)
+        # without the collinear pair, the degenerate node is named
+        values[:, 1] = rng.laplace(size=100)
+        values[:, 2] = values[:, 6] + values[:, 0]
+        x = standardize(DataMatrix(values))
+        nbhd = NeighborhoodSets([[], [], [0, 6], [], [0, 1], [3, 6], []])
+        with pytest.raises(DegenerateResidual) as err:
+            fit_coefficients(x, ordering, nbhd, LAP)
+        assert err.value.node == 2
+        assert_same_fit(x, ordering, nbhd, LAP)
 
 
 class TestHeldoutLoglik:

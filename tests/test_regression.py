@@ -16,11 +16,11 @@ from lingamsort import (
     apply_moments,
     column_moments,
     full_neighborhoods,
-    ols_residual,
     sort,
     standardize,
 )
-from lingamsort.regression import ResidualState, partial_update
+import conftest
+from lingamsort.regression import PIVOT_RTOL, ResidualState, ols_residual, partial_update
 
 
 class TestStandardize:
@@ -106,50 +106,75 @@ class TestChunkedMoments:
                 assert err.value.column == 2
 
 
+def _chain(*columns, lead):
+    """One chain of columns through the kernel, with the rank floor."""
+    z = np.array(columns, dtype=float)[None]
+    return ols_residual(z, lead, PIVOT_RTOL * z.shape[2])
+
+
 class TestOlsResidual:
+    """The chain kernel: each column of a chain regressed on the columns
+    before it, from one QR."""
+
     def test_exact_fit(self):
-        z = np.array([[1.0], [2.0], [3.0]])
-        resid, beta = ols_residual(z[:, 0], z)
-        assert beta == pytest.approx([1.0])
-        assert np.max(np.abs(resid)) <= 1e-12
+        # y = z leaves y nothing: its pivot is under the floor and no
+        # coefficient or residual is formed
+        z = np.array([1.0, 2.0, 3.0])
+        pivots, coef, resid = _chain(z, z, lead=1)
+        assert pivots[0, 0] == pytest.approx(14.0)
+        assert pivots[0, 1] <= 1e-24
+        assert coef is None and resid is None
 
     def test_orthogonal_target(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         y = np.array([0.0, 0.0, 2.0])
-        resid, beta = ols_residual(y, z)
-        assert np.array_equal(resid, y)
-        assert np.array_equal(beta, np.zeros(2))
+        pivots, coef, resid = _chain(*z.T, y, lead=2)
+        assert np.array_equal(resid[0, 0], y)
+        assert np.array_equal(coef[0, 0], [0.0, 0.0, 1.0])
+        assert np.array_equal(pivots[0], [1.0, 1.0, 4.0])
 
     def test_intercept_column_by_hand(self):
-        # normal equations: beta = mean(y) = 2, residual (-1, 0, 1)
+        # beta = mean(y) = 2, residual (-1, 0, 1)
         y = np.array([1.0, 2.0, 3.0])
-        z = np.ones((3, 1))
-        resid, beta = ols_residual(y, z)
-        assert beta == pytest.approx([2.0])
-        assert resid == pytest.approx([-1.0, 0.0, 1.0])
+        pivots, coef, resid = _chain(np.ones(3), y, lead=1)
+        assert -coef[0, 0, 0] == pytest.approx(2.0)
+        assert coef[0, 0, 1] == 1.0
+        assert resid[0, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        assert pivots[0] == pytest.approx([3.0, 2.0])
 
     def test_residual_orthogonal_to_design(self):
+        # every column of a lead-0 chain gets its residual on the columns
+        # before it, and its pivot is that residual's squared norm
         rng = np.random.default_rng(1)
-        y = rng.standard_normal(200)
-        z = rng.standard_normal((200, 5))
-        resid, _ = ols_residual(y, z)
-        assert np.max(np.abs(z.T @ resid)) <= 1e-6 * np.linalg.norm(y)
+        z = rng.standard_normal((200, 6))
+        pivots, coef, resid = _chain(*z.T, lead=0)
+        for t in range(6):
+            assert np.all(np.abs(z[:, :t].T @ resid[0, t]) <= 1e-9 * np.linalg.norm(z[:, t]))
+            assert np.array_equal(coef[0, t, t + 1:], np.zeros(5 - t))
+            assert coef[0, t, t] == 1.0
+            assert float(resid[0, t] @ resid[0, t]) == pytest.approx(pivots[0, t], rel=1e-12)
 
     def test_duplicate_columns_rank_deficient(self):
         rng = np.random.default_rng(2)
         col = rng.standard_normal(50)
-        with pytest.raises(RankDeficient):
-            ols_residual(rng.standard_normal(50), np.column_stack([col, col]))
+        pivots, coef, _ = _chain(col, col, rng.standard_normal(50), lead=2)
+        assert pivots[0, 1] < PIVOT_RTOL * 50 < pivots[0, 0]
+        assert coef is None
 
     def test_more_regressors_than_samples(self):
-        with pytest.raises(RankDeficient):
-            ols_residual(np.ones(2), np.eye(2, 3) + 1)
+        # a column past the n-th has pivot 0
+        z = np.eye(2, 3) + 1
+        pivots, coef, _ = _chain(*z.T, np.ones(2), lead=3)
+        assert pivots.shape == (1, 4)
+        assert np.array_equal(pivots[0, 2:], [0.0, 0.0]) and np.all(pivots[0, :2] > 0)
+        assert coef is None
 
     def test_empty_design_returns_target(self):
         y = np.array([1.0, -1.0])
-        resid, beta = ols_residual(y, np.empty((2, 0)))
-        assert np.array_equal(resid, y)
-        assert beta.size == 0
+        pivots, coef, resid = _chain(y, lead=0)
+        assert np.array_equal(resid[0, 0], y)
+        assert np.array_equal(coef, [[[1.0]]])
+        assert pivots[0, 0] == pytest.approx(2.0)
 
 
 def _cols(state, factor):
@@ -338,7 +363,7 @@ class TestJointVsSequential:
         rng = np.random.default_rng(4)
         mix = np.eye(4) + 0.6 * rng.standard_normal((4, 4))
         values = standardize(DataMatrix(rng.laplace(size=(40, 4)) @ mix)).values
-        joint, _ = ols_residual(values[:, 3], values[:, :3])
+        joint, _ = conftest.ols_residual(values[:, 3], values[:, :3])
         for order in permutations(range(3)):
             state = ResidualState(np.array(values, order="F"))
             factor = state.ROOT

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_dag, population_check, weighted_chain
+from conftest import chain_dag, ols_residual, population_check, weighted_chain
 from lingamsort import (
     Dag,
     DataMatrix,
@@ -22,7 +22,6 @@ from lingamsort import (
     is_topological,
     llr_score,
     markov_blankets,
-    ols_residual,
     order_error,
     rng_stream,
     sample_data,
