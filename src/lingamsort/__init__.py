@@ -13,7 +13,6 @@ from .model import (
     Ordering,
     WeightedDag,
     is_topological,
-    mixing_matrix,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .regression import (
@@ -88,7 +87,6 @@ __all__ = [
     "llr_score",
     "log_density",
     "markov_blankets",
-    "mixing_matrix",
     "order_error",
     "reversed_edge_count",
     "rng_stream",

@@ -12,8 +12,9 @@ Subcommands wire the library into reproducible pipelines:
 Formats: data is RFC-4180 CSV with header v0..v{p-1} and full round-trip
 float precision; graphs, orderings, and models are JSON; node indices are
 0-based everywhere.  Exit codes: 0 success, 1 computation error, 2
-usage/IO error.  Outputs are byte-stable across re-runs; measured wall
-times are only emitted under ``--timings``.
+usage/IO error.  For a fixed BLAS thread count, outputs are byte-stable
+across re-runs (``fit``'s weights can move in their last digits with the
+thread count); measured wall times are only emitted under ``--timings``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -157,11 +158,12 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _integers(values: list, where: str) -> list:
-    """``values``, refused unless each is a JSON integer: a node index or a
-    node count is never truncated from a float or read from a boolean."""
+    """``values``, refused unless each is a JSON integer: a node index, a
+    count or a seed is never truncated from a float or read from a boolean
+    or a string."""
     for v in values:
         if type(v) is not int:
-            raise UsageError(f"{where}: node indices and p must be integers, "
+            raise UsageError(f"{where}: node indices, counts and seeds must be integers, "
                              f"found {json.dumps(v)}")
     return values
 
@@ -319,10 +321,6 @@ def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def write_neighborhoods(path: str | Path, nbhd: NeighborhoodSets) -> None:
-    _write_json(path, nbhd.to_lists())
-
-
 def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
     doc = _read_json(path)
     try:
@@ -342,24 +340,24 @@ def _require(doc: dict, field: str, where: str):
 
 
 def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimConfig:
-    p = int(_require(doc, "p", where))
-    n = int(_require(doc, "n", where))
-    seed = int(_require(doc, "seed", where))
+    p, n, seed = _integers([_require(doc, f, where) for f in ("p", "n", "seed")], where)
     family = family_from_doc(_require(doc, "family", where), f"{where}: field 'family'")
     graph_doc = _require(doc, "graph", where)
     scheme = _require(graph_doc, "scheme", f"{where}: field 'graph'")
-    if scheme == "large-sparse":
-        graph: LargeSparse | FromDag = LargeSparse(
-            root_frac=float(graph_doc.get("root_frac", 0.05)),
-            min_parents=int(graph_doc.get("min_parents", 1)),
-            max_parents=int(graph_doc.get("max_parents", 2)),
-        )
-    elif scheme == "edge-list":
-        rel = _require(graph_doc, "path", f"{where}: field 'graph'")
-        graph = FromDag(load_edge_list(base_dir / rel, p=p))
-    else:
-        raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
     try:
+        if scheme == "large-sparse":
+            min_parents, max_parents = _integers(
+                [graph_doc.get("min_parents", 1), graph_doc.get("max_parents", 2)], where)
+            graph: LargeSparse | FromDag = LargeSparse(
+                root_frac=float(graph_doc.get("root_frac", 0.05)),
+                min_parents=min_parents,
+                max_parents=max_parents,
+            )
+        elif scheme == "edge-list":
+            rel = _require(graph_doc, "path", f"{where}: field 'graph'")
+            graph = FromDag(load_edge_list(base_dir / rel, p=p))
+        else:
+            raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
         return SimConfig(
             p=p,
             n=n,
@@ -371,7 +369,7 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
             scale_low=float(doc.get("scale_low", 0.4)),
             scale_high=float(doc.get("scale_high", 0.7)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{where}: {exc}") from None
 
 
@@ -524,36 +522,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, where: str) -> list[dict]:
-    replicates = int(cell.get("replicates", 1))
-    p = int(_require(cell, "p", where))
+    replicates, p = _integers([cell.get("replicates", 1), _require(cell, "p", where)], where)
     if "n" in cell:
-        n = int(cell["n"])
+        n = cell["n"]
     elif "n_mult" in cell:
         n = max(2, int(round(float(cell["n_mult"]) * p)))
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
-    family = family_from_doc(_require(cell, "family", where), where)
+    graph_doc = cell.get("graph", {"scheme": "large-sparse"})
+    if graph_doc.get("scheme", "large-sparse") != "large-sparse":
+        raise UsageError(f"{where}: benchmark cells support only the large-sparse scheme")
+    # each replicate replaces the seed with its own
+    cfg = parse_sim_config({**cell, "n": n, "seed": base_seed,
+                            "graph": {"scheme": "large-sparse", **graph_doc}}, Path(), where)
     scheme = cell.get("neighborhoods", "mb")
     if scheme.startswith("corr:"):
         corr_m, corr_frac = _parse_corr(scheme, p, False, where)
     elif scheme not in ("mb", "full"):
         raise UsageError(f"{where}: unknown neighborhood scheme {scheme!r}")
-    graph_doc = cell.get("graph", {"scheme": "large-sparse"})
-    if graph_doc.get("scheme", "large-sparse") != "large-sparse":
-        raise UsageError(f"{where}: benchmark cells support only the large-sparse scheme")
     records: list[dict] = []
     for r in range(replicates):
         seed = derive_seed(base_seed, STREAM_REPLICATE, cell_idx, r)
         record = {
-            "cell": cell_idx, "replicate": r, "seed": seed, "p": p, "n": n,
-            "family": str(family), "neighborhoods": scheme,
+            "cell": cell_idx, "replicate": r, "seed": seed, "p": p, "n": cfg.n,
+            "family": str(cfg.family), "neighborhoods": scheme,
             "order_error": None, "is_topological": None, "update_count": None,
             "wall_time_ms": None, "error": None,
         }
         try:
-            sim_doc = {**cell, "n": n, "seed": seed,
-                       "graph": {"scheme": "large-sparse", **graph_doc}}
-            w, _, x = sample_dataset(parse_sim_config(sim_doc, Path(), where))
+            w, _, x = sample_dataset(replace(cfg, seed=seed))
             if scheme == "mb":
                 nbhd, rows = markov_blankets(w.dag), x
             elif scheme == "full":
@@ -561,7 +558,7 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
             else:
                 nbhd, rows = _corr_neighborhoods(x, corr_m, corr_frac,
                                                  derive_seed(seed, STREAM_SPLIT))
-            result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd))
+            result = run_sort(rows, SortConfig(family=cfg.family, neighborhoods=nbhd))
             record["order_error"] = order_error(w.dag, result.ordering)
             record["is_topological"] = is_topological(w.dag, result.ordering)
             record["update_count"] = result.update_count
@@ -578,7 +575,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if not config_path.exists():
         raise UsageError(f"config file not found: {config_path}")
     doc = _read_json(config_path)
-    base_seed = int(_require(doc, "base_seed", str(config_path)))
+    base_seed, = _integers([_require(doc, "base_seed", str(config_path))], str(config_path))
     cells = _require(doc, "cells", str(config_path))
     records: list[dict] = []
     for ci, cell in enumerate(cells):

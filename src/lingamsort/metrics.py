@@ -40,8 +40,8 @@ def fit_coefficients(
     Node k's parents are its regressors: its neighborhood's members that
     precede it in the ordering, less any with an exactly zero coefficient.
     Its weights are the OLS coefficients and its scale is the family's
-    estimate on the residual.  No p x p array is built.  Requires
-    self-standardized data.
+    estimate on the residual.  No p x p array is built.  Requires data
+    that :func:`lingamsort.regression.standardize` made.
 
     The regressions run along chains (:func:`_chains`): with full
     neighborhoods the whole ordering is one chain, whose one QR gives every

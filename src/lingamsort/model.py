@@ -20,11 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Dense p x p matrices (B as a matrix, the mixing matrix M) are only
-# materialized up to this node count; beyond it, storage stays column-sparse.
-# A dense 10000 x 10000 double matrix would cost 800 MB.
-DENSE_LIMIT = 2048
-
 LAPLACE = "laplace"
 LOGISTIC = "logistic"
 SCALED_T = "scaled-t"
@@ -96,8 +91,8 @@ class NoiseFamily:
 class Dag:
     """Directed acyclic graph on ``p`` nodes, stored as sorted parent lists.
 
-    Acyclicity is verified eagerly (Kahn traversal) so downstream code may
-    assume it.
+    Acyclicity is verified eagerly (a topological order must reach every
+    node) so downstream code may assume it.
     """
 
     def __init__(self, p: int, parents: Sequence[Iterable[int]]):
@@ -119,7 +114,8 @@ class Dag:
             norm.append(pa)
         self.p = p
         self.parents: tuple[tuple[int, ...], ...] = tuple(norm)
-        self._check_acyclic()
+        if len(self.topological_order()) != p:
+            raise ValueError("graph contains a cycle")
 
     @classmethod
     def from_edges(cls, p: int, edges: Iterable[tuple[int, int]]) -> "Dag":
@@ -129,22 +125,6 @@ class Dag:
                 raise ValueError(f"child {k} of edge ({j}, {k}) out of range [0, {p})")
             parents[int(k)].append(int(j))
         return cls(p, parents)
-
-    def _check_acyclic(self) -> None:
-        # Kahn traversal; also yields an existence proof of a topological order.
-        indeg = [len(pa) for pa in self.parents]
-        children = self.children
-        queue = [k for k in range(self.p) if indeg[k] == 0]
-        seen = 0
-        while queue:
-            j = queue.pop()
-            seen += 1
-            for k in children[j]:
-                indeg[k] -= 1
-                if indeg[k] == 0:
-                    queue.append(k)
-        if seen != self.p:
-            raise ValueError("graph contains a cycle")
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -190,8 +170,7 @@ class WeightedDag:
     """A Dag plus edge weights, noise family, and per-node noise scales.
 
     Weights are stored column-sparse: ``weights[k]`` is aligned with
-    ``dag.parents[k]``.  Use :meth:`b_matrix` to materialize the dense
-    adjacency matrix for small graphs.
+    ``dag.parents[k]``, so no p x p matrix is ever built.
     """
 
     def __init__(
@@ -221,56 +200,21 @@ class WeightedDag:
         self.family = family
         self.scales = scales
 
-    @classmethod
-    def from_b_matrix(
-        cls, dag: Dag, b: np.ndarray, family: NoiseFamily, scales: Sequence[float]
-    ) -> "WeightedDag":
-        """Build from a dense B, verifying its support matches the dag exactly."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (dag.p, dag.p):
-            raise ValueError("B must be p x p")
-        support = {(j, k) for j, k in zip(*np.nonzero(b))}
-        declared = set(dag.edges())
-        if support != declared:
-            raise ValueError("support of B does not match the dag's parent lists")
-        weights = [b[list(dag.parents[k]), k] for k in range(dag.p)]
-        return cls(dag, weights, family, scales)
-
     @property
     def p(self) -> int:
         return self.dag.p
 
-    def b_matrix(self) -> np.ndarray:
-        """Dense p x p weight matrix; refused above DENSE_LIMIT nodes."""
-        if self.p > DENSE_LIMIT:
-            raise ValueError(
-                f"dense B refused for p={self.p} > {DENSE_LIMIT}; use .weights columns"
-            )
-        b = np.zeros((self.p, self.p))
-        for k in range(self.p):
-            b[list(self.dag.parents[k]), k] = self.weights[k]
-        return b
-
-    def weighted_edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (parent, child, weight) sorted by child, then parent."""
-        for k in range(self.p):
-            for j, w in zip(self.dag.parents[k], self.weights[k]):
-                yield j, k, float(w)
-
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """An n x p observation matrix with a self-standardization flag.
+    """An n x p observation matrix.
 
-    ``standardized`` means each column has sample mean 0 and sample
-    standard deviation 1 (denominator n), which is verified at construction
-    to absolute tolerance 1e-10.  ``moments`` is the (mean, sd) of the
-    columns the matrix was standardized from when ``regression.standardize``
-    made it, and None otherwise.
+    ``moments`` is the (mean, sd) of the columns the matrix was
+    standardized from when ``regression.standardize`` made it, and None
+    otherwise.
     """
 
     values: np.ndarray
-    standardized: bool = False
     moments: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -281,23 +225,23 @@ class DataMatrix:
         if not np.all(np.isfinite(v)):
             raise ValueError("data contains non-finite entries")
         object.__setattr__(self, "values", v)
-        if self.standardized:
-            mean = v.mean(axis=0)
-            sd = v.std(axis=0)
-            if np.max(np.abs(mean)) > 1e-10 or np.max(np.abs(sd - 1.0)) > 1e-10:
-                raise ValueError("standardized flag set but columns are not standardized")
 
     @classmethod
     def _standardized(cls, values: np.ndarray,
                       moments: tuple[np.ndarray, np.ndarray]) -> DataMatrix:
-        """Flag values that are standardized by construction, skipping the
-        O(np) check of ``__post_init__``, and keep the source's ``moments``;
-        for ``regression.standardize``."""
+        """Values that are standardized by construction, with the source's
+        ``moments``, skipping the finiteness pass of ``__post_init__``; for
+        ``regression.standardize``."""
         x = object.__new__(cls)
         object.__setattr__(x, "values", values)
-        object.__setattr__(x, "standardized", True)
         object.__setattr__(x, "moments", moments)
         return x
+
+    @property
+    def standardized(self) -> bool:
+        """True when ``regression.standardize`` made this matrix: each
+        column has mean 0 and standard deviation 1 (denominator n)."""
+        return self.moments is not None
 
     @property
     def n(self) -> int:
@@ -359,26 +303,6 @@ class NeighborhoodSets:
 
     def to_lists(self) -> list[list[int]]:
         return [[int(j) for j in s] for s in self.sets]
-
-
-def mixing_matrix(w: WeightedDag) -> np.ndarray:
-    """Mixing matrix M = (I - B)^{-T}, so that X = M eps.
-
-    Computed row-by-row by back-substitution in topological order rather
-    than general inversion: row k is e_k plus the weight-combination of its
-    parents' rows.  Diagonal entries are exactly 1 and entries M[k, j] are
-    exactly 0 unless j is k or an ancestor of k.
-    """
-    p = w.p
-    if p > DENSE_LIMIT:
-        raise ValueError(f"dense mixing matrix refused for p={p} > {DENSE_LIMIT}")
-    m = np.zeros((p, p))
-    for k in w.dag.topological_order():
-        row = m[k]
-        for j, wgt in zip(w.dag.parents[k], w.weights[k]):
-            row += wgt * m[j]
-        row[k] = 1.0
-    return m
 
 
 def is_topological(dag: Dag, ordering: Ordering) -> bool:

@@ -169,7 +169,7 @@ def standardize(x: DataMatrix) -> DataMatrix:
         raise ZeroVarianceColumn(int(bad[0]))
     _check_finite(sd)
     # a finite sd makes every entry finite, with |z| <= sqrt(n), so the result
-    # is flagged without DataMatrix's second pass over the moments
+    # skips DataMatrix's finiteness pass
     return DataMatrix._standardized(out, (mean, sd))
 
 

@@ -183,19 +183,6 @@ def sample_noise(
     raise ValueError(f"cannot sample family {tag!r}")
 
 
-def noise_variance(family: NoiseFamily, scale: float) -> float:
-    """Population variance of one noise draw."""
-    if family.tag == LAPLACE:
-        return 2.0 * scale**2
-    if family.tag == LOGISTIC:
-        return (math.pi**2 / 3.0) * scale**2
-    if family.tag == SCALED_T:
-        return scale**2 * family.df / (family.df - 2.0)
-    if family.tag == GAUSSIAN:
-        return scale**2
-    raise ValueError(f"unknown family {family.tag!r}")
-
-
 def sample_data(w: WeightedDag, n: int, seed: int) -> DataMatrix:
     """n iid observations from the structural equations of ``w``.
 

@@ -22,11 +22,12 @@ group's rank-one update, scored by one block call of
 :func:`lingamsort.scoring.llr_score` and written back, so that no n x p
 temporary is built.
 
-``sort`` adds one n x p array to the caller's data, the column-major
-``r`` of :class:`lingamsort.regression.ResidualState`: an unsorted node's
-column holds its current residual and a sorted node's column, once some
-node has taken it as a regressor, its standardized values, which are all
-a regressor needs.
+``sort`` standardizes the caller's data with
+:func:`lingamsort.regression.standardize` and adds that one n x p array,
+the column-major ``r`` of :class:`lingamsort.regression.ResidualState`:
+an unsorted node's column holds its current residual and a sorted node's
+column, once some node has taken it as a regressor, its standardized
+values, which are all a regressor needs.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -99,11 +100,10 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     the end of the step that sorts k if that step touched a node, so Z_k
     is read from ``r``; a node that no unsorted node has as a neighbor
     when it is sorted is never a regressor, and its column keeps its last
-    residual.  Raw data are standardized into a fresh ``r`` in one chunked
-    pass, and x_sel is rebuilt from the raw column as
+    residual.  The data are standardized into a fresh ``r`` in one chunked
+    pass, and x_sel is rebuilt from the caller's column as
     ``(x[:, sel] - mean[sel]) / sd[sel]``, bit for bit the column
-    ``standardize`` wrote; caller-standardized data are copied into ``r``
-    once, and x_sel is the caller's column.
+    ``standardize`` wrote.
 
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
@@ -125,13 +125,9 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     p = x.p
     source = x.values
-    if x.standardized:
-        r = np.array(source, order="F")  # the caller's array is never updated
-        mean, sd = np.zeros(p), np.ones(p)  # (v - 0) / 1 is v, bit for bit
-    else:
-        std = standardize(x)
-        r = std.values
-        mean, sd = std.moments
+    std = standardize(x)
+    r = std.values
+    mean, sd = std.moments
     state = ResidualState(r)
     columns = r.T  # row k is column k of r, contiguous
     width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
@@ -171,7 +167,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         scores[sel] = -np.inf
         touched = [k for k in affected[sel] if live[k]]
         if touched:
-            # standardize's column, bit for bit, from the caller's raw one
+            # standardize's column, bit for bit, from the caller's one
             np.subtract(source[:, sel], mean[sel], out=x_sel)
             x_sel /= sd[sel]
             slot: dict = {}  # factor -> its group's index

@@ -15,7 +15,6 @@ from lingamsort import (
     markov_blankets,
     sample_data,
     sort,
-    standardize,
 )
 from lingamsort.model import GAUSSIAN
 from lingamsort.regression import PIVOT_RTOL, RankDeficient
@@ -51,6 +50,31 @@ def all_orderings(p: int):
         yield Ordering(perm)
 
 
+def dense_b(w: WeightedDag) -> np.ndarray:
+    """The p x p weight matrix B of ``w``: B[j, k] is the weight of j -> k."""
+    b = np.zeros((w.p, w.p))
+    for k, (pa, wt) in enumerate(zip(w.dag.parents, w.weights)):
+        b[list(pa), k] = wt
+    return b
+
+
+def mixing_matrix(w: WeightedDag) -> np.ndarray:
+    """Mixing matrix M = (I - B)^{-T}, so that X = M eps.
+
+    Computed row by row in topological order rather than by inversion:
+    row k is e_k plus the weight-combination of its parents' rows, so
+    diagonal entries are exactly 1 and M[k, j] is exactly 0 unless j is k
+    or an ancestor of k.
+    """
+    m = np.zeros((w.p, w.p))
+    for k in w.dag.topological_order():
+        row = m[k]
+        for j, wgt in zip(w.dag.parents[k], w.weights[k]):
+            row += wgt * m[j]
+        row[k] = 1.0
+    return m
+
+
 def population_check(
     w: WeightedDag,
     n_large: int,
@@ -71,8 +95,7 @@ def population_check(
     cfg = SortConfig(family=score_family, neighborhoods=nbhd)
     outcomes: list[bool] = []
     for seed in seeds:
-        x = standardize(sample_data(w, n_large, seed))
-        result = sort(x, cfg)
+        result = sort(sample_data(w, n_large, seed), cfg)
         outcomes.append(is_topological(w.dag, result.ordering))
     return {
         "p": w.p,

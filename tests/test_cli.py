@@ -38,6 +38,12 @@ def _write_chain_config(path, p=20, n=1000, seed=1, coef=(0.8, 0.8), scale=(0.5,
     }))
 
 
+def _weighted_edges(w):
+    """(parent, child, weight) of every edge of ``w``, by child, then parent."""
+    return [(j, k, float(v)) for k, (pa, wt) in enumerate(zip(w.dag.parents, w.weights))
+            for j, v in zip(pa, wt)]
+
+
 def _written(tmp_path, doc):
     """``doc`` as the CLI writes it to a file, read back."""
     path = tmp_path / "doc.json"
@@ -78,7 +84,8 @@ class TestFileFormats:
         doc = _written(tmp_path, truth_to_doc(w, Ordering([0, 1, 2, 3]), 7))
         w2, _, seed = truth_from_doc(doc)
         assert seed == 7
-        assert w2.b_matrix().tobytes() == w.b_matrix().tobytes()
+        assert w2.dag == w.dag
+        assert [c.tobytes() for c in w2.weights] == [c.tobytes() for c in w.weights]
         assert np.array_equal(w2.scales, w.scales)
         assert str(w2.family) == "scaled-t:10"
 
@@ -90,7 +97,8 @@ class TestFileFormats:
         doc = _written(tmp_path, truth_to_doc(w, Ordering([0, 1, 2, 3]), 7))
         doc["edges"].reverse()
         w2, _, _ = truth_from_doc(doc)
-        assert w2.b_matrix().tobytes() == w.b_matrix().tobytes()
+        assert w2.dag == w.dag
+        assert [c.tobytes() for c in w2.weights] == [c.tobytes() for c in w.weights]
 
     @pytest.mark.parametrize("model", [
         WeightedDag(Dag(3, [[]] * 3), [[]] * 3, NoiseFamily.laplace(), [0.5, 1.0, 2.0]),
@@ -106,7 +114,7 @@ class TestFileFormats:
         # their bytes must be json.dump's, indent 2, plus a newline; blocks
         # of two records put block boundaries inside every edge list
         monkeypatch.setattr(cli.EdgeRecords, "BLOCK", 2)
-        by_parent = sorted(model.weighted_edges(), key=lambda e: e[0])
+        by_parent = sorted(_weighted_edges(model), key=lambda e: e[0])
         model_doc = {
             "p": model.p, "family": cli.family_to_doc(model.family),
             "coefficients": cli.EdgeRecords.of(model, by_parent=True),
@@ -117,7 +125,7 @@ class TestFileFormats:
             {"from": j, "to": k, "weight": wt} for j, k, wt in by_parent])
         truth_doc = truth_to_doc(model, Ordering(model.dag.topological_order()), 3)
         truth_dicts = dict(truth_doc, edges=[
-            {"from": j, "to": k, "weight": wt} for j, k, wt in model.weighted_edges()])
+            {"from": j, "to": k, "weight": wt} for j, k, wt in _weighted_edges(model)])
         for doc, expected in ((model_doc, as_dicts), (truth_doc, truth_dicts)):
             path = tmp_path / "out.json"
             cli._write_json(path, doc)
@@ -386,7 +394,7 @@ class TestSortEvalPipeline:
 
     def test_neighborhood_file_option(self, tmp_path):
         from lingamsort import markov_blankets
-        from lingamsort.cli import read_neighborhoods, truth_from_doc, write_neighborhoods
+        from lingamsort.cli import read_neighborhoods, truth_from_doc
 
         cfg = tmp_path / "cfg.json"
         _write_chain_config(cfg, p=8, n=400, seed=9)
@@ -395,7 +403,8 @@ class TestSortEvalPipeline:
               "--out-truth", str(truth)])
         w, _, _ = truth_from_doc(json.loads(truth.read_text()))
         nbhd_path = tmp_path / "nbhd.json"
-        write_neighborhoods(nbhd_path, markov_blankets(w.dag))
+        with open(nbhd_path, "w") as fh:
+            json.dump(markov_blankets(w.dag).to_lists(), fh)
         assert read_neighborhoods(nbhd_path).to_lists() == markov_blankets(w.dag).to_lists()
         out = tmp_path / "o.json"
         assert main(["sort", "--data", str(data), "--neighborhoods", str(nbhd_path),
@@ -724,7 +733,7 @@ class TestFitLoglik:
         pairs = [(e["from"], e["to"]) for e in doc["coefficients"]]
         assert pairs == sorted(pairs) and len(pairs) > 0
         w, mean, sd = read_model(model)
-        assert sorted(w.weighted_edges()) == [
+        assert sorted(_weighted_edges(w)) == [
             (e["from"], e["to"], e["weight"]) for e in doc["coefficients"]]
         assert list(w.scales) == doc["scales"]
         assert list(mean) == doc["train_means"] and list(sd) == doc["train_sds"]
@@ -791,6 +800,52 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"error: {files[kind]}: " in err and json.dumps(value) in err
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("generate", ["p"], "abc", '"abc"'),
+    ("generate", ["p"], 10.7, "10.7"),
+    ("generate", ["n"], 40.5, "40.5"),
+    ("generate", ["seed"], True, "true"),
+    ("generate", ["graph", "min_parents"], 0, "min_parents"),
+    ("generate", ["graph", "max_parents"], 1.5, "1.5"),
+    ("generate", ["graph", "root_frac"], 1.5, "root_frac"),
+    ("benchmark", ["base_seed"], 1.5, "1.5"),
+    ("benchmark", ["cells", 0, "replicates"], 1.9, "1.9"),
+    ("benchmark", ["cells", 0, "p"], 10.7, "10.7"),
+    ("benchmark", ["cells", 0, "coef_low"], 0.95, "coef_low"),
+    ("benchmark", ["cells", 0, "graph"], {"root_frac": 1.5}, "root_frac"),
+    ("benchmark", ["cells", 0, "family"], "gaussian", "generating"),
+], ids=["p-string", "p-float", "n-float", "seed-bool", "min-parents-zero",
+        "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
+        "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
+        "cell-gaussian"])
+def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, value, message):
+    # each of these exited 1, was truncated, or wrote its error into every
+    # replicate record and exited 0
+    good = {
+        "generate": {"p": 5, "n": 40, "seed": 1, "family": "laplace",
+                     "graph": {"scheme": "large-sparse", "root_frac": 0.2,
+                               "min_parents": 1, "max_parents": 2}},
+        "benchmark": {"base_seed": 1, "cells": [
+            {"p": 5, "n": 40, "family": "laplace", "replicates": 2}]},
+    }[command]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    args = {
+        "generate": ["generate", "--config", str(cfg), "--out-data", str(out),
+                     "--out-truth", str(tmp_path / "t.json")],
+        "benchmark": ["benchmark", "--config", str(cfg), "--out", str(out)],
+    }[command]
+    cfg.write_text(json.dumps(good))
+    assert main(args) == 0
+    out.unlink()
+    cfg.write_text(json.dumps(_edit(good, path, value)))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    where = f"{cfg}: cells[0]" if path[0] == "cells" else f"{cfg}"
+    assert err.startswith(f"error: {where}: ") and message in err, err
+    assert not out.exists()
 
 
 # Runs in a child whose sys.modules blocks scipy, so any scipy import fails.

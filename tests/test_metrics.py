@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_dags, all_orderings, chain_dag, ols_residual
+from conftest import all_dags, all_orderings, chain_dag, dense_b, ols_residual
 from lingamsort import (
     Dag,
     DataMatrix,
@@ -35,7 +35,6 @@ from lingamsort import (
 )
 import lingamsort.metrics
 from lingamsort.metrics import _chains
-from lingamsort.model import DENSE_LIMIT
 from lingamsort.regression import PIVOT_RTOL
 from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
@@ -104,10 +103,10 @@ class TestFitCoefficients:
         std = standardize(x)
         nbhd = markov_blankets(w.dag)
         model = fit_coefficients(std, ordering, nbhd, LAP)
-        b_hat, scales = model.b_matrix(), model.scales
+        b_hat, scales = dense_b(model), model.scales
         # compare against the true B rescaled into standardized units
         sd = x.values.std(axis=0)
-        b_std = w.b_matrix() * sd[:, None] / sd[None, :]
+        b_std = dense_b(w) * sd[:, None] / sd[None, :]
         assert np.max(np.abs(b_hat - b_std)) <= 0.02
         assert np.all(scales > 0)
 
@@ -116,7 +115,7 @@ class TestFitCoefficients:
         w, ordering, x = sample_dataset(cfg)
         std = standardize(x)
         model = fit_coefficients(std, ordering, markov_blankets(w.dag), LAP)
-        b_hat, scales = model.b_matrix(), model.scales
+        b_hat, scales = dense_b(model), model.scales
         root = ordering.perm[0]
         assert np.array_equal(b_hat[:, root], np.zeros(4))
         eta, _ = fit_scale(LAP, std.values[:, root])
@@ -125,7 +124,7 @@ class TestFitCoefficients:
     def test_single_node(self):
         x = DataMatrix(np.random.default_rng(0).standard_normal((50, 1)))
         model = fit_coefficients(standardize(x), Ordering([0]), full_neighborhoods(1), LAP)
-        assert np.array_equal(model.b_matrix(), np.zeros((1, 1)))
+        assert np.array_equal(dense_b(model), np.zeros((1, 1)))
 
     def test_requires_standardized(self):
         x = DataMatrix(np.random.default_rng(1).standard_normal((20, 2)) * 3)
@@ -424,10 +423,8 @@ class TestHeldoutLoglik:
     def test_row_permutation_invariance(self):
         rng = rng_stream(18, 0)
         x = DataMatrix(rng.standard_normal((200, 3)))
-        b = np.zeros((3, 3))
-        b[0, 1] = 0.4
         scales = np.array([0.5, 0.6, 0.7])
-        model = WeightedDag.from_b_matrix(Dag(3, [[], [0], []]), b, LAP, scales)
+        model = WeightedDag(Dag(3, [[], [0], []]), [[], [0.4], []], LAP, scales)
         base = heldout_loglik(x, model)
         shuffled = DataMatrix(x.values[rng.permutation(200)])
         assert heldout_loglik(shuffled, model) == pytest.approx(base, abs=1e-10)
@@ -461,7 +458,7 @@ class TestHeldoutLoglik:
         model = fit_coefficients(standardize(train), ordering, full_neighborhoods(12), family)
         assert model.dag.edge_count == 12 * 11 // 2
         test_std = apply_moments(test, *column_moments(train.values))
-        resid = test_std.values - test_std.values @ model.b_matrix()
+        resid = test_std.values - test_std.values @ dense_b(model)
         dense = sum(float(np.sum(log_density(family, resid[:, k], model.scales[k])))
                     for k in range(12)) / resid.size
         assert heldout_loglik(test_std, model) == pytest.approx(dense, rel=1e-12, abs=0)
@@ -469,10 +466,9 @@ class TestHeldoutLoglik:
 
 class TestSparseModelMemory:
     def test_fit_and_loglik_allocate_far_less_than_a_dense_b(self):
-        # above DENSE_LIMIT, with Markov-blanket neighborhoods: the model is
-        # O(p d), so the traced peak stays well under one p x p matrix
+        # with Markov-blanket neighborhoods the model is O(p d), so the
+        # traced peak stays well under one p x p matrix
         p = 4000
-        assert p > DENSE_LIMIT
         w, ordering, x = sample_dataset(SimConfig(p=p, n=100, seed=21, family=LAP))
         std = standardize(x)
         nbhd = markov_blankets(w.dag)

@@ -42,11 +42,13 @@ class TestStandardize:
         assert err.value.column == 1
 
     def test_output_passes_the_standardized_check(self):
-        # standardize flags its output without DataMatrix's check; the check
-        # itself must still accept it
+        # standardize flags its output without checking it: every column
+        # has mean 0 and sd 1 (denominator n)
         rng = np.random.default_rng(1)
         x = standardize(DataMatrix(rng.laplace(3.0, 7.0, size=(40, 6))))
-        assert DataMatrix(x.values, standardized=True).standardized
+        assert x.standardized
+        assert np.max(np.abs(x.values.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(x.values.std(axis=0) - 1.0)) <= 1e-10
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_variance_raises(self):
@@ -297,8 +299,8 @@ class TestPartialUpdate:
             assert np.linalg.norm(state.r[:, 5]) <= before + 1e-12
 
     def test_state_does_not_alias_input(self, monkeypatch):
-        # the state takes its array over, so sort copies caller-standardized
-        # data into it once, whatever the layout
+        # the state takes its array over, so sort standardizes into a fresh
+        # one and leaves the caller's data as they were, whatever the layout
         aliased = []
 
         def spy(state, *args, **kwargs):
@@ -311,7 +313,7 @@ class TestPartialUpdate:
             h = np.sqrt(2.0)
             values = np.array([[1.0, h], [-1.0, 0.0], [1.0, 0.0], [-1.0, -h]], order=order)
             before = values.copy()
-            sort(DataMatrix(values, standardized=True), cfg)
+            sort(DataMatrix(values), cfg)
             assert np.array_equal(values, before)
         assert aliased == [False, False]
 

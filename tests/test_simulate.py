@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain_dag, weighted_chain
+from conftest import chain_dag, mixing_matrix, weighted_chain
 from lingamsort import (
     STREAM_NOISE,
     Dag,
@@ -13,14 +13,12 @@ from lingamsort import (
     WeightedDag,
     generate_large_sparse_dag,
     is_topological,
-    mixing_matrix,
     rng_stream,
     sample_data,
     sample_dataset,
     sample_noise,
     sample_weights,
 )
-from lingamsort.simulate import noise_variance
 
 LAP = NoiseFamily.laplace()
 
@@ -130,14 +128,15 @@ class TestSampleData:
         assert not np.array_equal(a.values, c.values)
 
     def test_covariance_matches_mixing_matrix(self):
-        # empirical covariance converges to M diag(Var eps) M^T
+        # empirical covariance converges to M diag(Var eps) M^T, where a
+        # Laplace draw of scale theta has variance 2 theta^2
         dag = Dag(5, [[], [0], [0, 1], [2], [1, 3]])
         rng = rng_stream(21, 1)
         weights = [rng.uniform(0.4, 0.9, len(dag.parents[k])) for k in range(5)]
         w = WeightedDag(dag, weights, LAP, [0.5, 0.7, 0.4, 0.6, 0.5])
         x = sample_data(w, 10**6, seed=21)
         m = mixing_matrix(w)
-        target = m @ np.diag([noise_variance(LAP, s) for s in w.scales]) @ m.T
+        target = m @ np.diag(2.0 * w.scales**2) @ m.T
         empirical = np.cov(x.values, rowvar=False, bias=True)
         assert np.max(np.abs(empirical - target)) <= 0.02
 

@@ -510,7 +510,7 @@ def _inputs(values):
     """The three ways data reach ``sort``: raw row-major, raw column-major
     and standardized by the caller."""
     return [DataMatrix(np.ascontiguousarray(values)), DataMatrix(np.asfortranarray(values)),
-            DataMatrix(standardize(DataMatrix(values)).values, standardized=True)]
+            standardize(DataMatrix(values))]
 
 
 class TestColumnRelabelling:
