@@ -15,20 +15,33 @@ float precision; graphs, orderings, and models are JSON; node indices are
 usage/IO error.  For a fixed BLAS thread count, outputs are byte-stable
 across re-runs (``fit``'s weights can move in their last digits with the
 thread count); measured wall times are only emitted under ``--timings``.
+
+Data CSVs are formatted and parsed by W = min(CPUs in the process's
+affinity set, 8, the file's size in MiB) forked children, each bound to
+its own CPU, while the parent waits; W = 1 runs the same code in-process.
+The bytes written and the values read are the same for every W.  A read
+holds the n x p values once, in a shared anonymous mmap that the
+returned DataMatrix keeps; each child adds the numpy array of its own
+byte range while it parses it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import mmap
 import os
+import shutil
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -72,48 +85,182 @@ class UsageError(Exception):
 # file formats
 
 
+def _workers(nbytes: int) -> int:
+    """Processes that share the formatting or parsing of a CSV of ``nbytes``:
+    one per CPU this process may run on, at most 8, and at most one per MiB."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, 8, nbytes >> 20))
+
+
+def _fork(job: Callable[[], object], cpu: int) -> int:
+    """Run ``job`` in a forked child bound to ``cpu``; its pid.  The child
+    leaves through ``os._exit``: 0 when ``job`` returns, 1 when it raises."""
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork() in a process with threads, and an idle
+        # OpenBLAS pool counts; the child never calls BLAS and runs no exit
+        # handlers, so the threads it lacks are never waited for
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        # a kernel may leave a short-lived child on its parent's CPU for its
+        # whole life, so that W children share one core; binding each to its
+        # own CPU spreads them
+        with suppress(OSError):
+            os.sched_setaffinity(0, {cpu})
+        job()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_children(jobs: list[Callable[[], object]]) -> bool:
+    """Run the jobs at once, each in a forked child on its own CPU (in turn
+    when there are more jobs than CPUs); True when every child exits 0.
+    Every child is reaped, also when the parent is interrupted while it
+    waits."""
+    cpus = sorted(os.sched_getaffinity(0))
+    pids: list[int] = []
+    ok = True
+    try:
+        try:
+            for k, job in enumerate(jobs):
+                pids.append(_fork(job, cpus[k % len(cpus)]))
+        except OSError:  # no process to spare: report failure, the caller works alone
+            ok = False
+        while pids:
+            ok &= os.waitpid(pids[0], 0)[1] == 0
+            pids.pop(0)
+    finally:
+        for pid in pids:
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return ok
+
+
+def _csv_row(row: np.ndarray) -> str:
+    # the repr of a list of floats is their shortest round-trip reprs joined
+    # by ", "; no float repr needs CSV quoting, so these are the bytes
+    # csv.writer writes for [repr(v) for v in row]
+    return repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n"
+
+
+def _write_rows(path: Path, head: str, rows: np.ndarray) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        for row in rows:
+            fh.write(_csv_row(row))
+
+
 def write_data_csv(path: str | Path, x: DataMatrix) -> None:
-    """CSV with header v0..v{p-1}; floats carry full round-trip precision."""
+    """CSV with header v0..v{p-1}; floats carry full round-trip precision.
+
+    With W = ``_workers`` of the file's size (its first row times n) above
+    1, W forked children format contiguous ranges of rows, the first into
+    the temporary file and the others into part files that the parent then
+    appends to it; if any child fails, the parent writes the whole file
+    itself, so an error is the one a single writer raises.  The bytes do
+    not depend on W."""
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(",".join(f"v{k}" for k in range(x.p)) + "\r\n")
-        # the repr of a list of floats is their shortest round-trip reprs
-        # joined by ", "; no float repr needs CSV quoting, so these are the
-        # bytes csv.writer writes for [repr(v) for v in row]
-        for row in x.values:
-            fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
+    head = ",".join(f"v{k}" for k in range(x.p)) + "\r\n"
+    w = min(_workers(len(_csv_row(x.values[0])) * x.n), x.n)
+    cuts = [x.n * k // w for k in range(w + 1)]
+    parts = [tmp] + [Path(f"{tmp}{k}") for k in range(1, w)]
+    try:
+        if w == 1 or not _in_children([
+                partial(_write_rows, part, head if k == 0 else "", x.values[lo:hi])
+                for k, (part, lo, hi) in enumerate(zip(parts, cuts, cuts[1:]))]):
+            _write_rows(tmp, head, x.values)
+        else:
+            with open(tmp, "ab") as out:
+                for part in parts[1:]:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out, 1 << 20)
+    finally:
+        for part in parts[1:]:
+            part.unlink(missing_ok=True)
     os.replace(tmp, path)
 
 
-def _count_lines(path: str | Path) -> int:
-    """Lines in a file; an unterminated last line counts as one."""
-    lines, last = 0, b"\n"
+def _count_lines(path: str | Path, cuts: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Lines in a file, an unterminated last line counting as one; and for
+    each byte offset in the ascending ``cuts``, the first line start at or
+    after it (the file's size when there is none) with the number of lines
+    before that start."""
+    lines, last, pos, starts = 0, b"\n", 0, []
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
+            while len(starts) < len(cuts):
+                at = chunk.find(b"\n", max(cuts[len(starts)] - 1 - pos, 0))
+                if at < 0:
+                    break
+                starts.append((pos + at + 1, lines + chunk.count(b"\n", 0, at + 1)))
             lines += chunk.count(b"\n")
             last = chunk[-1:]
-    return lines + (last != b"\n")
+            pos += len(chunk)
+    lines += last != b"\n"
+    return lines, starts + [(pos, lines)] * (len(cuts) - len(starts))
+
+
+def _csv_header(path: str | Path, end: int) -> list[str] | None:
+    """The fields of the first line, bytes [0, end), when ``csv.reader``
+    splits it at commas alone; else None."""
+    with open(path, "rb") as fh:
+        line = fh.read(end).removesuffix(b"\n").removesuffix(b"\r")
+    if not line or not line.isascii() or any(c in line for c in (b'"', b"\r", b"\0")):
+        return None
+    return line.decode().split(",")
+
+
+def _parse_range(path: str | Path, lo: int, shape: tuple[int, int]) -> np.ndarray:
+    """The ``shape[0]`` lines from byte ``lo`` of a data CSV through numpy's
+    C parser.  A parse error, a warning or a shape other than ``shape``
+    raises: numpy skips blank lines, so they show up as missing rows.  Lines
+    end at newlines alone, as the line count splits them, and are decoded
+    as ``open`` decodes text."""
+    with io.TextIOWrapper(open(path, "rb"), newline="\n") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fh.buffer.seek(lo)  # before the first read, so the wrapper holds no text yet
+        values = np.loadtxt(islice(fh, shape[0]), delimiter=",", comments=None, ndmin=2,
+                            dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"expected {shape} values, found {values.shape}")
+    return values
 
 
 def _read_clean_csv(path: str | Path) -> tuple[list[str], np.ndarray] | None:
     """Header and values of a clean data CSV through numpy's C parser, or
     None for anything else: a parse error, a warning, or a shape other than
-    one row per data line and one column per header field.  numpy skips
-    blank lines, so they show up as missing rows."""
-    data_lines = _count_lines(path) - 1
-    if data_lines < 1:
+    one row per data line and one column per header field.
+
+    The line count also cuts the data lines into W byte ranges at line
+    starts, W = ``_workers`` of the file's size.  Above W = 1, each range is
+    parsed by a forked child into its rows of one shared anonymous mmap,
+    which the returned array keeps; the parent only waits."""
+    size = os.path.getsize(path)
+    w = _workers(size)
+    # the first line start at or after byte 1 ends the header
+    lines, starts = _count_lines(path, [1] + [size * k // w for k in range(1, w)])
+    header = _csv_header(path, starts[0][0]) if lines > 1 else None
+    if header is None:
         return None
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except (ValueError, Warning):
-            return None
-    if values.shape != (data_lines, len(header)):
+    shape = (lines - 1, len(header))
+    bounds = starts + [(size, lines)]
+    ranges = [(lo, a - 1, b - 1) for (lo, a), (hi, b) in zip(bounds, bounds[1:]) if hi > lo]
+    try:
+        if len(ranges) == 1:
+            return header, _parse_range(path, starts[0][0], shape)
+        values = np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8)).reshape(shape)
+
+        def fill(lo: int, a: int, b: int) -> None:
+            values[a:b] = _parse_range(path, lo, (b - a, shape[1]))
+
+        return (header, values) if _in_children([partial(fill, *r) for r in ranges]) else None
+    except (ValueError, Warning):
         return None
-    return header, values
 
 
 def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -333,8 +480,14 @@ def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
 # configuration
 
 
-def _require(doc: dict, field: str, where: str):
-    if field not in doc:
+def _object(doc: object, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise UsageError(f"{where}: expected a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _require(doc: object, field: str, where: str):
+    if field not in _object(doc, where):
         raise UsageError(f"{where}: missing required field {field!r}")
     return doc[field]
 
@@ -521,30 +674,52 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, where: str) -> list[dict]:
+@dataclass(frozen=True)
+class _Cell:
+    """A parsed benchmark cell.  ``cfg`` carries the grid's base seed, which
+    each replicate replaces with its own; ``corr`` is (m, frac) for a
+    ``corr:`` scheme."""
+
+    cfg: SimConfig
+    replicates: int
+    scheme: str
+    corr: tuple = ()
+
+
+def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
+    cell = _object(cell, where)
     replicates, p = _integers([cell.get("replicates", 1), _require(cell, "p", where)], where)
+    if replicates < 0:
+        raise UsageError(f"{where}: replicates must be non-negative, found {replicates}")
     if "n" in cell:
         n = cell["n"]
     elif "n_mult" in cell:
-        n = max(2, int(round(float(cell["n_mult"]) * p)))
+        try:
+            n = max(2, int(round(float(cell["n_mult"]) * p)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"{where}: field 'n_mult': {exc}") from None
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
-    graph_doc = cell.get("graph", {"scheme": "large-sparse"})
+    graph_doc = _object(cell.get("graph", {}), f"{where}: field 'graph'")
     if graph_doc.get("scheme", "large-sparse") != "large-sparse":
         raise UsageError(f"{where}: benchmark cells support only the large-sparse scheme")
-    # each replicate replaces the seed with its own
     cfg = parse_sim_config({**cell, "n": n, "seed": base_seed,
                             "graph": {"scheme": "large-sparse", **graph_doc}}, Path(), where)
     scheme = cell.get("neighborhoods", "mb")
-    if scheme.startswith("corr:"):
-        corr_m, corr_frac = _parse_corr(scheme, p, False, where)
-    elif scheme not in ("mb", "full"):
-        raise UsageError(f"{where}: unknown neighborhood scheme {scheme!r}")
+    if isinstance(scheme, str) and scheme.startswith("corr:"):
+        return _Cell(cfg, replicates, scheme, _parse_corr(scheme, p, False, where))
+    if scheme not in ("mb", "full"):
+        raise UsageError(f"{where}: unknown neighborhood scheme {json.dumps(scheme)}")
+    return _Cell(cfg, replicates, scheme)
+
+
+def _run_cell(cell: _Cell, cell_idx: int, timings: bool) -> list[dict]:
+    cfg, scheme = cell.cfg, cell.scheme
     records: list[dict] = []
-    for r in range(replicates):
-        seed = derive_seed(base_seed, STREAM_REPLICATE, cell_idx, r)
+    for r in range(cell.replicates):
+        seed = derive_seed(cfg.seed, STREAM_REPLICATE, cell_idx, r)
         record = {
-            "cell": cell_idx, "replicate": r, "seed": seed, "p": p, "n": cfg.n,
+            "cell": cell_idx, "replicate": r, "seed": seed, "p": cfg.p, "n": cfg.n,
             "family": str(cfg.family), "neighborhoods": scheme,
             "order_error": None, "is_topological": None, "update_count": None,
             "wall_time_ms": None, "error": None,
@@ -554,10 +729,9 @@ def _benchmark_cell(cell: dict, cell_idx: int, base_seed: int, timings: bool, wh
             if scheme == "mb":
                 nbhd, rows = markov_blankets(w.dag), x
             elif scheme == "full":
-                nbhd, rows = full_neighborhoods(p), x
+                nbhd, rows = full_neighborhoods(cfg.p), x
             else:
-                nbhd, rows = _corr_neighborhoods(x, corr_m, corr_frac,
-                                                 derive_seed(seed, STREAM_SPLIT))
+                nbhd, rows = _corr_neighborhoods(x, *cell.corr, derive_seed(seed, STREAM_SPLIT))
             result = run_sort(rows, SortConfig(family=cfg.family, neighborhoods=nbhd))
             record["order_error"] = order_error(w.dag, result.ordering)
             record["is_topological"] = is_topological(w.dag, result.ordering)
@@ -575,13 +749,18 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if not config_path.exists():
         raise UsageError(f"config file not found: {config_path}")
     doc = _read_json(config_path)
-    base_seed, = _integers([_require(doc, "base_seed", str(config_path))], str(config_path))
-    cells = _require(doc, "cells", str(config_path))
+    where = str(config_path)
+    base_seed, = _integers([_require(doc, "base_seed", where)], where)
+    if base_seed < 0:
+        raise UsageError(f"{where}: base_seed must be non-negative, found {base_seed}")
+    cells = _require(doc, "cells", where)
+    if not isinstance(cells, list):
+        raise UsageError(f"{where}: field 'cells' must be a list, not {type(cells).__name__}")
+    # every cell is checked before any is sampled
+    parsed = [_parse_cell(cell, base_seed, f"{where}: cells[{ci}]") for ci, cell in enumerate(cells)]
     records: list[dict] = []
-    for ci, cell in enumerate(cells):
-        records.extend(_benchmark_cell(cell, ci, base_seed, args.timings,
-                                       where=f"{config_path}: cells[{ci}]"))
-    records.sort(key=lambda rec: (rec["cell"], rec["replicate"]))
+    for ci, cell in enumerate(parsed):
+        records.extend(_run_cell(cell, ci, args.timings))
     tmp = Path(str(args.out) + ".tmp")
     with open(tmp, "w") as fh:
         for rec in records:

@@ -91,6 +91,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
             raise ValueError("p and n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, found {self.seed}")
         if not 0 < self.coef_low <= self.coef_high:
             raise ValueError("need 0 < coef_low <= coef_high")
         if not 0 < self.scale_low <= self.scale_high:

@@ -236,16 +236,14 @@ class TestCsvReader:
     def test_matches_csv_reader(self, tmp_path, case):
         path = tmp_path / f"{case}.csv"
         path.write_bytes(CSV_CASES[case].encode())
-        try:
-            expected = read_data_csv_by_csv_reader(path)
-        except UsageError as exc:
-            with pytest.raises(UsageError) as got:
-                read_data_csv(path)
-            assert str(got.value) == str(exc)
-            return
-        got = read_data_csv(path).values
-        assert got.shape == expected.values.shape
-        assert np.array_equal(got.view(np.int64), expected.values.view(np.int64))
+        _assert_reads_as_csv_reader(path)
+
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_matches_csv_reader_at_three_workers(self, tmp_path, monkeypatch, case):
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(CSV_CASES[case].encode())
+        _force_workers(monkeypatch, 3)
+        _assert_reads_as_csv_reader(path)
 
     @pytest.mark.parametrize("case", ["random-lf", "random-crlf", "unterminated", "spaces"])
     def test_clean_file_skips_csv_reader(self, tmp_path, monkeypatch, case):
@@ -260,6 +258,14 @@ class TestCsvReader:
         assert read_data_csv(path).n >= 2
 
     def test_traced_peak_stays_under_twice_the_array(self, tmp_path):
+        self._check_traced_peak(tmp_path)
+
+    def test_traced_peak_stays_under_twice_the_array_in_process(self, tmp_path, monkeypatch):
+        _force_workers(monkeypatch, 1)
+        self._check_traced_peak(tmp_path)
+
+    @staticmethod
+    def _check_traced_peak(tmp_path):
         import tracemalloc
 
         x = DataMatrix(rng_stream(10, 0).standard_normal((500, 1000)))
@@ -273,6 +279,146 @@ class TestCsvReader:
             tracemalloc.stop()
         assert back.values.tobytes() == x.values.tobytes()
         assert peak < 2 * x.values.nbytes
+
+
+def _force_workers(monkeypatch, w):
+    monkeypatch.setattr(cli, "_workers", lambda nbytes: w)
+
+
+def _assert_reads_as_csv_reader(path):
+    """``read_data_csv`` gives the reference reader's values bit for bit, or
+    its UsageError text."""
+    try:
+        expected = read_data_csv_by_csv_reader(path)
+    except UsageError as exc:
+        with pytest.raises(UsageError) as got:
+            read_data_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_data_csv(path).values
+    assert got.shape == expected.values.shape
+    assert np.array_equal(got.view(np.int64), expected.values.view(np.int64))
+
+
+class TestCsvWorkers:
+    """The CSV codec split between W forked children: the bytes written and
+    the values read are the same for every W, and every diagnostic is the
+    reference reader's."""
+
+    @pytest.mark.parametrize("newline, terminated", [
+        ("\n", True), ("\r\n", True), ("\n", False), ("\r\n", False)],
+        ids=["lf", "crlf", "lf-unterminated", "crlf-unterminated"])
+    def test_bytes_and_values_do_not_depend_on_the_worker_count(
+            self, tmp_path, monkeypatch, newline, terminated):
+        # 13 rows: no W above 1 divides them
+        rng = rng_stream(11, 0)
+        values = rng.standard_normal((13, 4)) * 10.0 ** rng.integers(-300, 300, (13, 4))
+        values[0] = [5e-324, -0.0, 1 / 3, 1e16]
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"v{k}" for k in range(4)])
+        writer.writerows([[repr(float(v)) for v in row] for row in values])
+        forks = []
+        fork = cli._fork
+        monkeypatch.setattr(cli, "_fork", lambda job, cpu: forks.append(cpu) or fork(job, cpu))
+        monkeypatch.setattr(cli, "_read_csv_rows", self._refuse)
+        text = ref.getvalue().replace("\r\n", newline)
+        data = tmp_path / "data.csv"
+        data.write_bytes((text if terminated else text.removesuffix(newline)).encode())
+        for w in (1, 2, 3, 5):
+            _force_workers(monkeypatch, w)
+            forks.clear()
+            path = tmp_path / f"w{w}.csv"
+            write_data_csv(path, DataMatrix(values))
+            assert path.read_bytes() == ref.getvalue().encode()
+            got = read_data_csv(data).values
+            assert np.array_equal(got.view(np.int64), values.view(np.int64))
+            assert len(forks) == (2 * w if w > 1 else 0)
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                ["data.csv"] + [f"w{k}.csv" for k in (1, 2, 3, 5) if k <= w])
+
+    @staticmethod
+    def _refuse(path):
+        raise AssertionError("clean file fell back to csv.reader")
+
+    @pytest.mark.parametrize("defect", ["blank", "ragged", "nan"])
+    def test_defect_just_after_a_cut_gets_the_reference_diagnostic(
+            self, tmp_path, monkeypatch, defect):
+        # every line is 18 bytes, so three workers cut the 12 lines at the
+        # starts of lines 4 and 8 (the header is line 0); the defect opens
+        # the second range
+        lines = ["v0000,v0001,v0002\n"] + [
+            ",".join(f"{(3 * r + k) % 9 + 1.125:.3f}" for k in range(3)) + "\n" for r in range(11)]
+        if defect == "blank":
+            lines.insert(4, "\n")
+        elif defect == "ragged":
+            lines[4] = "1.125,2.125      \n"
+        else:
+            lines[4] = "  nan" + lines[4][5:]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines))
+        size = path.stat().st_size
+        _, starts = cli._count_lines(path, [1, size // 3, 2 * size // 3])
+        assert starts[1] == (4 * 18, 4)
+        _force_workers(monkeypatch, 3)
+        with pytest.raises(UsageError) as got:
+            read_data_csv(path)
+        assert str(got.value) == {
+            "blank": f"{path}:5: expected 3 fields, found 0",
+            "ragged": f"{path}:5: expected 3 fields, found 2",
+            "nan": f"{path}:5: column v0000 holds nan",
+        }[defect]
+        _assert_reads_as_csv_reader(path)
+
+    def test_a_failed_child_falls_back_to_one_process(self, tmp_path, monkeypatch):
+        # a child that cannot do its job leaves the parent to write or read
+        # the file by itself, with the same result
+        x = DataMatrix(rng_stream(12, 0).standard_normal((7, 3)))
+        _force_workers(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_in_children", lambda jobs: False)
+        path = tmp_path / "x.csv"
+        write_data_csv(path, x)
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert read_data_csv(path).values.tobytes() == x.values.tobytes()
+
+    def test_every_command_reaps_its_children(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        _write_chain_config(cfg, p=6, n=300)
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"base_seed": 1, "cells": [
+            {"p": 6, "n": 60, "family": "laplace", "neighborhoods": "corr:2:0.2"}]}))
+        d, t, o, m = (str(tmp_path / f) for f in ("d.csv", "t.json", "o.json", "m.json"))
+        _force_workers(monkeypatch, 3)
+        for args in (
+            ["generate", "--config", str(cfg), "--out-data", d, "--out-truth", t],
+            ["sort", "--data", d, "--neighborhoods", "corr:3:0.2:1", "--out", o],
+            ["eval", "--truth", t, "--ordering", o],
+            ["fit", "--data", d, "--ordering", o, "--neighborhoods", "corr:3:0.2:1", "--out", m],
+            ["loglik", "--model", m, "--data", d],
+            ["benchmark", "--config", str(bench), "--out", str(tmp_path / "r.jsonl")],
+        ):
+            assert main(args) == 0, capsys.readouterr().err
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_forks_cleanly_with_a_blas_thread_pool(self, tmp_path):
+        # Python 3.12 warns when a process with threads forks; with a BLAS
+        # pool of two threads, generate and sort write a CSV of more than
+        # 2 MiB (two workers on a host with two CPUs) and print no warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 50, "n": 2600, "seed": 5, "family": "laplace",
+                                   "graph": {"scheme": "large-sparse"}}))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        src = str(Path(lingamsort.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for args in (["generate", "--config", str(cfg), "--out-data", "d.csv",
+                      "--out-truth", "t.json"],
+                     ["sort", "--data", "d.csv", "--out", "o.json"]):
+            done = subprocess.run(
+                [sys.executable, "-W", "error::DeprecationWarning", "-m", "lingamsort.cli", *args],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "d.csv").stat().st_size > 2 << 20
 
 
 class TestGenerate:
@@ -612,6 +758,18 @@ class TestBenchmark:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_every_cell_is_checked_before_any_is_sampled(self, tmp_path, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_dataset", sampled.append)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"base_seed": 1, "cells": [
+            {"p": 8, "n": 40, "family": "laplace", "replicates": 3},
+            {"p": 5, "n": 40, "family": "laplace", "coef_low": 0.9, "coef_high": 0.4}]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: cells[1]: " in capsys.readouterr().err
+        assert sampled == [] and not out.exists()
+
     def test_replicate_failure_recorded_run_continues(self, tmp_path):
         # n too small for the corr split: the replicate records the error
         cfg = tmp_path / "bench.json"
@@ -816,13 +974,24 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     ("benchmark", ["cells", 0, "coef_low"], 0.95, "coef_low"),
     ("benchmark", ["cells", 0, "graph"], {"root_frac": 1.5}, "root_frac"),
     ("benchmark", ["cells", 0, "family"], "gaussian", "generating"),
+    ("generate", ["seed"], -3, "seed"),
+    ("generate", ["graph"], 3, "field 'graph'"),
+    ("benchmark", ["base_seed"], -1, "base_seed"),
+    ("benchmark", ["cells"], {"p": 5}, "cells"),
+    ("benchmark", ["cells", 0], 3, "object"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": "abc", "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0, "graph"], 3, "field 'graph'"),
+    ("benchmark", ["cells", 0, "neighborhoods"], 7, "neighborhood scheme 7"),
+    ("benchmark", ["cells", 0, "replicates"], -2, "replicates"),
 ], ids=["p-string", "p-float", "n-float", "seed-bool", "min-parents-zero",
         "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
-        "cell-gaussian"])
+        "cell-gaussian", "seed-negative", "graph-not-object", "base-seed-negative",
+        "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-graph-not-object",
+        "cell-neighborhoods-not-string", "replicates-negative"])
 def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, value, message):
-    # each of these exited 1, was truncated, or wrote its error into every
-    # replicate record and exited 0
+    # each of these exited 1, was truncated, or exited 0 with its error in
+    # every replicate record or with no records
     good = {
         "generate": {"p": 5, "n": 40, "seed": 1, "family": "laplace",
                      "graph": {"scheme": "large-sparse", "root_frac": 0.2,
@@ -843,7 +1012,7 @@ def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, val
     capsys.readouterr()
     assert main(args) == 2
     err = capsys.readouterr().err
-    where = f"{cfg}: cells[0]" if path[0] == "cells" else f"{cfg}"
+    where = f"{cfg}: cells[0]" if path[:2] == ["cells", 0] else f"{cfg}"
     assert err.startswith(f"error: {where}: ") and message in err, err
     assert not out.exists()
 
