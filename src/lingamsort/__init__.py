@@ -49,7 +49,7 @@ from .simulate import (
     sample_noise,
     sample_weights,
 )
-from .sorter import SortConfig, SortResult, sort
+from .sorter import SortResult, sort
 from .metrics import fit_coefficients, heldout_loglik, order_error, reversed_edge_count
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "STREAM_SPLIT",
     "STREAM_WEIGHTS",
     "SimConfig",
-    "SortConfig",
     "SortResult",
     "VarianceOverflow",
     "WeightedDag",

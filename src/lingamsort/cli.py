@@ -16,6 +16,9 @@ usage/IO error.  For a fixed BLAS thread count, outputs are byte-stable
 across re-runs (``fit``'s weights can move in their last digits with the
 thread count); measured wall times are only emitted under ``--timings``.
 
+``sort``, ``fit`` and each ``benchmark`` replicate get their neighborhood
+sets and estimation rows, checked once, from :func:`estimation_input`.
+
 Data CSVs are formatted and parsed by W = min(CPUs in the process's
 affinity set, 8, the file's size in MiB) forked children, each bound to
 its own CPU, while the parent waits; W = 1 runs the same code in-process.
@@ -36,7 +39,7 @@ import os
 import shutil
 import sys
 import warnings
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
@@ -74,7 +77,7 @@ from .simulate import (
     rng_stream,
     sample_dataset,
 )
-from .sorter import SortConfig, sort as run_sort
+from .sorter import sort as run_sort
 
 
 class UsageError(Exception):
@@ -141,6 +144,18 @@ def _in_children(jobs: list[Callable[[], object]]) -> bool:
     return ok
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path`` that replaces it when the block
+    completes; it is removed when the block or the rename fails."""
+    tmp = Path(str(path) + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _csv_row(row: np.ndarray) -> str:
     # the repr of a list of floats is their shortest round-trip reprs joined
     # by ", "; no float repr needs CSV quoting, so these are the bytes
@@ -164,25 +179,24 @@ def write_data_csv(path: str | Path, x: DataMatrix) -> None:
     appends to it; if any child fails, the parent writes the whole file
     itself, so an error is the one a single writer raises.  The bytes do
     not depend on W."""
-    tmp = Path(str(path) + ".tmp")
     head = ",".join(f"v{k}" for k in range(x.p)) + "\r\n"
     w = min(_workers(len(_csv_row(x.values[0])) * x.n), x.n)
     cuts = [x.n * k // w for k in range(w + 1)]
-    parts = [tmp] + [Path(f"{tmp}{k}") for k in range(1, w)]
-    try:
-        if w == 1 or not _in_children([
-                partial(_write_rows, part, head if k == 0 else "", x.values[lo:hi])
-                for k, (part, lo, hi) in enumerate(zip(parts, cuts, cuts[1:]))]):
-            _write_rows(tmp, head, x.values)
-        else:
-            with open(tmp, "ab") as out:
-                for part in parts[1:]:
-                    with open(part, "rb") as fh:
-                        shutil.copyfileobj(fh, out, 1 << 20)
-    finally:
-        for part in parts[1:]:
-            part.unlink(missing_ok=True)
-    os.replace(tmp, path)
+    with _replacing(path) as tmp:
+        parts = [tmp] + [Path(f"{tmp}{k}") for k in range(1, w)]
+        try:
+            if w == 1 or not _in_children([
+                    partial(_write_rows, part, head if k == 0 else "", x.values[lo:hi])
+                    for k, (part, lo, hi) in enumerate(zip(parts, cuts, cuts[1:]))]):
+                _write_rows(tmp, head, x.values)
+            else:
+                with open(tmp, "ab") as out:
+                    for part in parts[1:]:
+                        with open(part, "rb") as fh:
+                            shutil.copyfileobj(fh, out, 1 << 20)
+        finally:
+            for part in parts[1:]:
+                part.unlink(missing_ok=True)
 
 
 def _count_lines(path: str | Path, cuts: list[int]) -> tuple[int, list[tuple[int, int]]]:
@@ -382,11 +396,9 @@ def _encode(doc: object) -> Iterator[str]:
 def _write_json(path: str | Path, doc: object) -> None:
     """``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a newline,
     through a temporary file that replaces ``path`` when complete."""
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w") as fh:
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
         fh.writelines(_encode(doc))
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def family_to_doc(family: NoiseFamily) -> dict:
@@ -526,82 +538,72 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
         raise UsageError(f"{where}: {exc}") from None
 
 
-def _split_rows(x: DataMatrix, frac: float, seed: int) -> tuple[DataMatrix, DataMatrix]:
-    """Deterministic (holdout, remainder) row split; rows keep their order."""
-    if not 0 < frac < 1:
-        raise UsageError("holdout fraction must lie in (0, 1)")
-    n_hold = int(math.floor(frac * x.n))
-    if n_hold < 3 or x.n - n_hold < 2:
-        raise UsageError(f"cannot split {x.n} rows with fraction {frac}")
-    perm = rng_stream(seed, STREAM_SPLIT).permutation(x.n)
-    hold = np.sort(perm[:n_hold])
-    rest = np.sort(perm[n_hold:])
-    return DataMatrix(x.values[hold]), DataMatrix(x.values[rest])
-
-
-def _parse_corr(spec: str, p: int, with_seed: bool, where: str) -> tuple:
-    """``corr:m:frac`` as (m, frac), or ``corr:m:frac:seed`` as (m, frac,
-    seed), with 0 < m < p checked."""
+def _parse_corr(spec: str, p: int, where: str,
+                split_seed: int | None = None) -> tuple[int, float, int]:
+    """``corr:m:frac:seed`` as (m, frac, seed), or ``corr:m:frac`` as (m,
+    frac, ``split_seed``) when the caller derives the split seed; 0 < m < p
+    and a non-negative seed are checked."""
     fields = spec.split(":")[1:]
-    if len(fields) != 2 + with_seed:
-        form = "corr:m:frac:seed" if with_seed else "corr:m:frac (split seed is derived)"
+    if len(fields) != 2 + (split_seed is None):
+        form = "corr:m:frac:seed" if split_seed is None else "corr:m:frac (split seed is derived)"
         raise UsageError(f"{where}: expected {form}")
     try:
-        parsed = (int(fields[0]), float(fields[1]), *map(int, fields[2:]))
+        m, frac = int(fields[0]), float(fields[1])
+        seed = split_seed if split_seed is not None else int(fields[2])
     except ValueError as exc:
         raise UsageError(f"{where}: bad corr specification: {exc}") from None
-    if not 0 < parsed[0] < p:
-        raise UsageError(f"{where}: corr: need 0 < m < p, got m={parsed[0]}, p={p}")
-    return parsed
+    if not 0 < m < p:
+        raise UsageError(f"{where}: corr: need 0 < m < p, got m={m}, p={p}")
+    if seed < 0:
+        raise UsageError(f"{where}: corr: split seed must be non-negative, found {seed}")
+    return m, frac, seed
 
 
-def _corr_neighborhoods(x: DataMatrix, m: int, frac: float,
-                        seed: int) -> tuple[NeighborhoodSets, DataMatrix]:
-    """The top-m correlated sets from a held-out share of the rows, and the
-    rows left for estimation."""
-    hold, rows = _split_rows(x, frac, seed)
-    return top_correlated(hold, m), rows
+def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
+                     dag: Dag | None = None,
+                     split_seed: int | None = None) -> tuple[NeighborhoodSets, DataMatrix]:
+    """The neighborhood sets that ``spec`` names and the rows they are
+    estimated from, for ``sort``, ``fit`` and each ``benchmark`` replicate.
 
-
-def read_with_neighborhoods(path: str | Path,
-                            option: str) -> tuple[NeighborhoodSets, DataMatrix, str]:
-    """Read the data CSV at ``path`` and parse ``full`` / ``file.json`` /
-    ``corr:m:frac:seed``.
-
-    Returns the sets, the rows left for estimation (the CSV's rows minus any
-    correlation holdout), and a normalized descriptor string.  The CSV's
-    array is held here alone, so that with a holdout it is freed once its
-    rows are split, before the sets are computed.  Every set must fit in
-    the estimation rows: a node cannot have more neighbors than there are
-    rows to regress it on.
+    ``data`` is a sampled matrix, or a data CSV's path, read here so that a
+    holdout split frees the whole array before the sets are built.  ``spec``
+    is ``full``, ``mb`` (the Markov blankets of ``dag``, when given),
+    ``corr:m:frac:seed`` or ``corr:m:frac`` with the caller's ``split_seed``
+    (each node's m most correlated partners on a ``frac`` row holdout, the
+    other rows left for estimation), or a JSON file of sets; ``where``
+    names it in a parse error.  Fewer than two rows, sets for another node
+    count and a set with more members than there are rows are refused.
     """
-    rows = _read_estimation_csv(path)
-    if option == "full":
+    rows = data if isinstance(data, DataMatrix) else read_data_csv(data)
+    if rows.n < 2:
+        source = where if isinstance(data, DataMatrix) else data
+        raise UsageError(f"{source}: estimation needs at least two data rows, found {rows.n}")
+    if spec == "full":
         nbhd = full_neighborhoods(rows.p)
-    elif option.startswith("corr:"):
-        m, frac, seed = _parse_corr(option, rows.p, True, "--neighborhoods")
-        hold, rows = _split_rows(rows, frac, seed)  # drops the whole array
+    elif spec == "mb" and dag is not None:
+        nbhd = markov_blankets(dag)
+    elif spec.startswith("corr:"):
+        m, frac, seed = _parse_corr(spec, rows.p, where, split_seed)
+        if not 0 < frac < 1:
+            raise UsageError("holdout fraction must lie in (0, 1)")
+        n_hold = int(math.floor(frac * rows.n))
+        if n_hold < 3 or rows.n - n_hold < 2:
+            raise UsageError(f"cannot split {rows.n} rows with fraction {frac}")
+        perm = rng_stream(seed, STREAM_SPLIT).permutation(rows.n)
+        hold = DataMatrix(rows.values[np.sort(perm[:n_hold])])
+        rows = DataMatrix(rows.values[np.sort(perm[n_hold:])])  # drops a CSV's whole array
         nbhd = top_correlated(hold, m)
+    elif not Path(spec).exists():
+        raise UsageError(f"neighborhood file not found: {spec}")
     else:
-        nb_path = Path(option)
-        if not nb_path.exists():
-            raise UsageError(f"neighborhood file not found: {option}")
-        nbhd = read_neighborhoods(nb_path)
-        if nbhd.p != rows.p:
-            raise UsageError(f"{option}: covers {nbhd.p} nodes, data has {rows.p}")
+        nbhd = read_neighborhoods(spec)
+    if nbhd.p != rows.p:
+        raise UsageError(f"{spec}: covers {nbhd.p} nodes, data has {rows.p}")
     for k, s in enumerate(nbhd.sets):
         if s.size > rows.n:
-            raise UsageError(f"{option}: node {k} has {s.size} neighbors, "
+            raise UsageError(f"{spec}: node {k} has {s.size} neighbors, "
                              f"more than the {rows.n} estimation rows")
-    return nbhd, rows, option
-
-
-def _read_estimation_csv(path: str | Path) -> DataMatrix:
-    """A data CSV that a model is estimated from: at least two rows."""
-    x = read_data_csv(path)
-    if x.n < 2:
-        raise UsageError(f"{path}: estimation needs at least two data rows, found {x.n}")
-    return x
+    return nbhd, rows
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +631,15 @@ def _bad_column(path: str, exc: ZeroVarianceColumn | VarianceOverflow) -> UsageE
 def cmd_sort(args: argparse.Namespace) -> int:
     family = family_from_doc(args.family, "--family")
     try:
-        nbhd, rows, descriptor = read_with_neighborhoods(args.data, args.neighborhoods)
-        result = run_sort(rows, SortConfig(family=family, neighborhoods=nbhd, trace=args.trace))
+        nbhd, rows = estimation_input(args.neighborhoods, args.data, "--neighborhoods")
+        result = run_sort(rows, family, nbhd, trace=args.trace)
     except (ZeroVarianceColumn, VarianceOverflow) as exc:
         raise _bad_column(args.data, exc) from None
     doc = {
         "p": rows.p,
         "n_sorted": rows.n,
         "family": args.family,
-        "neighborhoods": descriptor,
+        "neighborhoods": args.neighborhoods,
         "ordering": list(result.ordering.perm),
         "update_count": result.update_count,
         "wall_time_ms": result.wall_time * 1e3 if args.timings else None,
@@ -677,13 +679,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class _Cell:
     """A parsed benchmark cell.  ``cfg`` carries the grid's base seed, which
-    each replicate replaces with its own; ``corr`` is (m, frac) for a
-    ``corr:`` scheme."""
+    each replicate replaces with its own."""
 
+    where: str
     cfg: SimConfig
     replicates: int
     scheme: str
-    corr: tuple = ()
 
 
 def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
@@ -707,41 +708,34 @@ def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
                             "graph": {"scheme": "large-sparse", **graph_doc}}, Path(), where)
     scheme = cell.get("neighborhoods", "mb")
     if isinstance(scheme, str) and scheme.startswith("corr:"):
-        return _Cell(cfg, replicates, scheme, _parse_corr(scheme, p, False, where))
-    if scheme not in ("mb", "full"):
+        _parse_corr(scheme, p, where, split_seed=base_seed)  # each replicate derives its own
+    elif scheme not in ("mb", "full"):
         raise UsageError(f"{where}: unknown neighborhood scheme {json.dumps(scheme)}")
-    return _Cell(cfg, replicates, scheme)
+    return _Cell(where, cfg, replicates, scheme)
 
 
-def _run_cell(cell: _Cell, cell_idx: int, timings: bool) -> list[dict]:
-    cfg, scheme = cell.cfg, cell.scheme
-    records: list[dict] = []
-    for r in range(cell.replicates):
-        seed = derive_seed(cfg.seed, STREAM_REPLICATE, cell_idx, r)
-        record = {
-            "cell": cell_idx, "replicate": r, "seed": seed, "p": cfg.p, "n": cfg.n,
-            "family": str(cfg.family), "neighborhoods": scheme,
-            "order_error": None, "is_topological": None, "update_count": None,
-            "wall_time_ms": None, "error": None,
-        }
-        try:
-            w, _, x = sample_dataset(replace(cfg, seed=seed))
-            if scheme == "mb":
-                nbhd, rows = markov_blankets(w.dag), x
-            elif scheme == "full":
-                nbhd, rows = full_neighborhoods(cfg.p), x
-            else:
-                nbhd, rows = _corr_neighborhoods(x, *cell.corr, derive_seed(seed, STREAM_SPLIT))
-            result = run_sort(rows, SortConfig(family=cfg.family, neighborhoods=nbhd))
-            record["order_error"] = order_error(w.dag, result.ordering)
-            record["is_topological"] = is_topological(w.dag, result.ordering)
-            record["update_count"] = result.update_count
-            if timings:
-                record["wall_time_ms"] = result.wall_time * 1e3
-        except Exception as exc:  # per-replicate failure: record and continue
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(record)
-    return records
+def _run_replicate(cell: _Cell, cell_idx: int, r: int, timings: bool) -> dict:
+    cfg = cell.cfg
+    seed = derive_seed(cfg.seed, STREAM_REPLICATE, cell_idx, r)
+    record = {
+        "cell": cell_idx, "replicate": r, "seed": seed, "p": cfg.p, "n": cfg.n,
+        "family": str(cfg.family), "neighborhoods": cell.scheme,
+        "order_error": None, "is_topological": None, "update_count": None,
+        "wall_time_ms": None, "error": None,
+    }
+    try:
+        w, _, x = sample_dataset(replace(cfg, seed=seed))
+        nbhd, rows = estimation_input(cell.scheme, x, cell.where, dag=w.dag,
+                                      split_seed=derive_seed(seed, STREAM_SPLIT))
+        result = run_sort(rows, cfg.family, nbhd)
+        record["order_error"] = order_error(w.dag, result.ordering)
+        record["is_topological"] = is_topological(w.dag, result.ordering)
+        record["update_count"] = result.update_count
+        if timings:
+            record["wall_time_ms"] = result.wall_time * 1e3
+    except Exception as exc:  # per-replicate failure: record and continue
+        record["error"] = f"{type(exc).__name__}: {exc}"
+    return record
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -758,14 +752,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise UsageError(f"{where}: field 'cells' must be a list, not {type(cells).__name__}")
     # every cell is checked before any is sampled
     parsed = [_parse_cell(cell, base_seed, f"{where}: cells[{ci}]") for ci, cell in enumerate(cells)]
-    records: list[dict] = []
-    for ci, cell in enumerate(parsed):
-        records.extend(_run_cell(cell, ci, args.timings))
-    tmp = Path(str(args.out) + ".tmp")
-    with open(tmp, "w") as fh:
+    records = [_run_replicate(cell, ci, r, args.timings)
+               for ci, cell in enumerate(parsed) for r in range(cell.replicates)]
+    with _replacing(args.out) as tmp, open(tmp, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-    os.replace(tmp, args.out)
     print(json.dumps({"results": str(args.out), "records": len(records)}))
     return 0
 
@@ -774,7 +765,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ordering = read_ordering(args.ordering)
     family = family_from_doc(args.family, "--family")
     try:
-        nbhd, rows, _ = read_with_neighborhoods(args.data, args.neighborhoods)
+        nbhd, rows = estimation_input(args.neighborhoods, args.data, "--neighborhoods")
         if ordering.p != rows.p:
             raise UsageError(f"ordering has {ordering.p} nodes, data has {rows.p}")
         train = standardize(rows)

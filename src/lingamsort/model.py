@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,8 +49,10 @@ class NoiseFamily:
         if self.tag not in (LAPLACE, LOGISTIC, SCALED_T, GAUSSIAN):
             raise ValueError(f"unknown noise family {self.tag!r}")
         if self.tag == SCALED_T:
-            if self.df is None or not self.df > 2:
-                raise ValueError("scaled-t requires degrees of freedom > 2")
+            df = self.df
+            if isinstance(df, bool) or not isinstance(df, Real) or not 2 < df < np.inf:
+                raise ValueError(f"scaled-t requires finite real degrees of freedom > 2, "
+                                 f"found {df!r}")
         elif self.df is not None:
             raise ValueError(f"df is only meaningful for {SCALED_T!r}")
 

@@ -51,15 +51,6 @@ BLOCK_BYTES = 2 << 20
 
 
 @dataclass
-class SortConfig:
-    """Options for one sorting run; ``trace`` records every step's scores."""
-
-    family: NoiseFamily
-    neighborhoods: NeighborhoodSets
-    trace: bool = False
-
-
-@dataclass
 class SortResult:
     ordering: Ordering
     update_count: int
@@ -68,13 +59,16 @@ class SortResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
+def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
+         trace: bool = False) -> SortResult:
     """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
 
-    Node k's residual is its standardized column regressed on the
-    standardized columns Z_k of its sorted neighbors S_k.  When ``sel`` is
-    appended, every unsorted k with ``sel`` in N(k) (found through a reverse
-    index built once) takes ``sel`` into S_k::
+    Residuals are scored under ``family``; N(k) is node k's set in
+    ``neighborhoods``; ``trace`` keeps every step's candidate scores in
+    ``step_scores``.  Node k's residual is its standardized column
+    regressed on the standardized columns Z_k of its sorted neighbors S_k.
+    When ``sel`` is appended, every unsorted k with ``sel`` in N(k) (found
+    through a reverse index built once) takes ``sel`` into S_k::
 
         c = Z_k' x_sel,  beta = W_k'(W_k c),  u = x_sel - Z_k beta,  delta = u'u
         r_k <- r_k - (u'r_k / delta) u,  W_k gains the row (-beta', 1) / sqrt(delta)
@@ -114,13 +108,11 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     and ``standardize``'s errors for a constant or overflowing column.
     """
     started = time.perf_counter()
-    if cfg.neighborhoods.p != x.p:
-        raise ValueError(
-            f"neighborhoods cover {cfg.neighborhoods.p} nodes, data has {x.p}"
-        )
-    if cfg.family.tag == GAUSSIAN:
+    if neighborhoods.p != x.p:
+        raise ValueError(f"neighborhoods cover {neighborhoods.p} nodes, data has {x.p}")
+    if family.tag == GAUSSIAN:
         warnings.warn("scoring with the Gaussian family carries no ordering signal")
-    biggest = max((s.size for s in cfg.neighborhoods.sets), default=0)
+    biggest = max((s.size for s in neighborhoods.sets), default=0)
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     p = x.p
@@ -133,7 +125,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
     width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
     factor = [state.ROOT] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
-    for k, s in enumerate(cfg.neighborhoods.sets):
+    for k, s in enumerate(neighborhoods.sets):
         for j in s:
             affected[j].append(k)
 
@@ -143,7 +135,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
 
     def score(nodes, block: np.ndarray, step: int) -> None:
         # looked up in this module at every call, so it can be wrapped
-        fresh = llr_score(cfg.family, block)
+        fresh = llr_score(family, block)
         scores[nodes] = fresh
         if np.minimum.reduce(fresh) == -np.inf:
             degenerate.extend((int(nodes[i]), step) for i in np.flatnonzero(fresh == -np.inf))
@@ -152,12 +144,12 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         score(range(lo, min(lo + width, p)), r[:, lo:lo + width], 0)
     chosen: list[int] = []
     live = [True] * p
-    trace: list[list[tuple[int, float]]] | None = [] if cfg.trace else None
+    steps: list[list[tuple[int, float]]] | None = [] if trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
     x_sel = np.empty(x.n)
     for t in range(p):
-        if trace is not None:
-            trace.append([(k, float(scores[k])) for k in range(p) if live[k]])
+        if steps is not None:
+            steps.append([(k, float(scores[k])) for k in range(p) if live[k]])
         # argmax returns the first maximum, which is the lowest index here
         sel = int(scores.argmax())
         if scores[sel] == -np.inf:  # every live node is degenerate
@@ -198,7 +190,7 @@ def sort(x: DataMatrix, cfg: SortConfig) -> SortResult:
         ordering=Ordering(chosen),
         update_count=state.inner_products,
         wall_time=time.perf_counter() - started,
-        step_scores=trace,
+        step_scores=steps,
         diagnostics={
             "degenerate": degenerate,
             "skipped_updates": skipped,

@@ -9,7 +9,6 @@ from lingamsort import (
     Dag,
     NoiseFamily,
     Ordering,
-    SortConfig,
     WeightedDag,
     is_topological,
     markov_blankets,
@@ -92,10 +91,9 @@ def population_check(
     if score_family is None:
         score_family = NoiseFamily.laplace() if w.family.tag == GAUSSIAN else w.family
     nbhd = markov_blankets(w.dag)
-    cfg = SortConfig(family=score_family, neighborhoods=nbhd)
     outcomes: list[bool] = []
     for seed in seeds:
-        result = sort(sample_data(w, n_large, seed), cfg)
+        result = sort(sample_data(w, n_large, seed), score_family, nbhd)
         outcomes.append(is_topological(w.dag, result.ordering))
     return {
         "p": w.p,

@@ -18,7 +18,6 @@ from lingamsort import (
     NoiseFamily,
     Ordering,
     SimConfig,
-    SortConfig,
     WeightedDag,
     apply_moments,
     column_moments,
@@ -115,7 +114,7 @@ def _median_errors(p: int, n: int, gen_family: NoiseFamily, score_family: NoiseF
         cfg = SimConfig(p=p, n=n, seed=derive_seed(seed_base, n, r), family=gen_family,
                         graph=LargeSparse(), scale_low=0.4, scale_high=0.7)
         w, _, x = sample_dataset(cfg)
-        res = sort(x, SortConfig(family=score_family, neighborhoods=markov_blankets(w.dag)))
+        res = sort(x, score_family, markov_blankets(w.dag))
         errors.append(order_error(w.dag, res.ordering))
     return float(np.median(errors))
 
@@ -159,7 +158,7 @@ def test_criterion_06_large_p_scalability():
             cfg = SimConfig(p=p, n=p // 2, seed=derive_seed(1601, p, r), family=LAP,
                             graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
             w, _, x = sample_dataset(cfg)
-            res = sort(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
+            res = sort(x, LAP, markov_blankets(w.dag))
             counts.append(res.update_count)
             events.append(res.diagnostics["rescore_events"])
             cap_ok &= res.update_count <= p * (p - 1)
@@ -173,7 +172,7 @@ def test_criterion_06_large_p_scalability():
     cfg = SimConfig(p=5000, n=2500, seed=derive_seed(1602, 0), family=LAP,
                     graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
     w, _, x = sample_dataset(cfg)
-    big = sort(x, SortConfig(family=LAP, neighborhoods=markov_blankets(w.dag)))
+    big = sort(x, LAP, markov_blankets(w.dag))
     err = order_error(w.dag, big.ordering)
     cap_ok &= big.update_count <= 5000 * 4999
     ok = slope_ok and err <= 0.05 and cap_ok
@@ -191,10 +190,10 @@ def test_criterion_07_scale_invariance():
                         graph=LargeSparse(), scale_low=0.4, scale_high=0.7)
         w, _, x = sample_dataset(cfg)
         nbhd = markov_blankets(w.dag)
-        base = sort(x, SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
+        base = sort(x, LAP, nbhd).ordering.perm
         c = rng_stream(derive_seed(1701, r), 3).uniform(0.1, 10.0, x.p)
         scaled = sort(DataMatrix(x.values * c),
-                      SortConfig(family=LAP, neighborhoods=nbhd)).ordering.perm
+                      LAP, nbhd).ordering.perm
         identical += base == scaled
     ok = identical == 20
     _report(7, "column rescaling leaves the ordering bit-identical", ok,
@@ -245,7 +244,7 @@ def test_criterion_10_heldout_likelihood_ordering():
         hold = np.sort(perm[: train.n // 5])
         rest = np.sort(perm[train.n // 5:])
         nbhd = top_correlated(DataMatrix(train.values[hold]), 10)
-        res = sort(DataMatrix(train.values[rest]), SortConfig(family=LAP, neighborhoods=nbhd))
+        res = sort(DataMatrix(train.values[rest]), LAP, nbhd)
         mean, sd = column_moments(train.values)
         train_std = standardize(train)
         test_std = apply_moments(test, mean, sd)

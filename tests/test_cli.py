@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +663,59 @@ class TestSortEvalPipeline:
         assert code == 2
         assert not out.exists()
 
+    @staticmethod
+    def _sort_and_fit(tmp_path, *options):
+        """``sort`` and ``fit`` argument lists on a 6-column CSV, with ``options``."""
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(rng_stream(6, 0).laplace(size=(50, 6))))
+        ordering = tmp_path / "ordering.json"
+        ordering.write_text(json.dumps({"ordering": list(range(6))}))
+        return [
+            ["sort", "--data", str(data), *options, "--out", str(tmp_path / "o.json")],
+            ["fit", "--data", str(data), "--ordering", str(ordering), *options,
+             "--out", str(tmp_path / "m.json")],
+        ]
+
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_infinite_df_exits_2_naming_the_family(self, tmp_path, capsys, command):
+        # sort scored every step NaN and wrote the identity; fit exited 1
+        args = self._sort_and_fit(tmp_path, "--family", "scaled-t:inf")[command]
+        assert main(args) == 2
+        assert "error: --family: scaled-t requires finite real degrees of freedom > 2" \
+            in capsys.readouterr().err
+        assert not Path(args[-1]).exists()
+
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_negative_split_seed_exits_2_naming_the_option(self, tmp_path, capsys, command):
+        args = self._sort_and_fit(tmp_path, "--neighborhoods", "corr:2:0.2:-1")[command]
+        assert main(args) == 2
+        assert ("error: --neighborhoods: corr: split seed must be non-negative, found -1"
+                in capsys.readouterr().err)
+        assert not Path(args[-1]).exists()
+
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_csv_array_is_freed_before_the_sets_are_built(self, tmp_path, monkeypatch,
+                                                          command):
+        # with a holdout, the CSV's whole array must be gone once its rows
+        # are split, so that it does not add to the peak of top_correlated
+        read, top = cli.read_data_csv, cli.top_correlated
+        arrays, alive = [], []
+
+        def spy_read(path):
+            x = read(path)
+            arrays.append(weakref.ref(x.values))
+            return x
+
+        def spy_top(hold, m):
+            alive.extend(ref() is not None for ref in arrays)
+            return top(hold, m)
+
+        monkeypatch.setattr(cli, "read_data_csv", spy_read)
+        monkeypatch.setattr(cli, "top_correlated", spy_top)
+        args = self._sort_and_fit(tmp_path, "--neighborhoods", "corr:2:0.2:1")[command]
+        assert main(args) == 0
+        assert alive == [False]
+
     def test_eval_reversed_chain(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         _write_chain_config(cfg, p=3, n=50, seed=4)
@@ -700,6 +754,28 @@ class TestSortEvalPipeline:
         ordering.write_text(json.dumps({"ordering": [0, 1, 2]}))
         assert main(["eval", "--truth", str(truth), "--ordering", str(ordering)]) == 2
         assert f"error: {truth}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "sort", "benchmark"])
+def test_failed_write_leaves_no_temporary(tmp_path, capsys, command):
+    # each output path names a directory, so the final rename fails
+    cfg, data = tmp_path / "cfg.json", tmp_path / "d.csv"
+    _write_chain_config(cfg, p=4, n=30)
+    write_data_csv(data, DataMatrix(rng_stream(6, 0).laplace(size=(30, 4))))
+    (tmp_path / "bench.json").write_text(json.dumps({"base_seed": 1, "cells": [
+        {"p": 4, "n": 30, "family": "laplace"}]}))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    args = {
+        "generate": ["generate", "--config", str(cfg), "--out-data", str(out),
+                     "--out-truth", str(tmp_path / "t.json")],
+        "sort": ["sort", "--data", str(data), "--out", str(out)],
+        "benchmark": ["benchmark", "--config", str(tmp_path / "bench.json"),
+                      "--out", str(out)],
+    }[command]
+    assert main(args) == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.glob("outdir.tmp*")) == [] and list(out.iterdir()) == []
 
 
 class TestBenchmark:
@@ -769,6 +845,22 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {cfg}: cells[1]: " in capsys.readouterr().err
         assert sampled == [] and not out.exists()
+
+    @pytest.mark.parametrize("cell, error", [
+        ({"p": 30, "n": 10, "neighborhoods": "full"},
+         "UsageError: full: node 0 has 29 neighbors, more than the 10 estimation rows"),
+        ({"p": 5, "n": 1},
+         "UsageError: {cfg}: cells[0]: estimation needs at least two data rows, found 1"),
+    ], ids=["full-bigger-than-n", "one-row"])
+    def test_replicate_gets_the_cli_diagnostic(self, tmp_path, cell, error):
+        # a replicate's sets and rows are checked as sort's and fit's are
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"base_seed": 1, "cells": [
+            {**cell, "family": "laplace", "replicates": 1}]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        record, = [json.loads(line) for line in out.read_text().splitlines()]
+        assert record["error"] == error.format(cfg=cfg)
 
     def test_replicate_failure_recorded_run_continues(self, tmp_path):
         # n too small for the corr split: the replicate records the error
@@ -983,12 +1075,17 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     ("benchmark", ["cells", 0, "graph"], 3, "field 'graph'"),
     ("benchmark", ["cells", 0, "neighborhoods"], 7, "neighborhood scheme 7"),
     ("benchmark", ["cells", 0, "replicates"], -2, "replicates"),
+    ("generate", ["family"], {"tag": "scaled-t", "df": "abc"}, "degrees of freedom"),
+    ("generate", ["family"], {"tag": "scaled-t", "df": math.inf}, "degrees of freedom"),
+    ("benchmark", ["cells", 0, "family"], {"tag": "scaled-t", "df": math.inf},
+     "degrees of freedom"),
 ], ids=["p-string", "p-float", "n-float", "seed-bool", "min-parents-zero",
         "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
         "cell-gaussian", "seed-negative", "graph-not-object", "base-seed-negative",
         "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-graph-not-object",
-        "cell-neighborhoods-not-string", "replicates-negative"])
+        "cell-neighborhoods-not-string", "replicates-negative", "df-string", "df-infinite",
+        "cell-df-infinite"])
 def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, value, message):
     # each of these exited 1, was truncated, or exited 0 with its error in
     # every replicate record or with no records

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,12 @@ class TestNoiseFamily:
         with pytest.raises(ValueError):
             NoiseFamily.from_string("scaled-t")
         assert NoiseFamily.scaled_t(2.5).df == 2.5
+
+    @pytest.mark.parametrize("df", [math.inf, math.nan, "abc", "10", True, None])
+    def test_scaled_t_needs_a_finite_real_df(self, df):
+        # an infinite df scored every residual NaN; a string raised TypeError
+        with pytest.raises(ValueError, match="finite real degrees of freedom"):
+            NoiseFamily("scaled-t", df=df)
 
     def test_df_only_for_scaled_t(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from lingamsort import (
     DataMatrix,
     NoiseFamily,
     RankDeficient,
-    SortConfig,
     VarianceOverflow,
     ZeroVarianceColumn,
     apply_moments,
@@ -308,12 +307,11 @@ class TestPartialUpdate:
             return partial_update(state, *args, **kwargs)
 
         monkeypatch.setattr(lingamsort.sorter, "partial_update", spy)
-        cfg = SortConfig(family=NoiseFamily.laplace(), neighborhoods=full_neighborhoods(2))
         for order in "CF":
             h = np.sqrt(2.0)
             values = np.array([[1.0, h], [-1.0, 0.0], [1.0, 0.0], [-1.0, -h]], order=order)
             before = values.copy()
-            sort(DataMatrix(values), cfg)
+            sort(DataMatrix(values), NoiseFamily.laplace(), full_neighborhoods(2))
             assert np.array_equal(values, before)
         assert aliased == [False, False]
 

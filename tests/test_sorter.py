@@ -15,7 +15,6 @@ from lingamsort import (
     NeighborhoodSets,
     NoiseFamily,
     SimConfig,
-    SortConfig,
     WeightedDag,
     derive_seed,
     full_neighborhoods,
@@ -34,10 +33,6 @@ import lingamsort.sorter
 from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
 LAP = NoiseFamily.laplace()
-
-
-def _cfg(nbhd, family=LAP, **kw):
-    return SortConfig(family=family, neighborhoods=nbhd, **kw)
 
 
 def _oracle_score(family, resid):
@@ -73,14 +68,14 @@ def oracle_sort(x, family, nbhd):
 class TestSortFast:
     def test_single_node(self):
         x = DataMatrix(np.random.default_rng(0).standard_normal((10, 1)))
-        res = sort(x, _cfg(full_neighborhoods(1)))
+        res = sort(x, LAP, full_neighborhoods(1))
         assert res.ordering.perm == (0,)
         assert res.update_count == 0
 
     def test_two_node_chain(self):
         w = weighted_chain(2, 0.8, 0.5, LAP)
         x = sample_data(w, 5000, seed=7)
-        res = sort(x, _cfg(full_neighborhoods(2)))
+        res = sort(x, LAP, full_neighborhoods(2))
         assert res.ordering.perm == (0, 1)
         assert is_topological(w.dag, res.ordering)
 
@@ -95,7 +90,7 @@ class TestSortFast:
             weights = sample_weights(dag, 0.8, 0.8, rng_stream(derive_seed(5000, r), 1))
             w = WeightedDag(dag, weights, LAP, np.full(20, 0.5))
             x = sample_data(w, 1000, derive_seed(5000, r, 9))
-            res = sort(x, _cfg(nbhd))
+            res = sort(x, LAP, nbhd)
             wins += order_error(dag, res.ordering) == 0.0
         assert wins >= 27
 
@@ -103,15 +98,15 @@ class TestSortFast:
         cfg = SimConfig(p=15, n=300, seed=44, family=LAP)
         _, _, x = sample_dataset(cfg)
         nbhd = full_neighborhoods(15)
-        a = sort(x, _cfg(nbhd))
-        b = sort(x, _cfg(nbhd))
+        a = sort(x, LAP, nbhd)
+        b = sort(x, LAP, nbhd)
         assert a.ordering.perm == b.ordering.perm
         assert a.update_count == b.update_count
 
     def test_update_count_bounded(self):
         cfg = SimConfig(p=8, n=200, seed=9, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort(x, _cfg(full_neighborhoods(8)))
+        res = sort(x, LAP, full_neighborhoods(8))
         assert res.update_count <= 8 * 7
 
     def test_column_rescaling_invariance(self):
@@ -119,16 +114,16 @@ class TestSortFast:
             cfg = SimConfig(p=20, n=500, seed=derive_seed(7000, r), family=LAP)
             w, _, x = sample_dataset(cfg)
             nbhd = markov_blankets(w.dag)
-            base = sort(x, _cfg(nbhd)).ordering.perm
+            base = sort(x, LAP, nbhd).ordering.perm
             c = rng_stream(derive_seed(7000, r, 1), 0).uniform(0.1, 10.0, x.p)
-            scaled = sort(DataMatrix(x.values * c), _cfg(nbhd)).ordering.perm
+            scaled = sort(DataMatrix(x.values * c), LAP, nbhd).ordering.perm
             assert base == scaled
 
     def test_duplicate_column_deferred_with_diagnostic(self):
         rng = np.random.default_rng(1)
         col = rng.standard_normal(128)
         x = DataMatrix(np.column_stack([col, col, rng.standard_normal(128)]))
-        res = sort(x, _cfg(full_neighborhoods(3)))
+        res = sort(x, LAP, full_neighborhoods(3))
         assert sorted(res.ordering.perm) == [0, 1, 2]
         assert res.diagnostics["degenerate"]
         # one of the twins is perfectly explained and must come last
@@ -140,14 +135,14 @@ class TestSortFast:
         p = 8
         cfg = SimConfig(p=p, n=200, seed=9, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort(x, _cfg(full_neighborhoods(p)))
+        res = sort(x, LAP, full_neighborhoods(p))
         assert res.diagnostics["rescore_events"] == p * (p - 1) // 2
         assert res.update_count == p * (p - 1) // 2 + p - 1
 
     def test_collinear_regressor_skipped_and_recorded(self):
         col = np.random.default_rng(2).standard_normal(64)
         x = DataMatrix(np.column_stack([col, col, col]))
-        res = sort(x, _cfg(full_neighborhoods(3)))
+        res = sort(x, LAP, full_neighborhoods(3))
         assert res.ordering.perm == (0, 1, 2)
         # node 1's residual is zero once 0 is sorted, so it cannot serve
         # as a regressor for node 2
@@ -156,7 +151,7 @@ class TestSortFast:
     def test_trace_shapes(self):
         cfg = SimConfig(p=6, n=100, seed=2, family=LAP)
         _, _, x = sample_dataset(cfg)
-        res = sort(x, _cfg(full_neighborhoods(6), trace=True))
+        res = sort(x, LAP, full_neighborhoods(6), trace=True)
         assert len(res.step_scores) == 6
         assert [len(step) for step in res.step_scores] == [6, 5, 4, 3, 2, 1]
 
@@ -167,7 +162,7 @@ class TestSortFast:
         cfg = SimConfig(p=30, n=300, seed=12, family=LAP)
         w, _, x = sample_dataset(cfg)
         nbhd = markov_blankets(w.dag)
-        base = sort(x, _cfg(nbhd))
+        base = sort(x, LAP, nbhd)
         calls = []
         real = lingamsort.sorter.partial_update
 
@@ -176,7 +171,7 @@ class TestSortFast:
             return real(state, factors, sel, *args)
 
         monkeypatch.setattr(lingamsort.sorter, "partial_update", counting)
-        wrapped = sort(x, _cfg(nbhd))
+        wrapped = sort(x, LAP, nbhd)
         perm = base.ordering.perm
         touching = [sel for t, sel in enumerate(perm)
                     if any(sel in nbhd.sets[k] for k in perm[t + 1:])]
@@ -189,12 +184,12 @@ class TestSortFast:
     def test_neighborhood_size_cannot_exceed_n(self):
         x = DataMatrix(np.random.default_rng(3).standard_normal((5, 8)))
         with pytest.raises(ValueError, match="neighborhood"):
-            sort(x, _cfg(full_neighborhoods(8)))
+            sort(x, LAP, full_neighborhoods(8))
 
     def test_neighborhood_p_mismatch(self):
         x = DataMatrix(np.random.default_rng(4).standard_normal((20, 3)))
         with pytest.raises(ValueError, match="nodes"):
-            sort(x, _cfg(full_neighborhoods(4)))
+            sort(x, LAP, full_neighborhoods(4))
 
 
 class TestSortExact:
@@ -204,7 +199,7 @@ class TestSortExact:
         cfg = SimConfig(p=5, n=200, seed=6, family=LAP)
         _, _, x = sample_dataset(cfg)
         std = standardize(x)
-        res = sort(std, _cfg(full_neighborhoods(5), trace=True))
+        res = sort(std, LAP, full_neighborhoods(5), trace=True)
         first = dict(res.step_scores[0])
         for k in range(5):
             assert first[k] == pytest.approx(llr_score(LAP, std.values[:, k]), abs=1e-12)
@@ -217,7 +212,7 @@ class TestSortExact:
         cols = q[:, 1:]
         x = DataMatrix(cols / cols.std(axis=0))
         nbhd = full_neighborhoods(5)
-        assert sort(x, _cfg(nbhd)).ordering.perm == oracle_sort(x, LAP, nbhd)[0]
+        assert sort(x, LAP, nbhd).ordering.perm == oracle_sort(x, LAP, nbhd)[0]
 
     def test_sparse_graph_agreement_with_fast(self):
         agree, errs = 0, []
@@ -226,7 +221,7 @@ class TestSortExact:
                             graph=LargeSparse(root_frac=0.05))
             w, _, x = sample_dataset(cfg)
             nbhd = markov_blankets(w.dag)
-            res = sort(x, _cfg(nbhd))
+            res = sort(x, LAP, nbhd)
             agree += res.ordering.perm == oracle_sort(x, LAP, nbhd)[0]
             errs.append(order_error(w.dag, res.ordering))
         assert agree == 20
@@ -236,8 +231,8 @@ class TestSortExact:
         cfg = SimConfig(p=9, n=500, seed=10, family=LAP)
         _, _, x = sample_dataset(cfg)
         nbhd = full_neighborhoods(9)
-        a = sort(x, _cfg(nbhd, trace=True))
-        b = sort(x, _cfg(nbhd, trace=True))
+        a = sort(x, LAP, nbhd, trace=True)
+        b = sort(x, LAP, nbhd, trace=True)
         assert a.ordering.perm == b.ordering.perm
         assert a.step_scores == b.step_scores
 
@@ -272,7 +267,7 @@ class TestFastMatchesExact:
                                 graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
                 w, _, x = sample_dataset(cfg)
                 nbhd = _neighborhoods(kind, w, x)
-                res = sort(x, _cfg(nbhd, family, trace=True))
+                res = sort(x, family, nbhd, trace=True)
                 perm, steps = oracle_sort(x, family, nbhd)
                 assert res.ordering.perm == perm, (kind, p, r)
                 for a, b in zip(res.step_scores, steps):
@@ -300,7 +295,7 @@ class TestBlockStep:
             return scores
 
         monkeypatch.setattr(lingamsort.sorter, "llr_score", recording)
-        res = sort(x, _cfg(nbhd, trace=True))
+        res = sort(x, LAP, nbhd, trace=True)
         perm, steps = oracle_sort(x, LAP, nbhd)
         assert res.ordering.perm == perm
         twin = 2 if perm[0] == 0 else 0
@@ -317,7 +312,7 @@ class TestBlockStep:
         col = np.random.default_rng(6).laplace(size=100)
         x = DataMatrix(np.column_stack([col] * 5))
         nbhd = NeighborhoodSets([[1, 2, 3, 4], [0], [0], [0], [0]])
-        res = sort(x, _cfg(nbhd, trace=True))
+        res = sort(x, LAP, nbhd, trace=True)
         assert res.ordering.perm == oracle_sort(x, LAP, nbhd)[0] == (0, 1, 2, 3, 4)
         assert res.diagnostics["degenerate"] == [(1, 1), (2, 1), (3, 1), (4, 1)]
         for step in res.step_scores[1:]:
@@ -329,9 +324,9 @@ class TestBlockStep:
         _, _, x = sample_dataset(cfg)
         nbhd = full_neighborhoods(25)
         family = NoiseFamily.logistic()
-        base = sort(x, _cfg(nbhd, family, trace=True))
+        base = sort(x, family, nbhd, trace=True)
         monkeypatch.setattr(lingamsort.sorter, "BLOCK_BYTES", 3 * 8 * 100)
-        cut = sort(x, _cfg(nbhd, family, trace=True))
+        cut = sort(x, family, nbhd, trace=True)
         assert cut.ordering.perm == base.ordering.perm
         assert cut.update_count == base.update_count
         for a, b in zip(cut.step_scores, base.step_scores):
@@ -359,7 +354,7 @@ def _random_superset_case(seed, p=12, extra=3, n=200):
 
 
 def _assert_matches_oracle(x, family, nbhd):
-    res = sort(x, _cfg(nbhd, family, trace=True))
+    res = sort(x, family, nbhd, trace=True)
     perm, steps = oracle_sort(x, family, nbhd)
     assert res.ordering.perm == perm
     for a, b in zip(res.step_scores, steps):
@@ -384,7 +379,7 @@ class TestBatchedStep:
         w = WeightedDag(Dag(p, parents), weights, LAP, np.full(p, 0.5))
         x = sample_data(w, n, 21)
         nbhd = markov_blankets(w.dag)
-        whole = sort(x, _cfg(nbhd, trace=True))
+        whole = sort(x, LAP, nbhd, trace=True)
         monkeypatch.setattr(lingamsort.sorter, "BLOCK_BYTES", 4 * 8 * n)
         cut = _assert_matches_oracle(x, LAP, nbhd)
         perm = cut.ordering.perm
@@ -429,7 +424,7 @@ class TestBatchedStep:
             return real(state, factors, sel, *args)
 
         monkeypatch.setattr(lingamsort.sorter, "partial_update", spy)
-        res = sort(DataMatrix(values), _cfg(nbhd))
+        res = sort(DataMatrix(values), LAP, nbhd)
         # the one-call-per-factor sorter's results
         assert res.diagnostics["skipped_updates"] == [(6, 3), (10, 3)]
         assert groups[3] == 3
@@ -448,7 +443,7 @@ class TestBatchedStep:
                         graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
         w, _, x = sample_dataset(cfg)
         nbhd = markov_blankets(w.dag) if kind == "mb" else top_correlated(x, 10)
-        res = sort(x, _cfg(nbhd))
+        res = sort(x, LAP, nbhd)
         assert res.update_count == updates
         assert res.diagnostics["rescore_events"] == rescores
         perm = ",".join(map(str, res.ordering.perm)).encode()
@@ -497,7 +492,7 @@ class TestOracleProperty:
     @given(_oracle_cases())
     def test_matches_oracle(self, case):
         x, family, nbhd = case
-        res = sort(x, _cfg(nbhd, family, trace=True))
+        res = sort(x, family, nbhd, trace=True)
         perm, steps = oracle_sort(x, family, nbhd)
         assert res.ordering.perm == perm
         for a, b in zip(res.step_scores, steps):
@@ -527,8 +522,8 @@ class TestColumnRelabelling:
             perm = rng_stream(r, 7).permutation(x.p)  # new column j is old column perm[j]
             inv = np.argsort(perm)
             moved = NeighborhoodSets([np.sort(inv[nbhd.sets[old]]) for old in perm])
-            base = [sort(v, _cfg(nbhd)) for v in _inputs(x.values)]
-            relabelled = [sort(v, _cfg(moved)) for v in _inputs(x.values[:, perm])]
+            base = [sort(v, LAP, nbhd) for v in _inputs(x.values)]
+            relabelled = [sort(v, LAP, moved) for v in _inputs(x.values[:, perm])]
             expected = tuple(int(inv[k]) for k in base[0].ordering.perm)
             for a, b in zip(base, relabelled):
                 assert a.ordering.perm == base[0].ordering.perm, (kind, r)
@@ -549,7 +544,7 @@ class TestSorterMemory:
         for x in _inputs(values)[:2]:
             tracemalloc.start()
             try:
-                sort(x, _cfg(nbhd))
+                sort(x, LAP, nbhd)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
