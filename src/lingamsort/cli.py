@@ -310,10 +310,11 @@ def read_data_csv(path: str | Path) -> DataMatrix:
     return DataMatrix(values)
 
 
-def _read_json(path: str | Path) -> dict:
+def _read_json(path: str | Path,
+               object_pairs_hook: Callable[[list], object] | None = None) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
@@ -430,19 +431,35 @@ def truth_to_doc(w: WeightedDag, ordering: Ordering, seed: int) -> dict:
     }
 
 
+def _edge_record(pairs: list[tuple[str, object]]) -> object:
+    """A decoded ``{"from", "to", "weight"}`` record, its keys in that
+    order, as a (from, to, weight) tuple, which holds it in less than half
+    a dict's memory; any other object as a dict.  For ``json.load``'s
+    ``object_pairs_hook``, so that no dict is built per record."""
+    if len(pairs) == 3:
+        (a, j), (b, k), (c, weight) = pairs
+        if a == "from" and b == "to" and c == "weight":
+            return j, k, weight
+    return dict(pairs)
+
+
 def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag:
     """The model in a truth or model file: ``p``, ``family``, ``scales`` and
-    ``{from, to, weight}`` records under ``edge_field``.  An out-of-range
-    node, self-loop, cycle, zero or non-finite weight or bad scale is a UsageError."""
+    ``{from, to, weight}`` records under ``edge_field``, as dicts or as
+    :func:`_edge_record` tuples.  An out-of-range node, self-loop, cycle,
+    zero or non-finite weight or bad scale is a UsageError."""
     try:
         p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
         for e in doc[edge_field]:
-            j, k = _integers([e["from"], e["to"]], where)
+            whole = type(e) is tuple
+            j, k = (e[0], e[1]) if whole else (e["from"], e["to"])
+            if type(j) is not int or type(k) is not int:
+                _integers([j, k], where)  # names the value that is not
             if not 0 <= k < p:
                 raise ValueError(f"edge into node {k} out of range [0, {p})")
-            incoming[k].append((j, float(e["weight"])))
+            incoming[k].append((j, float(e[2] if whole else e["weight"])))
         cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
         dag = Dag(p, [pa for pa, _ in cols])
         return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
@@ -541,8 +558,8 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
 def _parse_corr(spec: str, p: int, where: str,
                 split_seed: int | None = None) -> tuple[int, float, int]:
     """``corr:m:frac:seed`` as (m, frac, seed), or ``corr:m:frac`` as (m,
-    frac, ``split_seed``) when the caller derives the split seed; 0 < m < p
-    and a non-negative seed are checked."""
+    frac, ``split_seed``) when the caller derives the split seed; 0 < m < p,
+    0 < frac < 1 and a non-negative seed are checked."""
     fields = spec.split(":")[1:]
     if len(fields) != 2 + (split_seed is None):
         form = "corr:m:frac:seed" if split_seed is None else "corr:m:frac (split seed is derived)"
@@ -554,6 +571,8 @@ def _parse_corr(spec: str, p: int, where: str,
         raise UsageError(f"{where}: bad corr specification: {exc}") from None
     if not 0 < m < p:
         raise UsageError(f"{where}: corr: need 0 < m < p, got m={m}, p={p}")
+    if not 0 < frac < 1:  # NaN too
+        raise UsageError(f"{where}: corr: holdout fraction must lie in (0, 1), found {frac}")
     if seed < 0:
         raise UsageError(f"{where}: corr: split seed must be non-negative, found {seed}")
     return m, frac, seed
@@ -584,8 +603,6 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
         nbhd = markov_blankets(dag)
     elif spec.startswith("corr:"):
         m, frac, seed = _parse_corr(spec, rows.p, where, split_seed)
-        if not 0 < frac < 1:
-            raise UsageError("holdout fraction must lie in (0, 1)")
         n_hold = int(math.floor(frac * rows.n))
         if n_hold < 3 or rows.n - n_hold < 2:
             raise UsageError(f"cannot split {rows.n} rows with fraction {frac}")
@@ -664,7 +681,7 @@ def read_ordering(path: str | Path) -> Ordering:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    w, _, _ = truth_from_doc(_read_json(args.truth), where=str(args.truth))
+    w, _, _ = truth_from_doc(_read_json(args.truth, _edge_record), where=str(args.truth))
     ordering = read_ordering(args.ordering)
     if ordering.p != w.p:
         raise UsageError(f"ordering has {ordering.p} nodes, truth has {w.p}")
@@ -796,7 +813,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def read_model(path: str | Path) -> tuple[WeightedDag, np.ndarray, np.ndarray]:
     """A model file as (model, train_means, train_sds)."""
-    doc = _read_json(path)
+    doc = _read_json(path, _edge_record)
     model = weighted_dag_from_doc(doc, "coefficients", str(path))
     try:
         return model, np.asarray(doc["train_means"], float), np.asarray(doc["train_sds"], float)

@@ -12,16 +12,19 @@ Chains of one shape go through numpy's stacked QR in one call.
 
 Column moments are computed a chunk of columns at a time, on the data's
 own layout, so that they equal ``np.mean`` and ``np.std`` over axis 0 bit
-for bit without an n x p temporary; :func:`standardize` writes its output
-in the same pass.
+for bit without an n x p temporary; :func:`standardize_pass` standardizes
+in the same pass, into a whole array for :func:`standardize` or one chunk
+at a time for the sorter's first scoring.
 
 The sorter keeps each node's joint-OLS residual current as its regressor
-set grows one column at a time.  :class:`ResidualState` holds one
-column-major n x p array ``r``, the factors, and the count of inner
-products spent.  Column k of ``r`` holds node k's current residual while
-k is unsorted, and its standardized values x_k once k is sorted and has
-become some node's regressor.  Every regressor is such a node, so the
-regressor columns Z are read from ``r`` too.  Each regressor set Z (m
+set grows one column at a time.  :class:`ResidualState` holds a pool of
+column slots, a node -> slot map, the factors, and the count of inner
+products spent.  A node holds a slot only while some live (unsorted)
+node needs its values: from its first update to its selection it holds
+its current residual, and once it is sorted, while live nodes have it as
+a neighbor, its standardized values x_k, which are all a regressor
+needs.  Every regressor is such a node, so the regressor columns Z are
+read from the pool too.  Each regressor set Z (m
 columns) keeps the inverse W = L^-1 of the lower Cholesky factor L of
 its Gram matrix G = Z'Z (Golub & Van Loan, *Matrix Computations* 6.5),
 so that G^-1 = W'W and no triangular solve is needed.
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Callable
 
 import numpy as np
 
@@ -87,14 +91,14 @@ class RankDeficient(ValueError):
         self.node = node
 
 
-def _chunks(n: int, p: int):
-    """Column ranges [lo, hi) of about ``MOMENT_CHUNK_BYTES`` each.
+def _chunks(n: int, p: int, nbytes: int):
+    """Column ranges [lo, hi) of about ``nbytes`` each.
 
     None is one column wide unless p is 1: numpy sums a lone column of a
     row-major array pairwise, but the columns of a wider block one row at a
     time, as ``np.mean`` does over the whole array.
     """
-    width = max(2, MOMENT_CHUNK_BYTES // (8 * n))
+    width = max(2, nbytes // (8 * n))
     bounds = list(range(0, p, width))
     if p > 1 and p % width == 1:
         bounds.pop()  # the one-column tail joins the chunk before it
@@ -102,33 +106,47 @@ def _chunks(n: int, p: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _moments(values: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _moments(values: np.ndarray, out: np.ndarray | None = None,
+             visit: Callable[[int, np.ndarray], None] | None = None,
+             nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Column means and standard deviations (denominator n), equal bit for
-    bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``; ``out``, when
-    given, receives ``(values - mean) / sd``.
+    bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``.
 
-    Works one chunk of columns at a time and repeats numpy's arithmetic:
-    the sum over rows divided by n, then the same for the squared
-    deviations, which are formed in the source's layout because that sets
-    numpy's summation order.  An overflow leaves an infinite or NaN sd and
-    raises no warning; the callers check.
+    ``out`` alone receives ``(values - mean) / sd``.  With ``visit`` too,
+    ``out`` is column-major scratch: each chunk's standardized columns
+    lo.. are written to its leading columns, as z, and ``visit(lo, z)`` is
+    called, unless one of them is constant or overflows, which the callers
+    refuse; the next chunk overwrites z.
+
+    Works one chunk of about ``nbytes`` (``MOMENT_CHUNK_BYTES`` by default)
+    at a time and repeats numpy's arithmetic: the sum over rows divided by
+    n, then the same for the squared deviations, which are formed in the
+    source's layout because that sets numpy's summation order.  An
+    overflow leaves an infinite or NaN sd and raises no warning; the
+    callers check.
     """
     n, p = values.shape
     mean = np.empty(p)
     sd = np.empty(p)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo, hi in _chunks(n, p):
-            block = values[:, lo:hi]
+    for lo, hi in _chunks(n, p, nbytes or MOMENT_CHUNK_BYTES):
+        block = values[:, lo:hi]
+        z = None if out is None else out[:, :hi - lo] if visit else out[:, lo:hi]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             m = np.add.reduce(block, axis=0) / n
-            dev = block - m
-            if out is not None:
-                out[:, lo:hi] = dev
-            np.multiply(dev, dev, out=dev)
+            if z is None:
+                dev = block - m
+                np.multiply(dev, dev, out=dev)
+            else:
+                np.subtract(block, m, out=z)
+                dev = np.multiply(z, z, out=np.empty_like(block))
             s = np.sqrt(np.add.reduce(dev, axis=0) / n)
-            if out is not None:
-                out[:, lo:hi] /= s
-            mean[lo:hi] = m
-            sd[lo:hi] = s
+            if z is not None:
+                z /= s
+        del dev  # the squares are not kept while visit scores the chunk
+        mean[lo:hi] = m
+        sd[lo:hi] = s
+        if visit is not None and ((0.0 < s) & (s < np.inf)).all():
+            visit(lo, z)
     return mean, sd
 
 
@@ -145,7 +163,30 @@ def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row- and column-major input, without an n x p temporary.  Raises
     :class:`VarianceOverflow` when a column's variance overflows.
     """
-    mean, sd = _moments(np.asarray(values, dtype=float), None)
+    mean, sd = _moments(np.asarray(values, dtype=float))
+    _check_finite(sd)
+    return mean, sd
+
+
+def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
+                     visit: Callable[[int, np.ndarray], None] | None = None,
+                     nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One chunked pass over an n x p array: its column moments (mean, sd),
+    equal bit for bit to :func:`column_moments`, with its standardized
+    columns ``(values - mean) / sd`` written to ``out``, or handed to
+    ``visit`` a chunk of about ``nbytes`` at a time through the scratch
+    ``out``, as ``_moments`` sets out.
+
+    Raises ValueError for fewer than two rows, then
+    :class:`ZeroVarianceColumn` for the lowest constant column, then
+    :class:`VarianceOverflow` for a column whose variance overflows.
+    """
+    if values.shape[0] < 2:
+        raise ValueError("standardization needs at least two rows")
+    mean, sd = _moments(values, out, visit, nbytes)
+    bad = np.flatnonzero(sd == 0.0)
+    if bad.size:
+        raise ZeroVarianceColumn(int(bad[0]))
     _check_finite(sd)
     return mean, sd
 
@@ -153,24 +194,15 @@ def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def standardize(x: DataMatrix) -> DataMatrix:
     """Center and scale every column to mean 0, sd 1 (denominator n).
 
-    The result is a fresh column-major array, the layout the residual
-    engine works in, written in the same pass that computes the moments;
-    its ``moments`` are the input's (mean, sd), equal bit for bit to
-    :func:`column_moments`.  Raises :class:`ZeroVarianceColumn` for a
-    constant column and :class:`VarianceOverflow` for one whose variance
-    overflows.
+    The result is a fresh column-major array, written by
+    :func:`standardize_pass`, whose errors it raises; its ``moments`` are
+    the input's (mean, sd), equal bit for bit to :func:`column_moments`.
     """
-    if x.n < 2:
-        raise ValueError("standardization needs at least two rows")
     out = np.empty(x.values.shape, order="F")
-    mean, sd = _moments(x.values, out)
-    bad = np.flatnonzero(sd == 0.0)
-    if bad.size:
-        raise ZeroVarianceColumn(int(bad[0]))
-    _check_finite(sd)
+    moments = standardize_pass(x.values, out)
     # a finite sd makes every entry finite, with |z| <= sqrt(n), so the result
     # skips DataMatrix's finiteness pass
-    return DataMatrix._standardized(out, (mean, sd))
+    return DataMatrix._standardized(out, moments)
 
 
 def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix:
@@ -219,14 +251,19 @@ def ols_residual(z: np.ndarray, lead: int,
 
 
 class ResidualState:
-    """The sorter's one n x p array, its factors and the inner products spent.
+    """The sorter's pool of column slots, its factors and the inner products spent.
 
-    ``r`` is column-major and becomes the state's own: it is updated in
-    place, not copied.  Column k holds node k's current residual while k
-    is unsorted.  When ``sel``'s step extends a factor, the caller writes
-    x_sel, ``sel``'s standardized values, into ``r[:, sel]`` at the end of
-    the step, so every factor's columns are read from ``r``; ``r.T`` is
-    the same array with those columns as contiguous rows.
+    ``pool`` is a column-major n x s array, and ``slot[k]`` the slot
+    (column of ``pool``) that holds node k's values, or -1 when k holds
+    none; ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
+    pool becomes the state's own: it is updated in place, not copied.  A
+    live node's slot holds its current residual.  When ``sel``'s step
+    extends a factor, the caller writes x_sel, ``sel``'s standardized
+    values, into ``sel``'s slot at the end of the step, so every factor's
+    columns are read through ``slot``.  :meth:`acquire` gives a node the
+    slot freed last, or else the lowest one never used, so the slots in
+    use, and so the pages ever written, stay under the high-water mark
+    ``slots_used``; :meth:`release` frees a node's slot.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -242,15 +279,33 @@ class ResidualState:
 
     ROOT = 0
 
-    def __init__(self, r: np.ndarray):
-        self.r = r
-        self.pivot_floor = PIVOT_RTOL * r.shape[0]
+    def __init__(self, pool: np.ndarray, slot: list[int]):
+        self.pool = pool
+        self.rows = pool.T
+        self.slot = slot
+        self.free: list[int] = []
+        self.slots_used = 1 + max(slot, default=-1)
+        self.pivot_floor = PIVOT_RTOL * pool.shape[0]
         self.inner_products = 0
         self.parent = [-1]
         self.col = [-1]
         self.row: list[int | None] = [0]  # the root has no row; its 0 is never read
         self.deferred: dict[int, float] = {}
         self.w = array("d")
+
+    def acquire(self, node: int) -> int:
+        """Give ``node`` a slot and return it; its contents are the caller's to write."""
+        if self.free:
+            at = self.free.pop()
+        else:
+            at = self.slots_used
+            self.slots_used += 1
+        self.slot[node] = at
+        return at
+
+    def release(self, node: int) -> None:
+        self.free.append(self.slot[node])
+        self.slot[node] = -1
 
     def path(self, factor: int) -> list[int]:
         """The factors from the root's first child down to ``factor``."""
@@ -270,7 +325,8 @@ class ResidualState:
             factor = self.parent[factor]
         for f in reversed(pending):
             path = self.path(self.parent[f])
-            c = self.r[:, [self.col[g] for g in path]].T @ self.r[:, self.col[f]]
+            at = [self.slot[self.col[g]] for g in path]
+            c = self.pool[:, at].T @ self.pool[:, self.slot[self.col[f]]]
             self.inner_products += c.size
             coef = _solve(self.w, [self.row[g] for g in path], c.tolist())
             self.row[f] = self._append(coef, self.deferred.pop(f))
@@ -308,7 +364,7 @@ def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.nda
 
     ``x`` is x_sel, ``sel``'s standardized column.  Group g, on factor
     ``factors[g]``, gets ``u[g]``, x_sel's residual on the factor's columns
-    Z (read from ``state.r``), and ``delta[g]`` = u'u, as the module
+    Z (read from their slots), and ``delta[g]`` = u'u, as the module
     docstring sets out.  One gather puts every group's columns under x_sel
     in a matrix z; c for all groups is one product, beta = W'(W c) is an
     m x m product per group on Python floats (at neighborhood sizes, less
@@ -316,8 +372,8 @@ def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.nda
     ``mix @ z``, whose row g holds 1 for x_sel and -beta for the group's
     columns.  The root factor is a group with no columns, whose u is x_sel.
     The factor ``own``, if listed, is the one ``sel`` itself was regressed
-    on: its u is r_sel, still in ``state.r[:, sel]``, which joins z for
-    it, and its child defers its row of W.
+    on: its u is r_sel, still in ``sel``'s slot, which joins z for it, and
+    its child defers its row of W.
 
     Returns (children, u, delta), u as a groups x n array.  A regressor
     with ``delta <= PIVOT_RTOL * n`` is collinear with its group's columns:
@@ -333,19 +389,20 @@ def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.nda
         if state.row[f] is None:
             state.complete(f)
         paths.append(state.path(f))
-    flat = [state.col[g] for path in paths for g in path]
+    slot, col = state.slot, state.col
     head = 1 + (own in factors)  # rows of z before the groups' columns
-    z = np.empty((head + len(flat), len(x)))
+    at = [slot[sel]] * (head - 1) + [slot[col[g]] for path in paths for g in path]
+    z = np.empty((1 + len(at), len(x)))
     z[0] = x
-    state.r.T.take([sel] * (head - 1) + flat, axis=0, out=z[1:], mode="clip")
+    state.rows.take(at, axis=0, out=z[1:], mode="clip")
     c = (z[head:] @ x).tolist()
-    state.inner_products += len(flat) + len(factors)
+    state.inner_products += len(c) + len(factors)
     coefs, mix = [], []  # -beta per group; u = mix @ z
     lo = 0
     for f, path in zip(factors, paths):
         hi = lo + len(path)
         coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
-        row = [0.0] * (head + len(flat))
+        row = [0.0] * len(z)
         row[f == own] = 1.0
         row[head + lo:head + hi] = coefs[-1]
         mix.append(row)

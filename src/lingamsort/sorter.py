@@ -22,12 +22,16 @@ group's rank-one update, scored by one block call of
 :func:`lingamsort.scoring.llr_score` and written back, so that no n x p
 temporary is built.
 
-``sort`` standardizes the caller's data with
-:func:`lingamsort.regression.standardize` and adds that one n x p array,
-the column-major ``r`` of :class:`lingamsort.regression.ResidualState`:
-an unsorted node's column holds its current residual and a sorted node's
-column, once some node has taken it as a regressor, its standardized
-values, which are all a regressor needs.
+``sort`` adds no n x p copy of the caller's data.  Its residuals live in
+a pool of column slots, :class:`lingamsort.regression.ResidualState`: a
+node holds a slot from its first update to its selection, for its
+current residual, and after its selection while some unsorted node still
+has it as a neighbor, for its standardized values, which are all a
+regressor needs.  Freed slots are reused last in, first out, and only
+slots in use are written, so resident memory follows the most slots held
+at once, not n x p.  Step 0 standardizes and scores the data a chunk at
+a time, and a node's standardized column is formed from the caller's one
+when it first needs a slot.
 
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
@@ -43,11 +47,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GAUSSIAN, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering
-from .regression import ResidualState, partial_update, standardize
+from .regression import ResidualState, partial_update, standardize_pass
 from .scoring import llr_score
 
 # Largest residual block, in bytes, that one update or scoring call touches.
 BLOCK_BYTES = 2 << 20
+# Chunk, in bytes, of step 0's pass that standardizes and scores every
+# column: its temporaries stay in a core's cache and add little to the
+# sort's resident peak.
+STEP0_BYTES = 1 << 20
 
 
 @dataclass
@@ -89,15 +97,15 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     The next node is the argmax of the scores, in which sorted nodes hold
     -inf; when every live node is degenerate the lowest live index is taken.
 
-    Besides the caller's ``x``, ``sort`` holds one n x p array, the
-    column-major ``r``: column k is r_k while k is unsorted, and x_k from
-    the end of the step that sorts k if that step touched a node, so Z_k
-    is read from ``r``; a node that no unsorted node has as a neighbor
-    when it is sorted is never a regressor, and its column keeps its last
-    residual.  The data are standardized into a fresh ``r`` in one chunked
-    pass, and x_sel is rebuilt from the caller's column as
-    ``(x[:, sel] - mean[sel]) / sd[sel]``, bit for bit the column
-    ``standardize`` wrote.
+    Besides the caller's ``x``, ``sort`` holds the pool of column slots
+    that the module docstring describes, an n x p array of which only the
+    slots in use are ever written; ``diagnostics["residual_slots"]`` is
+    the most slots held at once.  Step 0 computes the column moments and
+    scores the standardized columns in one chunked pass over ``x``.  Each
+    standardized column the sorter needs later, a first-touched node's
+    residual or x_sel, is formed from the caller's column as
+    ``(x[:, k] - mean[k]) / sd[k]``, bit for bit the column that
+    :func:`lingamsort.regression.standardize` writes.
 
     ``update_count`` counts length-n inner products: 1 per event for
     u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
@@ -105,7 +113,8 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     factor and 1 for one that shares it; see :mod:`lingamsort.regression`.
     Raises ValueError when the neighborhoods cover another node count than
     the data or a neighborhood has more members than there are samples,
-    and ``standardize``'s errors for a constant or overflowing column.
+    and the errors of :func:`lingamsort.regression.standardize` for fewer
+    than two rows or a constant or overflowing column.
     """
     started = time.perf_counter()
     if neighborhoods.p != x.p:
@@ -115,19 +124,17 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     biggest = max((s.size for s in neighborhoods.sets), default=0)
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
-    p = x.p
+    n, p = x.n, x.p
     source = x.values
-    std = standardize(x)
-    r = std.values
-    mean, sd = std.moments
-    state = ResidualState(r)
-    columns = r.T  # row k is column k of r, contiguous
-    width = max(1, BLOCK_BYTES // (8 * x.n))  # columns per block
+    state = ResidualState(np.empty((n, p), order="F"), [-1] * p)
+    rows, slot = state.rows, state.slot
+    width = max(1, BLOCK_BYTES // (8 * n))  # columns per block
     factor = [state.ROOT] * p
     affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
     for k, s in enumerate(neighborhoods.sets):
-        for j in s:
+        for j in s.tolist():
             affected[j].append(k)
+    dependents = [len(a) for a in affected]  # live k such that j is in N(k)
 
     degenerate: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
@@ -140,13 +147,21 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         if np.minimum.reduce(fresh) == -np.inf:
             degenerate.extend((int(nodes[i]), step) for i in np.flatnonzero(fresh == -np.inf))
 
-    for lo in range(0, p, width):
-        score(range(lo, min(lo + width, p)), r[:, lo:lo + width], 0)
+    def standardized(k: int, out: np.ndarray) -> np.ndarray:
+        # bit for bit the column that standardize writes
+        np.subtract(source[:, k], mean[k], out=out)
+        out /= sd[k]
+        return out
+
+    # step 0: every residual is its standardized column, scored as it is
+    # formed in the pool's leading slots, which no node holds yet
+    mean, sd = standardize_pass(source, state.pool, visit=lambda lo, z: score(
+        range(lo, lo + z.shape[1]), z, 0), nbytes=STEP0_BYTES)
     chosen: list[int] = []
     live = [True] * p
     steps: list[list[tuple[int, float]]] | None = [] if trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
-    x_sel = np.empty(x.n)
+    x_sel = np.empty(n)
     for t in range(p):
         if steps is not None:
             steps.append([(k, float(scores[k])) for k in range(p) if live[k]])
@@ -157,35 +172,47 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         chosen.append(sel)
         live[sel] = False
         scores[sel] = -np.inf
+        for j in neighborhoods.sets[sel].tolist():
+            dependents[j] -= 1
+            if not (dependents[j] or live[j]):  # no live node reads x_j any more
+                state.release(j)
+        if not dependents[sel]:  # sel is no live node's regressor
+            if slot[sel] >= 0:
+                state.release(sel)
+            continue
         touched = [k for k in affected[sel] if live[k]]
-        if touched:
-            # standardize's column, bit for bit, from the caller's one
-            np.subtract(source[:, sel], mean[sel], out=x_sel)
-            x_sel /= sd[sel]
-            slot: dict = {}  # factor -> its group's index
-            group = [slot.setdefault(factor[k], len(slot)) for k in touched]
-            factors = list(slot)
-            # looked up in this module at every call, so it can be wrapped
-            children, u, delta = partial_update(state, factors, sel, x_sel, factor[sel])
-            for g, f in enumerate(factors):
-                if children[g] == f:  # sel is collinear with the group's regressors
-                    skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
-            for k, g in zip(touched, group):
-                factor[k] = children[g]
-            state.inner_products += sum(children[g] != factors[g] for g in group)
-            for lo in range(0, len(touched), width):
-                part, g = touched[lo:lo + width], group[lo:lo + width]
-                # "clip" skips take's bounds check: every index is a node
-                block = columns.take(part, axis=0, mode="clip")
-                ug = u.take(g, axis=0, mode="clip")
-                coef = (ug[:, None, :] @ block[:, :, None])[:, 0]  # u'r_k, one per node
-                coef /= delta.take(g, mode="clip")[:, None]
-                ug *= coef
-                block -= ug
-                score(part, block.T, t + 1)
-                columns[part] = block
-            rescore_events += len(touched)
-            r[:, sel] = x_sel  # the batch has already read r_sel
+        # x_sel goes straight to sel's new slot, unless sel holds its
+        # residual, which partial_update may read
+        x = standardized(sel, x_sel if slot[sel] >= 0 else rows[state.acquire(sel)])
+        for k in touched:
+            if slot[k] < 0:  # first touch: k's residual is its standardized column
+                standardized(k, rows[state.acquire(k)])
+        groups: dict = {}  # factor -> its group's index
+        group = [groups.setdefault(factor[k], len(groups)) for k in touched]
+        factors = list(groups)
+        # looked up in this module at every call, so it can be wrapped
+        children, u, delta = partial_update(state, factors, sel, x, factor[sel])
+        for g, f in enumerate(factors):
+            if children[g] == f:  # sel is collinear with the group's regressors
+                skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
+        for k, g in zip(touched, group):
+            factor[k] = children[g]
+        state.inner_products += sum(children[g] != factors[g] for g in group)
+        for lo in range(0, len(touched), width):
+            part, g = touched[lo:lo + width], group[lo:lo + width]
+            at = [slot[k] for k in part]
+            # "clip" skips take's bounds check: every index is a slot
+            block = rows.take(at, axis=0, mode="clip")
+            ug = u.take(g, axis=0, mode="clip")
+            coef = (ug[:, None, :] @ block[:, :, None])[:, 0]  # u'r_k, one per node
+            coef /= delta.take(g, mode="clip")[:, None]
+            ug *= coef
+            block -= ug
+            score(part, block.T, t + 1)
+            rows[at] = block
+        rescore_events += len(touched)
+        if x is x_sel:
+            rows[slot[sel]] = x_sel  # the batch has already read r_sel
     return SortResult(
         ordering=Ordering(chosen),
         update_count=state.inner_products,
@@ -195,5 +222,6 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
             "degenerate": degenerate,
             "skipped_updates": skipped,
             "rescore_events": rescore_events,
+            "residual_slots": state.slots_used,
         },
     )

@@ -693,6 +693,16 @@ class TestSortEvalPipeline:
                 in capsys.readouterr().err)
         assert not Path(args[-1]).exists()
 
+    @pytest.mark.parametrize("frac", ["0", "1", "1.5", "-0.2", "nan"])
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_holdout_fraction_outside_0_1_exits_2_naming_the_option(self, tmp_path, capsys,
+                                                                    command, frac):
+        args = self._sort_and_fit(tmp_path, "--neighborhoods", f"corr:2:{frac}:1")[command]
+        assert main(args) == 2
+        assert (f"error: --neighborhoods: corr: holdout fraction must lie in (0, 1), "
+                f"found {float(frac)}" in capsys.readouterr().err)
+        assert not Path(args[-1]).exists()
+
     @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
     def test_csv_array_is_freed_before_the_sets_are_built(self, tmp_path, monkeypatch,
                                                           command):
@@ -833,6 +843,24 @@ class TestBenchmark:
         assert (f"error: {cfg}: cells[1]: corr: need 0 < m < p, got m={m}, p=5"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("frac", ["1.5", "0", "nan"])
+    def test_corr_fraction_out_of_range_exits_2_before_sampling(self, tmp_path, capsys,
+                                                                monkeypatch, frac):
+        # each replicate used to be sampled and to record the error, and the
+        # command exited 0
+        sampled = []
+        monkeypatch.setattr(cli, "sample_dataset", sampled.append)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"base_seed": 1, "cells": [
+            {"p": 8, "n": 40, "family": "laplace", "neighborhoods": "mb"},
+            {"p": 5, "n": 40, "family": "laplace", "neighborhoods": f"corr:2:{frac}",
+             "replicates": 2}]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"error: {cfg}: cells[1]: corr: holdout fraction must lie in (0, 1), "
+                f"found {float(frac)}" in capsys.readouterr().err)
+        assert sampled == [] and not out.exists()
 
     def test_every_cell_is_checked_before_any_is_sampled(self, tmp_path, capsys, monkeypatch):
         sampled = []

@@ -197,7 +197,7 @@ def _take(state, values, factor, k, sel, own=-1):
     batch and update r_k as the sorter does; returns the extended factor.
     ``own`` is the factor ``sel`` was regressed on (none by default)."""
     (child,), u, delta = partial_update(state, [factor], sel, values[:, sel], own)
-    rk = state.r[:, k]
+    rk = state.pool[:, k]
     rk -= (float(u[0] @ rk) / delta[0]) * u[0]
     return child
 
@@ -205,24 +205,24 @@ def _take(state, values, factor, k, sel, own=-1):
 class TestPartialUpdate:
     def test_identical_columns_zero_out(self):
         values = np.array([[1.0, 1.0], [-1.0, -1.0]], order="F")
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         _take(state, values, state.ROOT, 1, 0)
-        assert np.array_equal(state.r[:, 1], np.zeros(2))
+        assert np.array_equal(state.pool[:, 1], np.zeros(2))
         # extending the empty factor costs 1 inner product, for delta
         assert state.inner_products == 1
 
     def test_orthogonal_columns_record_zero(self):
         values = np.array([[1.0, 0.0], [0.0, 1.0]], order="F")
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         _take(state, values, state.ROOT, 1, 0)  # coefficient u'r_1 / delta = 0
-        assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
+        assert np.array_equal(state.pool[:, 1], np.array([0.0, 1.0]))
 
     def test_hand_case(self):
         # u = (1, 0), delta = 1, coefficient <(1,0),(1,1)> = 1; residual (0, 1)
         values = np.array([[1.0, 1.0], [0.0, 1.0]], order="F")
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         factor = _take(state, values, state.ROOT, 1, 0)
-        assert np.array_equal(state.r[:, 1], np.array([0.0, 1.0]))
+        assert np.array_equal(state.pool[:, 1], np.array([0.0, 1.0]))
         assert _cols(state, factor) == [0]
         # G = [[1]], so L = W = [[1]]
         assert np.array_equal(_inverse(state, factor), np.array([[1.0]]))
@@ -233,7 +233,7 @@ class TestPartialUpdate:
         rng = np.random.default_rng(6)
         z = rng.standard_normal((50, 2))
         values = np.asfortranarray(np.column_stack([z, z @ [0.5, -2.0]]))
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         factor = partial_update(state, [state.ROOT], 0, values[:, 0], -1)[0][0]
         factor = partial_update(state, [factor], 1, values[:, 1], -1)[0][0]
         count = len(state.parent)
@@ -252,14 +252,14 @@ class TestPartialUpdate:
         rng = np.random.default_rng(7)
         mixed = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 3))
         values = np.asfortranarray(standardize(DataMatrix(mixed)).values)
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         base = _take(state, values, state.ROOT, 1, 0)
         _take(state, values, state.ROOT, 2, 0)
         (shared,), u, _ = partial_update(state, [base], 1, values[:, 1], base)
-        assert np.array_equal(u[0], state.r[:, 1])  # the shared direction is r_1
+        assert np.array_equal(u[0], state.pool[:, 1])  # the shared direction is r_1
         (direct,), _, _ = partial_update(state, [base], 1, values[:, 1], -1)
         assert state.row[shared] is None and state.row[direct] is not None
-        state.r[:, 1] = values[:, 1]  # node 1 is sorted: its step is done
+        state.pool[:, 1] = values[:, 1]  # node 1 is sorted: its step is done
         before = state.inner_products
         w = _inverse(state, shared)
         assert state.inner_products - before == 1  # |S| = 1 for the deferred row
@@ -276,7 +276,7 @@ class TestPartialUpdate:
         rng = np.random.default_rng(8)
         mix = np.eye(6) + 0.7 * rng.standard_normal((6, 6))
         values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(60, 6)) @ mix)).values)
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         factor = state.ROOT
         for a in (3, 0, 4, 1, 2):
             factor = _take(state, values, factor, 5, a)
@@ -290,12 +290,12 @@ class TestPartialUpdate:
     def test_norm_never_increases(self):
         rng = np.random.default_rng(3)
         values = np.asfortranarray(rng.standard_normal((100, 6)))
-        state = ResidualState(values.copy(order="F"))
+        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         factor = state.ROOT
         for a in range(5):
-            before = np.linalg.norm(state.r[:, 5])
+            before = np.linalg.norm(state.pool[:, 5])
             factor = _take(state, values, factor, 5, a)
-            assert np.linalg.norm(state.r[:, 5]) <= before + 1e-12
+            assert np.linalg.norm(state.pool[:, 5]) <= before + 1e-12
 
     def test_state_does_not_alias_input(self, monkeypatch):
         # the state takes its array over, so sort standardizes into a fresh
@@ -303,7 +303,7 @@ class TestPartialUpdate:
         aliased = []
 
         def spy(state, *args, **kwargs):
-            aliased.append(np.shares_memory(state.r, values))
+            aliased.append(np.shares_memory(state.pool, values))
             return partial_update(state, *args, **kwargs)
 
         monkeypatch.setattr(lingamsort.sorter, "partial_update", spy)
@@ -324,13 +324,13 @@ class TestPartialUpdate:
         values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(90, 7)) @ mix)).values)
 
         def build():
-            state = ResidualState(values.copy(order="F"))
+            state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
             one = _take(state, values, state.ROOT, 6, 0)
             three = state.ROOT
             for a in (1, 2, 3):
                 three = _take(state, values, three, 5, a)
             for k in (0, 1, 2, 3):
-                state.r[:, k] = values[:, k]  # sorted
+                state.pool[:, k] = values[:, k]  # sorted
             return state, [state.ROOT, one, three, one]
 
         state, factors = build()
@@ -353,7 +353,7 @@ class TestPartialUpdate:
                 np.testing.assert_allclose(_inverse(state, children[g]), _inverse(ref, child),
                                            rtol=0, atol=1e-12)
         assert spent == alone_spent == (0 + 1) + 1 + (3 + 1)  # |S| + 1, or 1 when shared
-        assert np.array_equal(u[1], state.r[:, 4])  # the shared group's u is r_4
+        assert np.array_equal(u[1], state.pool[:, 4])  # the shared group's u is r_4
 
 
 class TestJointVsSequential:
@@ -365,17 +365,17 @@ class TestJointVsSequential:
         values = standardize(DataMatrix(rng.laplace(size=(40, 4)) @ mix)).values
         joint, _ = conftest.ols_residual(values[:, 3], values[:, :3])
         for order in permutations(range(3)):
-            state = ResidualState(np.array(values, order="F"))
+            state = ResidualState(np.array(values, order="F"), list(range(4)))
             factor = state.ROOT
             for a in order:
                 factor = _take(state, values, factor, 3, a)
-            assert np.max(np.abs(state.r[:, 3] - joint)) <= 1e-10
+            assert np.max(np.abs(state.pool[:, 3] - joint)) <= 1e-10
 
     def test_mean_zero_preserved(self):
         rng = np.random.default_rng(5)
         x = standardize(DataMatrix(rng.standard_normal((64, 5))))
-        state = ResidualState(np.array(x.values, order="F"))
+        state = ResidualState(np.array(x.values, order="F"), list(range(5)))
         factor = state.ROOT
         for a in range(4):
             factor = _take(state, x.values, factor, 4, a)
-        assert np.max(np.abs(state.r.mean(axis=0))) <= 1e-8
+        assert np.max(np.abs(state.pool.mean(axis=0))) <= 1e-8

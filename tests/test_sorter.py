@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from lingamsort import (
     standardize,
     top_correlated,
 )
+import lingamsort
 import lingamsort.sorter
 from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
@@ -531,10 +537,80 @@ class TestColumnRelabelling:
                 assert a.update_count == b.update_count == base[0].update_count
 
 
+def _slots_needed(perm, sets):
+    """The most nodes that hold values a live node still needs, after any
+    step: a live node from the step that sorts its first neighbor, and a
+    sorted node until the step that sorts the last node with it as a
+    neighbor."""
+    p = len(perm)
+    pos = np.empty(p, dtype=int)
+    pos[list(perm)] = np.arange(p)
+    last = pos.copy()  # when k's last dependent is sorted, if after k
+    for i, s in enumerate(sets):
+        np.maximum.at(last, s, pos[i])
+    held = np.zeros(p + 1, dtype=int)  # +1 from step a, -1 from step b
+    for k, s in enumerate(sets):
+        first = min(pos[s].min(initial=p), pos[k])
+        if first < last[k]:
+            held[first] += 1
+            held[last[k]] -= 1
+    return int(np.cumsum(held).max())
+
+
+class TestResidualSlots:
+    """The pool holds a node's column only while a live node needs it."""
+
+    @pytest.mark.parametrize("kind", ["mb", "corr", "full"])
+    def test_high_water_mark_is_the_most_columns_needed_at_once(self, kind):
+        cfg = SimConfig(p=300, n=600, seed=derive_seed(9400, 1), family=LAP,
+                        graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+        w, _, x = sample_dataset(cfg)
+        nbhd = _neighborhoods(kind, w, x)
+        res = sort(x, LAP, nbhd)
+        needed = _slots_needed(res.ordering.perm, nbhd.sets)
+        assert res.diagnostics["residual_slots"] == needed
+        if kind == "full":
+            assert needed == x.p
+        else:
+            assert needed < x.p
+
+
+_VMHWM_SCRIPT = """
+import json
+from lingamsort import LargeSparse, NoiseFamily, SimConfig, markov_blankets, sample_dataset, sort
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field + ":"))
+
+lap = NoiseFamily.laplace()
+w, _, x = sample_dataset(SimConfig(p=2000, n=1000, seed=5, family=lap, graph=LargeSparse(),
+                                   scale_low=0.25, scale_high=0.9))
+nbhd = markov_blankets(w.dag)
+rss, hwm = status("VmRSS"), status("VmHWM")
+sort(x, lap, nbhd)
+print(json.dumps({"nbytes": x.values.nbytes, "before": hwm - rss, "added": status("VmHWM") - rss}))
+"""
+
+
 class TestSorterMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+    def test_resident_peak_stays_under_an_n_x_p_copy(self, tmp_path):
+        # resident pages, not allocations: the pool is one n x p array, of
+        # which sort writes only the slots in use, about half at this size
+        env = dict(os.environ)
+        src = str(Path(lingamsort.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _VMHWM_SCRIPT], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        doc = json.loads(out)
+        # the data were made without a transient peak that could hide sort's
+        assert doc["before"] < 0.05 * doc["nbytes"]
+        assert doc["added"] < 0.75 * doc["nbytes"], doc["added"] / doc["nbytes"]
+
     def test_raw_data_adds_one_array(self):
-        # sort keeps one n x p array of its own: the residuals, in which the
-        # sorted columns hold their standardized values; the chunk
+        # sort allocates one n x p array of its own, the pool of residual
+        # slots, of which it writes only the slots in use; the chunk
         # temporaries (BLOCK_BYTES) are small against it at this size
         n, p = 500, 4000
         rng = np.random.default_rng(14)
