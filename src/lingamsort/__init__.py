@@ -11,18 +11,15 @@ from .model import (
     NeighborhoodSets,
     NoiseFamily,
     Ordering,
-    WeightedDag,
-    is_topological,
-)
-from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
-from .regression import (
-    RankDeficient,
     VarianceOverflow,
+    WeightedDag,
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
+    is_topological,
     standardize,
 )
+from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .scoring import (
     DegenerateResidual,
     fit_scale,
@@ -50,7 +47,7 @@ from .simulate import (
     sample_weights,
 )
 from .sorter import SortResult, sort
-from .metrics import fit_coefficients, heldout_loglik, order_error, reversed_edge_count
+from .metrics import RankDeficient, fit_coefficients, heldout_loglik, order_error, reversed_edge_count
 
 __all__ = [
     "Dag",

@@ -48,24 +48,21 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .metrics import fit_coefficients, heldout_loglik, order_error, reversed_edge_count
+from .metrics import RankDeficient, fit_coefficients, heldout_loglik, order_error, reversed_edge_count
 from .model import (
     Dag,
     DataMatrix,
     NeighborhoodSets,
     NoiseFamily,
     Ordering,
-    WeightedDag,
-    is_topological,
-)
-from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
-from .regression import (
-    RankDeficient,
     VarianceOverflow,
+    WeightedDag,
     ZeroVarianceColumn,
     apply_moments,
+    is_topological,
     standardize,
 )
+from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
 from .scoring import DegenerateResidual
 from .simulate import (
     STREAM_REPLICATE,
@@ -376,12 +373,9 @@ class EdgeRecords:
 _ENCODER = json.JSONEncoder(indent=2)
 
 
-def _encode(doc: object) -> Iterator[str]:
-    """The chunks of ``json.dumps(doc, indent=2)``; a top-level field of a
-    dict may hold :class:`EdgeRecords`."""
-    if not isinstance(doc, dict) or not doc:
-        yield from _ENCODER.iterencode(doc)
-        return
+def _encode(doc: dict) -> Iterator[str]:
+    """The chunks of ``json.dumps(doc, indent=2)`` for a non-empty dict, any
+    of whose top-level fields may hold :class:`EdgeRecords`."""
     sep = "{"
     for key, value in doc.items():
         yield f"{sep}\n  {json.dumps(key)}: "
@@ -394,7 +388,7 @@ def _encode(doc: object) -> Iterator[str]:
     yield "\n}"
 
 
-def _write_json(path: str | Path, doc: object) -> None:
+def _write_json(path: str | Path, doc: dict) -> None:
     """``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a newline,
     through a temporary file that replaces ``path`` when complete."""
     with _replacing(path) as tmp, open(tmp, "w") as fh:

@@ -3,14 +3,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering, WeightedDag
-from .regression import PIVOT_RTOL, RankDeficient, ols_residual
+from .model import PIVOT_RTOL, Dag, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering, WeightedDag
 from .scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, fit_scale, log_density
 
 # Bytes of the columns of one stack of chains that ``fit_coefficients``
 # hands to ``ols_residual``; the QR's working copies and the residuals take
 # two to three times as much again.
 STACK_BYTES = 2 << 20
+
+
+class RankDeficient(ValueError):
+    """The regression design matrix is numerically rank deficient."""
+
+    def __init__(self, message: str = "design matrix is rank deficient",
+                 node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 def reversed_edge_count(dag: Dag, ordering: Ordering) -> int:
@@ -41,7 +49,7 @@ def fit_coefficients(
     precede it in the ordering, less any with an exactly zero coefficient.
     Its weights are the OLS coefficients and its scale is the family's
     estimate on the residual.  No p x p array is built.  Requires data
-    that :func:`lingamsort.regression.standardize` made.
+    that :func:`lingamsort.model.standardize` made.
 
     The regressions run along chains (:func:`_chains`): with full
     neighborhoods the whole ordering is one chain, whose one QR gives every
@@ -121,6 +129,36 @@ def _chains(ordering: Ordering, nbhd: NeighborhoodSets) -> list[tuple[list[int],
         else:
             chains.append((s + [k], len(s)))
     return chains
+
+
+def ols_residual(z: np.ndarray, lead: int,
+                 floor: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Least squares along a stack of chains of nested regressor sets.
+
+    ``z`` is c x w x n: chain i's w columns, one per row, as a ``take`` of
+    rows of ``x.T`` gives them.  Column t of a chain is regressed on the
+    chain's columns before it.  One Householder QR per chain, Z = QR
+    (Golub & Van Loan, *Matrix Computations* 5.2), gives every column's
+    pivot R[t, t]^2: its residual sum of squares on columns 0..t-1.  A
+    column past the n-th has pivot 0.
+
+    When every pivot is at least ``floor`` (> 0), the inverse V = R^-1
+    gives the regressions of columns ``lead``..w-1 at once: column t of V
+    divided by V[t, t] is (-beta_t, 1, 0, ...), and Z times it is column
+    t's residual.  Returns (pivots, coef, resid): pivots c x w; coef
+    c x m x w, m = w - lead, whose row j is that vector for column
+    lead + j; resid = coef @ z, c x m x n.  Under the floor, coef and
+    resid are None.
+    """
+    c, w, n = z.shape
+    r = np.linalg.qr(z.transpose(0, 2, 1), mode="r")
+    pivots = np.zeros((c, w))
+    pivots[:, :min(n, w)] = np.diagonal(r, axis1=1, axis2=2) ** 2
+    if pivots.min() < floor:
+        return pivots, None, None
+    v = np.linalg.inv(r)
+    coef = (v[:, :, lead:] / np.diagonal(v, axis1=1, axis2=2)[:, None, lead:]).transpose(0, 2, 1)
+    return pivots, coef, coef @ z
 
 
 def heldout_loglik(x_test: DataMatrix, model: WeightedDag) -> float:

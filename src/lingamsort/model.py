@@ -1,4 +1,5 @@
-"""Core domain types: DAGs, weighted SEMs, orderings, data matrices.
+"""Core domain types: DAGs, weighted SEMs, orderings, data matrices, and
+the standardization of data.
 
 A linear non-Gaussian acyclic model (LiNGAM) couples a DAG with a weighted
 adjacency matrix B (B[j, k] != 0 exactly when j is a parent of k), a noise
@@ -10,10 +11,19 @@ equations
 All types here are value types: construction validates the invariants and
 instances are never mutated afterwards, so they are safe to share freely.
 Node indices are 0-based everywhere, including file formats.
+
+No intercepts appear anywhere: columns are standardized to mean zero
+before any fitting, so regressions go through the origin.  Column
+moments are computed a chunk of columns at a time, on the data's own
+layout, so that they equal ``np.mean`` and ``np.std`` over axis 0 bit for
+bit without an n x p temporary; :func:`standardize_pass` standardizes in
+the same pass, into a whole array for :func:`standardize` or one chunk at
+a time for the sorter's first scoring.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
@@ -30,6 +40,14 @@ GAUSSIAN = "gaussian"
 #: deliberately excluded: a linear SEM with Gaussian errors has no
 #: identifiable ordering, so it only appears as a negative control.
 MODEL_FAMILIES = (LAPLACE, LOGISTIC, SCALED_T)
+
+# Relative floor for the pivots of Z'Z (a regressor's squared residual norm
+# on the regressors before it), on the scale n of a standardized column's
+# squared norm: below it the design is treated as rank deficient.
+PIVOT_RTOL = 1e-10
+
+# Bytes of one column chunk of the moment pass, and so of its temporary.
+MOMENT_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,7 @@ class DataMatrix:
     """An n x p observation matrix.
 
     ``moments`` is the (mean, sd) of the columns the matrix was
-    standardized from when ``regression.standardize`` made it, and None
+    standardized from when :func:`standardize` made it, and None
     otherwise.
     """
 
@@ -234,7 +252,7 @@ class DataMatrix:
                       moments: tuple[np.ndarray, np.ndarray]) -> DataMatrix:
         """Values that are standardized by construction, with the source's
         ``moments``, skipping the finiteness pass of ``__post_init__``; for
-        ``regression.standardize``."""
+        :func:`standardize`."""
         x = object.__new__(cls)
         object.__setattr__(x, "values", values)
         object.__setattr__(x, "moments", moments)
@@ -242,7 +260,7 @@ class DataMatrix:
 
     @property
     def standardized(self) -> bool:
-        """True when ``regression.standardize`` made this matrix: each
+        """True when :func:`standardize` made this matrix: each
         column has mean 0 and standard deviation 1 (denominator n)."""
         return self.moments is not None
 
@@ -253,6 +271,151 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
+
+
+class ZeroVarianceColumn(ValueError):
+    """A data column is constant and cannot be standardized."""
+
+    def __init__(self, column: int):
+        super().__init__(f"column {column} has zero variance")
+        self.column = column
+
+
+class VarianceOverflow(ValueError):
+    """A data column's variance overflows double precision."""
+
+    def __init__(self, column: int):
+        super().__init__(f"column {column} variance overflows")
+        self.column = column
+
+
+def _chunks(n: int, p: int, nbytes: int):
+    """Column ranges [lo, hi) of about ``nbytes`` each.
+
+    None is one column wide unless p is 1: numpy sums a lone column of a
+    row-major array pairwise, but the columns of a wider block one row at a
+    time, as ``np.mean`` does over the whole array.
+    """
+    width = max(2, nbytes // (8 * n))
+    bounds = list(range(0, p, width))
+    if p > 1 and p % width == 1:
+        bounds.pop()  # the one-column tail joins the chunk before it
+    bounds.append(p)
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _moments(values: np.ndarray, out: np.ndarray | None = None,
+             visit: Callable[[int, np.ndarray], None] | None = None,
+             nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations (denominator n), equal bit for
+    bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``.
+
+    ``out`` alone receives ``(values - mean) / sd``.  With ``visit`` too,
+    ``out`` is column-major scratch: each chunk's standardized columns
+    lo.. are written to its leading columns, as z, and ``visit(lo, z)`` is
+    called, unless one of them is constant or overflows, which the callers
+    refuse; the next chunk overwrites z.
+
+    Works one chunk of about ``nbytes`` (``MOMENT_CHUNK_BYTES`` by default)
+    at a time and repeats numpy's arithmetic: the sum over rows divided by
+    n, then the same for the squared deviations, which are formed in the
+    source's layout because that sets numpy's summation order.  An
+    overflow leaves an infinite or NaN sd and raises no warning; the
+    callers check.
+    """
+    n, p = values.shape
+    mean = np.empty(p)
+    sd = np.empty(p)
+    for lo, hi in _chunks(n, p, nbytes or MOMENT_CHUNK_BYTES):
+        block = values[:, lo:hi]
+        z = None if out is None else out[:, :hi - lo] if visit else out[:, lo:hi]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m = np.add.reduce(block, axis=0) / n
+            if z is None:
+                dev = block - m
+                np.multiply(dev, dev, out=dev)
+            else:
+                np.subtract(block, m, out=z)
+                dev = np.multiply(z, z, out=np.empty_like(block))
+            s = np.sqrt(np.add.reduce(dev, axis=0) / n)
+            if z is not None:
+                z /= s
+        del dev  # the squares are not kept while visit scores the chunk
+        mean[lo:hi] = m
+        sd[lo:hi] = s
+        if visit is not None and ((0.0 < s) & (s < np.inf)).all():
+            visit(lo, z)
+    return mean, sd
+
+
+def _check_finite(sd: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(sd))
+    if bad.size:
+        raise VarianceOverflow(int(bad[0]))
+
+
+def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation (denominator n).
+
+    Bit for bit ``values.mean(axis=0)`` and ``values.std(axis=0)``, for
+    row- and column-major input, without an n x p temporary.  Raises
+    :class:`VarianceOverflow` when a column's variance overflows.
+    """
+    mean, sd = _moments(np.asarray(values, dtype=float))
+    _check_finite(sd)
+    return mean, sd
+
+
+def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
+                     visit: Callable[[int, np.ndarray], None] | None = None,
+                     nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One chunked pass over an n x p array: its column moments (mean, sd),
+    equal bit for bit to :func:`column_moments`, with its standardized
+    columns ``(values - mean) / sd`` written to ``out``, or handed to
+    ``visit`` a chunk of about ``nbytes`` at a time through the scratch
+    ``out``, as ``_moments`` sets out.
+
+    Raises ValueError for fewer than two rows, then
+    :class:`ZeroVarianceColumn` for the lowest constant column, then
+    :class:`VarianceOverflow` for a column whose variance overflows.
+    """
+    if values.shape[0] < 2:
+        raise ValueError("standardization needs at least two rows")
+    mean, sd = _moments(values, out, visit, nbytes)
+    bad = np.flatnonzero(sd == 0.0)
+    if bad.size:
+        raise ZeroVarianceColumn(int(bad[0]))
+    _check_finite(sd)
+    return mean, sd
+
+
+def standardize(x: DataMatrix) -> DataMatrix:
+    """Center and scale every column to mean 0, sd 1 (denominator n).
+
+    The result is a fresh column-major array, written by
+    :func:`standardize_pass`, whose errors it raises; its ``moments`` are
+    the input's (mean, sd), equal bit for bit to :func:`column_moments`.
+    """
+    out = np.empty(x.values.shape, order="F")
+    moments = standardize_pass(x.values, out)
+    # a finite sd makes every entry finite, with |z| <= sqrt(n), so the result
+    # skips DataMatrix's finiteness pass
+    return DataMatrix._standardized(out, moments)
+
+
+def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix:
+    """Apply a previously fitted standardization (e.g. training statistics).
+
+    The result is not flagged ``standardized``: its columns are centered by
+    the supplied moments, not its own.
+    """
+    mean = np.asarray(mean, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    if mean.shape != (x.p,) or sd.shape != (x.p,):
+        raise ValueError("moments do not match the data's column count")
+    if not np.all(sd > 0):
+        raise ValueError("standard deviations must be positive")
+    return DataMatrix((x.values - mean) / sd)
 
 
 @dataclass(frozen=True)
@@ -276,12 +439,6 @@ class Ordering:
         pos = np.empty(self.p, dtype=np.int64)
         pos[list(self.perm)] = np.arange(self.p)
         return pos
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.perm)
-
-    def __len__(self) -> int:
-        return len(self.perm)
 
 
 class NeighborhoodSets:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dag, DataMatrix, NeighborhoodSets
-from .regression import column_moments
+from .model import Dag, DataMatrix, NeighborhoodSets, column_moments
 
 _CHUNK = 128  # columns per block: about 2 MB of strengths at p = 2000
 
@@ -31,7 +30,7 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
 
     Ties break toward the lower index; zero-variance columns correlate as 0
     with everything, and a column whose variance overflows raises
-    :class:`lingamsort.regression.VarianceOverflow`.  Works blockwise so
+    :class:`lingamsort.model.VarianceOverflow`.  Works blockwise so
     the full p x p correlation matrix is never materialized.  Per column,
     ``np.partition`` finds the m-th largest strength; the set is every
     column strictly above it plus the lowest-index columns equal to it, up

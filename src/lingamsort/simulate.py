@@ -101,6 +101,11 @@ class SimConfig:
             raise ValueError(f"{self.family.tag!r} is not a generating family")
         if isinstance(self.graph, FromDag) and self.graph.dag.p != self.p:
             raise ValueError("graph dag has a different node count than p")
+        # the sampler's own condition, refused here before anything is sampled
+        if isinstance(self.graph, LargeSparse) and not 1 <= math.ceil(
+                self.graph.root_frac * self.p) < self.p:
+            raise ValueError(f"root_frac {self.graph.root_frac} leaves no roots or no "
+                             f"children among p={self.p} nodes")
 
 
 def generate_large_sparse_dag(

@@ -2,52 +2,81 @@
 
 At each step the unsorted node whose current residual looks most
 non-Gaussian (highest likelihood-ratio score) is appended to the ordering.
-A node's residual is its standardized column regressed, jointly and by
-least squares, on the standardized columns of its neighbors among the
-already-sorted set.  Every unsorted node's residual is kept current: when
-the selected node ``sel`` is appended, each unsorted k with ``sel`` in its
-neighborhood gains one regressor, and its residual is updated by one step
-of an incremental Cholesky factorization of the Gram matrix of k's sorted
-neighbors, :func:`lingamsort.regression.partial_update`, which keeps each
-factor as its inverse W = L^-1 so that no step solves a triangular system.
-Nodes whose sorted-neighbor sets are equal share one factor.
-``update_count`` counts the length-n inner products spent on these
-updates, as the :mod:`lingamsort.regression` docstring sets out.
-
-Each step is one batch.  The nodes that gain ``sel`` are grouped by
-factor, and one call of ``partial_update`` extends every group's factor
-at once and returns each group's direction u.  The touched residuals are
-then gathered once per chunk of at most ``BLOCK_BYTES``, given their
-group's rank-one update, scored by one block call of
-:func:`lingamsort.scoring.llr_score` and written back, so that no n x p
-temporary is built.
-
-``sort`` adds no n x p copy of the caller's data.  Its residuals live in
-a pool of column slots, :class:`lingamsort.regression.ResidualState`: a
-node holds a slot from its first update to its selection, for its
-current residual, and after its selection while some unsorted node still
-has it as a neighbor, for its standardized values, which are all a
-regressor needs.  Freed slots are reused last in, first out, and only
-slots in use are written, so resident memory follows the most slots held
-at once, not n x p.  Step 0 standardizes and scores the data a chunk at
-a time, and a node's standardized column is formed from the caller's one
-when it first needs a slot.
-
 Ties in the argmax break toward the lowest node index so runs are
 reproducible.  Degenerate residuals (a node perfectly explained by sorted
 neighbors) score -inf, which defers them behind every finite-scored
 candidate, and are reported in the result diagnostics.
+
+**Updates.**  Node k's residual r_k is its standardized column regressed,
+jointly and by least squares, on the standardized columns Z_k of its
+neighbors among the already-sorted set, S_k.  Every unsorted node's
+residual is kept current: when the selected node ``sel`` is appended,
+each unsorted k with ``sel`` in its neighborhood takes ``sel`` into S_k
+by one step of an incremental Cholesky factorization of its Gram matrix
+Z_k'Z_k (Golub & Van Loan, *Matrix Computations* 6.5).  The factor is
+kept as the inverse W = L^-1 of the lower Cholesky factor L, so that
+(Z_k'Z_k)^-1 = W'W and no step solves a triangular system::
+
+    c = Z_k'x_sel,  beta = W_k'(W_k c),  u = x_sel - Z_k beta,  delta = u'u
+    r_k <- r_k - (u'r_k / delta) u,  W_k gains the row (-beta', 1) / sqrt(delta)
+
+W c and W'(W c) are m x m products, not length-n ones.  Nodes with equal
+S_k share one factor, and (u, delta) is computed once per factor and
+step; when S_k equals S_sel, u is r_sel itself.  A regressor with
+``delta <= PIVOT_RTOL * n`` is numerically collinear with S_k: it is
+skipped, and k keeps its factor and its residual.
+
+**Cost.**  ``update_count`` counts the length-n inner products spent on
+these updates.  Each update event (one node gaining one regressor) costs
+1, for u'r_k.  Extending a factor costs |S_k| + 1 more, for Z_k'x_sel
+and u'u, and serves every node that shares the factor: an event costs
+|S_k| + 2 when it extends a factor and 1 when the factor is shared.  When
+u = r_sel the extension costs 1, for delta alone; such a factor defers
+its own row of W, and filling it in later, if an extension needs it,
+costs |S| once.  Work therefore grows as O(p d) for neighborhoods of size
+at most d.
+
+**Steps.**  Each step is one batch.  The nodes that gain ``sel`` are
+grouped by factor, and one call of :func:`partial_update` extends every
+group's factor at once and returns each group's u.  The touched residuals
+are then gathered once per chunk of at most ``BLOCK_BYTES``, given their
+group's rank-one update, scored by one block call of
+:func:`lingamsort.scoring.llr_score` and written back, so that no n x p
+temporary is built.  Step 0 computes the column moments and scores every
+standardized column in one chunked pass over the caller's data.
+
+**Slots.**  ``sort`` adds no n x p copy of the caller's data.  Its
+columns live in a pool of slots, :class:`ResidualState`, and a node holds
+a slot only while some live (unsorted) node needs its values.  From its
+first update to its selection it holds its current residual, which
+starts as its standardized column ``(x[:, k] - mean[k]) / sd[k]``, bit for
+bit the column that :func:`lingamsort.model.standardize` writes.  Once it
+is sorted, and while live nodes have it as a neighbor, it holds that
+standardized column x_k, which is all a regressor needs: at the end of
+``sel``'s step, after the batch has read r_sel, ``sort`` writes x_sel
+into ``sel``'s slot.  So every factor's columns Z are read from the pool.  Freed slots are reused
+last in, first out, and only slots in use are written, so resident memory
+follows the most slots held at once, not n x p.
 """
 from __future__ import annotations
 
+import math
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GAUSSIAN, DataMatrix, NeighborhoodSets, NoiseFamily, Ordering
-from .regression import ResidualState, partial_update, standardize_pass
+from .model import (
+    GAUSSIAN,
+    PIVOT_RTOL,
+    DataMatrix,
+    NeighborhoodSets,
+    NoiseFamily,
+    Ordering,
+    standardize_pass,
+)
 from .scoring import llr_score
 
 # Largest residual block, in bytes, that one update or scoring call touches.
@@ -67,54 +96,201 @@ class SortResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+class ResidualState:
+    """The sorter's pool of column slots, its factors and the inner products spent.
+
+    ``pool`` is a column-major n x s array, and ``slot[k]`` the slot
+    (column of ``pool``) that holds node k's values, or -1 when k holds
+    none; ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
+    pool becomes the state's own: it is updated in place, not copied.
+    Which node holds a slot, and what it holds, is the module docstring's
+    slot rule, which ``sort`` keeps.  :meth:`acquire` gives a node the
+    slot freed last, or else the lowest one never used, so the slots in
+    use, and so the pages ever written, stay under the high-water mark
+    ``slots_used``; :meth:`release` frees a node's slot.
+
+    Factors are numbered and form a tree: factor ``ROOT`` is the empty one
+    every node starts from, and factor f extends ``parent[f]`` by the one
+    column ``col[f]``, so its columns, in the order they joined, are the
+    ``col`` of the factors on its path from the root.  Its W is the rows
+    that those factors added: the row of a factor m columns deep holds its
+    m entries at ``w[row[f]:row[f] + m]``, so an extension stores m numbers
+    and the factors hold O(total factor size) in all.  A factor made
+    through the direction u = r_sel has ``row[f]`` None: its row is
+    deferred, and ``deferred[f]`` keeps its delta until an extension needs
+    the whole factor.
+    """
+
+    ROOT = 0
+
+    def __init__(self, pool: np.ndarray, slot: list[int]):
+        self.pool = pool
+        self.rows = pool.T
+        self.slot = slot
+        self.free: list[int] = []
+        self.slots_used = 1 + max(slot, default=-1)
+        self.pivot_floor = PIVOT_RTOL * pool.shape[0]
+        self.inner_products = 0
+        self.parent = [-1]
+        self.col = [-1]
+        self.row: list[int | None] = [0]  # the root has no row; its 0 is never read
+        self.deferred: dict[int, float] = {}
+        self.w = array("d")
+
+    def acquire(self, node: int) -> int:
+        """Give ``node`` a slot and return it; its contents are the caller's to write."""
+        if self.free:
+            at = self.free.pop()
+        else:
+            at = self.slots_used
+            self.slots_used += 1
+        self.slot[node] = at
+        return at
+
+    def release(self, node: int) -> None:
+        self.free.append(self.slot[node])
+        self.slot[node] = -1
+
+    def path(self, factor: int) -> list[int]:
+        """The factors from the root's first child down to ``factor``."""
+        out = []
+        while factor != self.ROOT:
+            out.append(factor)
+            factor = self.parent[factor]
+        out.reverse()
+        return out
+
+    def complete(self, factor: int) -> None:
+        """Fill in the deferred rows of ``factor`` and its ancestors, each
+        from the Gram column of its last member, at the module docstring's
+        cost."""
+        pending = []
+        while self.row[factor] is None:
+            pending.append(factor)
+            factor = self.parent[factor]
+        for f in reversed(pending):
+            path = self.path(self.parent[f])
+            at = [self.slot[self.col[g]] for g in path]
+            c = self.pool[:, at].T @ self.pool[:, self.slot[self.col[f]]]
+            self.inner_products += c.size
+            coef = _solve(self.w, [self.row[g] for g in path], c.tolist())
+            self.row[f] = self._append(coef, self.deferred.pop(f))
+
+    def _append(self, coef: list[float], delta: float) -> int:
+        """Store the row (-beta', 1) / sqrt(delta), given coef = -beta, and
+        return its offset in ``w``."""
+        scale = 1.0 / math.sqrt(delta)
+        at = len(self.w)
+        self.w.extend([scale * b for b in coef])
+        self.w.append(scale)
+        return at
+
+
+def _solve(w, rows: list[int], c: list[float]) -> list[float]:
+    """-beta = -W'(W c) for the lower-triangular W whose row i holds its
+    i + 1 entries at ``w[rows[i]:]``: the coefficients of u = x - Z beta on
+    the columns of Z."""
+    t = []
+    for i, at in enumerate(rows):
+        acc = 0.0
+        for j in range(i + 1):
+            acc += w[at + j] * c[j]
+        t.append(acc)
+    beta = [0.0] * len(rows)
+    for i, at in enumerate(rows):
+        for j in range(i + 1):
+            beta[j] += w[at + j] * t[i]
+    return [-b for b in beta]
+
+
+def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.ndarray,
+                   own: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Extend every factor in ``factors`` by column ``sel``, in one batch.
+
+    ``x`` is x_sel, ``sel``'s standardized column.  Group g, on factor
+    ``factors[g]``, gets ``u[g]`` and ``delta[g]`` by the module
+    docstring's update.  One gather puts every group's columns Z, read from
+    their slots, under x_sel in a matrix z; c for all groups is one product,
+    beta = W'(W c) is an m x m product per group on Python floats (at
+    neighborhood sizes, less work than a padded batch of W's), and u for
+    all groups is one product ``mix @ z``, whose row g holds 1 for x_sel
+    and -beta for the group's columns.  The root factor is a group with no
+    columns, whose u is x_sel.  The factor ``own``, if listed, is the one
+    ``sel`` itself was regressed on: its u is r_sel, still in ``sel``'s
+    slot, which joins z for it, and its child defers its row of W.
+
+    Returns (children, u, delta), u as a groups x n array.  A group whose
+    regressor is collinear keeps its factor as its child and gets
+    delta = inf, so that the update of r_k leaves its nodes as they are.
+    """
+    paths = []
+    for f in factors:
+        if f == own:
+            paths.append([])
+            continue
+        if state.row[f] is None:
+            state.complete(f)
+        paths.append(state.path(f))
+    slot, col = state.slot, state.col
+    head = 1 + (own in factors)  # rows of z before the groups' columns
+    at = [slot[sel]] * (head - 1) + [slot[col[g]] for path in paths for g in path]
+    z = np.empty((1 + len(at), len(x)))
+    z[0] = x
+    state.rows.take(at, axis=0, out=z[1:], mode="clip")
+    c = (z[head:] @ x).tolist()
+    state.inner_products += len(c) + len(factors)
+    coefs, mix = [], []  # -beta per group; u = mix @ z
+    lo = 0
+    for f, path in zip(factors, paths):
+        hi = lo + len(path)
+        coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
+        row = [0.0] * len(z)
+        row[f == own] = 1.0
+        row[head + lo:head + hi] = coefs[-1]
+        mix.append(row)
+        lo = hi
+    u = np.array(mix) @ z
+    delta = (u[:, None, :] @ u[:, :, None]).ravel()  # one u'u per group
+    children = []
+    for g, (f, d) in enumerate(zip(factors, delta.tolist())):
+        if d <= state.pivot_floor:
+            delta[g] = np.inf
+            children.append(f)
+            continue
+        children.append(len(state.parent))
+        state.parent.append(f)
+        state.col.append(sel)
+        if f == own:
+            state.row.append(None)
+            state.deferred[children[-1]] = d
+        else:
+            state.row.append(state._append(coefs[g], d))
+    return children, u, delta
+
+
 def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
          trace: bool = False) -> SortResult:
-    """Order all nodes, keeping exact joint-OLS residuals by Cholesky updates.
+    """Order all nodes by the selection rule and the updates of the module docstring.
 
     Residuals are scored under ``family``; N(k) is node k's set in
-    ``neighborhoods``; ``trace`` keeps every step's candidate scores in
-    ``step_scores``.  Node k's residual is its standardized column
-    regressed on the standardized columns Z_k of its sorted neighbors S_k.
-    When ``sel`` is appended, every unsorted k with ``sel`` in N(k) (found
-    through a reverse index built once) takes ``sel`` into S_k::
+    ``neighborhoods``, and the nodes that take ``sel`` into S_k are found
+    through a reverse index built once; ``trace`` keeps every step's
+    candidate scores in ``step_scores``.  Only the touched nodes'
+    residuals change, so only they are rescored and the other scores stay
+    cached.  The next node is the argmax of the scores, in which sorted
+    nodes hold -inf; when every live node is degenerate the lowest live
+    index is taken.
 
-        c = Z_k' x_sel,  beta = W_k'(W_k c),  u = x_sel - Z_k beta,  delta = u'u
-        r_k <- r_k - (u'r_k / delta) u,  W_k gains the row (-beta', 1) / sqrt(delta)
+    ``update_count`` is the module docstring's count of inner products.
+    ``diagnostics`` holds the (node, step) pairs of ``degenerate``
+    residuals, the (k, sel) pairs of ``skipped_updates`` (collinear
+    regressors), ``rescore_events`` (update events) and
+    ``residual_slots``, the most pool slots held at once.
 
-    where W_k = L_k^-1 is the inverse lower Cholesky factor of Z_k'Z_k,
-    and k is rescored; other scores stay cached, since theirs are the only
-    residuals that did not change.  Nodes with equal S_k share one factor,
-    and (u, delta) is computed once per factor and step; when S_k equals
-    S_sel, u is r_sel itself.  One ``partial_update`` call per step
-    extends all the step's factors; then, per chunk of at most
-    ``BLOCK_BYTES`` of the touched columns R, each column takes its
-    group's u, ``R <- R - u (u'R) / delta``, and the chunk is rescored by
-    one block call of ``llr_score``; step 0 scores all p columns so.  A
-    regressor with ``delta <= PIVOT_RTOL * n`` is numerically collinear
-    with S_k: it is skipped and recorded as (k, sel) in
-    ``diagnostics["skipped_updates"]``.
-
-    The next node is the argmax of the scores, in which sorted nodes hold
-    -inf; when every live node is degenerate the lowest live index is taken.
-
-    Besides the caller's ``x``, ``sort`` holds the pool of column slots
-    that the module docstring describes, an n x p array of which only the
-    slots in use are ever written; ``diagnostics["residual_slots"]`` is
-    the most slots held at once.  Step 0 computes the column moments and
-    scores the standardized columns in one chunked pass over ``x``.  Each
-    standardized column the sorter needs later, a first-touched node's
-    residual or x_sel, is formed from the caller's column as
-    ``(x[:, k] - mean[k]) / sd[k]``, bit for bit the column that
-    :func:`lingamsort.regression.standardize` writes.
-
-    ``update_count`` counts length-n inner products: 1 per event for
-    u'r_k, plus |S_k| + 1 per factor extension (1 when u = r_sel), shared
-    by all nodes on the factor, so |S_k| + 2 for an event that extends a
-    factor and 1 for one that shares it; see :mod:`lingamsort.regression`.
     Raises ValueError when the neighborhoods cover another node count than
     the data or a neighborhood has more members than there are samples,
-    and the errors of :func:`lingamsort.regression.standardize` for fewer
-    than two rows or a constant or overflowing column.
+    and the errors of :func:`lingamsort.model.standardize` for fewer than
+    two rows or a constant or overflowing column.
     """
     started = time.perf_counter()
     if neighborhoods.p != x.p:

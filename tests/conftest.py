@@ -15,8 +15,8 @@ from lingamsort import (
     sample_data,
     sort,
 )
-from lingamsort.model import GAUSSIAN
-from lingamsort.regression import PIVOT_RTOL, RankDeficient
+from lingamsort.metrics import RankDeficient
+from lingamsort.model import GAUSSIAN, PIVOT_RTOL
 
 
 def chain_dag(p: int) -> Dag:

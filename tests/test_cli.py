@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -1107,13 +1108,18 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     ("generate", ["family"], {"tag": "scaled-t", "df": math.inf}, "degrees of freedom"),
     ("benchmark", ["cells", 0, "family"], {"tag": "scaled-t", "df": math.inf},
      "degrees of freedom"),
+    ("generate", ["p"], 1, "p=1"),
+    ("generate", ["graph", "root_frac"], 0.9, "root_frac 0.9"),
+    ("benchmark", ["cells", 0, "p"], 1, "p=1"),
+    ("benchmark", ["cells", 0, "graph"], {"root_frac": 0.9}, "root_frac 0.9"),
 ], ids=["p-string", "p-float", "n-float", "seed-bool", "min-parents-zero",
         "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
         "cell-gaussian", "seed-negative", "graph-not-object", "base-seed-negative",
         "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-graph-not-object",
         "cell-neighborhoods-not-string", "replicates-negative", "df-string", "df-infinite",
-        "cell-df-infinite"])
+        "cell-df-infinite", "p-one", "root-frac-leaves-no-children", "cell-p-one",
+        "cell-root-frac-leaves-no-children"])
 def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, value, message):
     # each of these exited 1, was truncated, or exited 0 with its error in
     # every replicate record or with no records
@@ -1187,3 +1193,23 @@ class TestNumpyOnlyRuntime:
         out = self._python([str(script), str(config), family], tmp_path)
         assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
         assert math.isfinite(json.loads(out.splitlines()[-2])["mean_loglik"])
+
+
+def test_every_traced_layer_still_resolves():
+    # perfbench/trace_step.py wraps each (module, attribute) of its WRAPPED
+    # list where the CLI or the sorter looks the name up, and reports a layer
+    # absent when none of its entries resolves; a move that drops a traced
+    # name fails here, not only in the benchmark's smoke run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_step.py"
+    spec = importlib.util.spec_from_file_location("trace_step", path)
+    trace_step = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_step)
+    resolved: dict[str, bool] = {}
+    for module_name, attr, layer in trace_step.WRAPPED:
+        try:
+            module = importlib.import_module(module_name)
+        except ModuleNotFoundError:
+            module = None
+        resolved[layer] = resolved.get(layer, False) or getattr(module, attr, None) is not None
+    assert resolved
+    assert [layer for layer, ok in resolved.items() if not ok] == []

@@ -35,7 +35,7 @@ from lingamsort import (
 )
 import lingamsort.metrics
 from lingamsort.metrics import _chains
-from lingamsort.regression import PIVOT_RTOL
+from lingamsort.model import PIVOT_RTOL
 from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
 
 LAP = NoiseFamily.laplace()

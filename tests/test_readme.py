@@ -36,3 +36,10 @@ def test_cli_walk_through_runs(tmp_path):
     assert len(run.stdout.splitlines()) == 6  # one summary line per command
     for name in ("ordering.json", "model.json", "results.jsonl"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_module_table_names_every_module():
+    table = re.findall(r"^\| `lingamsort\.(\w+)` \|", README.read_text(), re.M)
+    modules = [path.stem for path in (ROOT / "src" / "lingamsort").glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(table) == sorted(modules)

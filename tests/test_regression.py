@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-import lingamsort.regression
+import lingamsort.model
 import lingamsort.sorter
 from lingamsort import (
     DataMatrix,
@@ -19,7 +19,9 @@ from lingamsort import (
     standardize,
 )
 import conftest
-from lingamsort.regression import PIVOT_RTOL, ResidualState, ols_residual, partial_update
+from lingamsort.metrics import ols_residual
+from lingamsort.model import PIVOT_RTOL
+from lingamsort.sorter import ResidualState, partial_update
 
 
 class TestStandardize:
@@ -79,7 +81,7 @@ class TestChunkedMoments:
     def test_bit_equal_to_numpy(self, monkeypatch, width):
         n = 1000
         if width is not None:
-            monkeypatch.setattr(lingamsort.regression, "MOMENT_CHUNK_BYTES", 8 * n * width)
+            monkeypatch.setattr(lingamsort.model, "MOMENT_CHUNK_BYTES", 8 * n * width)
         rng = np.random.default_rng(12)
         # p below one chunk, a multiple of it, and one or two past a multiple;
         # a one-column tail of a row-major array is where numpy's order differs
