@@ -16,7 +16,6 @@ from .model import (
     ZeroVarianceColumn,
     apply_moments,
     column_moments,
-    is_topological,
     standardize,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
@@ -34,7 +33,6 @@ from .simulate import (
     STREAM_SCALES,
     STREAM_SPLIT,
     STREAM_WEIGHTS,
-    FromDag,
     LargeSparse,
     SimConfig,
     derive_seed,
@@ -47,13 +45,13 @@ from .simulate import (
     sample_weights,
 )
 from .sorter import SortResult, sort
-from .metrics import RankDeficient, fit_coefficients, heldout_loglik, order_error, reversed_edge_count
+from .metrics import (RankDeficient, fit_coefficients, heldout_loglik, is_topological,
+                      order_error, reversed_edge_count)
 
 __all__ = [
     "Dag",
     "DataMatrix",
     "DegenerateResidual",
-    "FromDag",
     "LargeSparse",
     "NeighborhoodSets",
     "NoiseFamily",

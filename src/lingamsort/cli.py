@@ -48,7 +48,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .metrics import RankDeficient, fit_coefficients, heldout_loglik, order_error, reversed_edge_count
+from .metrics import (RankDeficient, fit_coefficients, heldout_loglik, is_topological,
+                      order_error, reversed_edge_count)
 from .model import (
     Dag,
     DataMatrix,
@@ -59,7 +60,6 @@ from .model import (
     WeightedDag,
     ZeroVarianceColumn,
     apply_moments,
-    is_topological,
     standardize,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
@@ -67,7 +67,6 @@ from .scoring import DegenerateResidual
 from .simulate import (
     STREAM_REPLICATE,
     STREAM_SPLIT,
-    FromDag,
     LargeSparse,
     SimConfig,
     derive_seed,
@@ -151,6 +150,19 @@ def _replacing(path: str | Path) -> Iterator[Path]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _decoding(path: str | Path) -> Iterator[None]:
+    """Turns a byte that a text read of ``path`` cannot decode into a
+    UsageError that names the file.  The error's position counts from the
+    start of the decoder's current chunk, not of the file, so it is left
+    out."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+                         f"{exc.encoding} text") from None
 
 
 def _csv_row(row: np.ndarray) -> str:
@@ -276,7 +288,7 @@ def _read_clean_csv(path: str | Path) -> tuple[list[str], np.ndarray] | None:
 
 def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Header and values through ``csv.reader``, naming the first bad line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _decoding(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -310,7 +322,7 @@ def read_data_csv(path: str | Path) -> DataMatrix:
 def _read_json(path: str | Path,
                object_pairs_hook: Callable[[list], object] | None = None) -> dict:
     try:
-        with open(path) as fh:
+        with open(path) as fh, _decoding(path):
             return json.load(fh, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
@@ -472,7 +484,7 @@ def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Orderi
 def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
     """Whitespace-separated ``from to`` pairs, 0-based, one edge per line."""
     edges: list[tuple[int, int]] = []
-    with open(path) as fh:
+    with open(path) as fh, _decoding(path):
         for i, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -515,36 +527,33 @@ def _require(doc: object, field: str, where: str):
     return doc[field]
 
 
+def _given(doc: dict, *fields: str, cast: Callable[[object], object] = lambda v: v) -> dict:
+    """The ``fields`` that ``doc`` gives, each through ``cast``.  A field it
+    omits is left out, so it takes its default from the dataclass."""
+    return {f: cast(doc[f]) for f in fields if f in doc}
+
+
 def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimConfig:
+    """A simulation config as a :class:`SimConfig`.  ``p``, ``n``, ``seed``,
+    ``family`` and ``graph.scheme`` are required; every other field is
+    optional, and its default is the one ``simulate`` states."""
     p, n, seed = _integers([_require(doc, f, where) for f in ("p", "n", "seed")], where)
     family = family_from_doc(_require(doc, "family", where), f"{where}: field 'family'")
     graph_doc = _require(doc, "graph", where)
     scheme = _require(graph_doc, "scheme", f"{where}: field 'graph'")
     try:
         if scheme == "large-sparse":
-            min_parents, max_parents = _integers(
-                [graph_doc.get("min_parents", 1), graph_doc.get("max_parents", 2)], where)
-            graph: LargeSparse | FromDag = LargeSparse(
-                root_frac=float(graph_doc.get("root_frac", 0.05)),
-                min_parents=min_parents,
-                max_parents=max_parents,
-            )
+            counts = _given(graph_doc, "min_parents", "max_parents")
+            _integers(list(counts.values()), where)
+            graph: LargeSparse | Dag = LargeSparse(**counts,
+                                                   **_given(graph_doc, "root_frac", cast=float))
         elif scheme == "edge-list":
             rel = _require(graph_doc, "path", f"{where}: field 'graph'")
-            graph = FromDag(load_edge_list(base_dir / rel, p=p))
+            graph = load_edge_list(base_dir / rel, p=p)
         else:
             raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
-        return SimConfig(
-            p=p,
-            n=n,
-            seed=seed,
-            family=family,
-            graph=graph,
-            coef_low=float(doc.get("coef_low", 0.4)),
-            coef_high=float(doc.get("coef_high", 0.9)),
-            scale_low=float(doc.get("scale_low", 0.4)),
-            scale_high=float(doc.get("scale_high", 0.7)),
-        )
+        ranges = _given(doc, "coef_low", "coef_high", "scale_low", "scale_high", cast=float)
+        return SimConfig(p=p, n=n, seed=seed, family=family, graph=graph, **ranges)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{where}: {exc}") from None
 
@@ -621,11 +630,15 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
 # commands
 
 
+def _read_config(path: Path) -> dict:
+    if not path.exists():
+        raise UsageError(f"config file not found: {path}")
+    return _read_json(path)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    if not config_path.exists():
-        raise UsageError(f"config file not found: {config_path}")
-    cfg = parse_sim_config(_read_json(config_path), config_path.parent, where=str(config_path))
+    cfg = parse_sim_config(_read_config(config_path), config_path.parent, where=str(config_path))
     w, ordering, x = sample_dataset(cfg)
     write_data_csv(args.out_data, x)
     _write_json(args.out_truth, truth_to_doc(w, ordering, cfg.seed))
@@ -655,12 +668,12 @@ def cmd_sort(args: argparse.Namespace) -> int:
         "update_count": result.update_count,
         "wall_time_ms": result.wall_time * 1e3 if args.timings else None,
         "diagnostics": {
-            "degenerate": [[k, t] for k, t in result.diagnostics.get("degenerate", [])],
-            "skipped_updates": len(result.diagnostics.get("skipped_updates", [])),
+            "degenerate": result.diagnostics["degenerate"],
+            "skipped_updates": len(result.diagnostics["skipped_updates"]),
         },
     }
     if result.step_scores is not None:
-        doc["step_scores"] = [[[k, s] for k, s in step] for step in result.step_scores]
+        doc["step_scores"] = result.step_scores
     _write_json(args.out, doc)
     print(json.dumps({"ordering": str(args.out), "update_count": result.update_count}))
     return 0
@@ -751,9 +764,7 @@ def _run_replicate(cell: _Cell, cell_idx: int, r: int, timings: bool) -> dict:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    if not config_path.exists():
-        raise UsageError(f"config file not found: {config_path}")
-    doc = _read_json(config_path)
+    doc = _read_config(config_path)
     where = str(config_path)
     base_seed, = _integers([_require(doc, "base_seed", where)], where)
     if base_seed < 0:
@@ -891,10 +902,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -29,6 +29,11 @@ def reversed_edge_count(dag: Dag, ordering: Ordering) -> int:
     return sum(1 for j, k in dag.edges() if pos[k] < pos[j])
 
 
+def is_topological(dag: Dag, ordering: Ordering) -> bool:
+    """True iff every edge j -> k has j positioned before k in ``ordering``."""
+    return reversed_edge_count(dag, ordering) == 0
+
+
 def order_error(dag: Dag, ordering: Ordering) -> float:
     """Fraction of reversed edges, normalized by p^2 (lower is better).
 

@@ -464,10 +464,3 @@ class NeighborhoodSets:
     def to_lists(self) -> list[list[int]]:
         return [[int(j) for j in s] for s in self.sets]
 
-
-def is_topological(dag: Dag, ordering: Ordering) -> bool:
-    """True iff every edge j -> k has j positioned before k in ``ordering``."""
-    if ordering.p != dag.p:
-        raise ValueError(f"ordering has {ordering.p} nodes, dag has {dag.p}")
-    pos = ordering.positions()
-    return all(pos[j] < pos[k] for j, k in dag.edges())

@@ -1,10 +1,13 @@
 """Synthetic model and data generation.
 
-Two graph protocols are supported: the large sparse scheme (a fixed
-fraction of root nodes, every other node drawing 1..2 parents uniformly
-from its predecessors in a random permutation) and weighting a
-user-supplied DAG.  Noise samplers cover the Laplace, Logistic, and
-Scaled-t families, plus a Gaussian sampler reserved for negative controls.
+:class:`SimConfig` is the one statement of the simulation protocol: every
+default of a config is a field default here, so a config file names only
+what it changes.  Its ``graph`` is either a :class:`LargeSparse` scheme (a
+fixed fraction of root nodes, every other node drawing 1..2 parents
+uniformly from its predecessors in a random permutation) or a fixed
+:class:`Dag`, such as one loaded from an edge list, whose edges are then
+weighted.  Noise samplers cover the Laplace, Logistic, and Scaled-t
+families, plus a Gaussian sampler reserved for negative controls.
 
 Randomness comes from counter-based Philox streams keyed hierarchically
 off one master seed (numpy ``SeedSequence`` spawn keys), so per-column
@@ -68,13 +71,6 @@ class LargeSparse:
 
 
 @dataclass(frozen=True)
-class FromDag:
-    """Graph scheme that reuses a fixed DAG (e.g. loaded from an edge list)."""
-
-    dag: Dag
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Full recipe for one synthetic data set."""
 
@@ -82,7 +78,7 @@ class SimConfig:
     n: int
     seed: int
     family: NoiseFamily
-    graph: LargeSparse | FromDag = LargeSparse()
+    graph: LargeSparse | Dag = LargeSparse()
     coef_low: float = 0.4
     coef_high: float = 0.9
     scale_low: float = 0.4
@@ -99,7 +95,7 @@ class SimConfig:
             raise ValueError("need 0 < scale_low <= scale_high")
         if self.family.tag not in MODEL_FAMILIES:
             raise ValueError(f"{self.family.tag!r} is not a generating family")
-        if isinstance(self.graph, FromDag) and self.graph.dag.p != self.p:
+        if isinstance(self.graph, Dag) and self.graph.p != self.p:
             raise ValueError("graph dag has a different node count than p")
         # the sampler's own condition, refused here before anything is sampled
         if isinstance(self.graph, LargeSparse) and not 1 <= math.ceil(
@@ -211,7 +207,10 @@ def sample_data(w: WeightedDag, n: int, seed: int) -> DataMatrix:
 
 def sample_model(cfg: SimConfig) -> tuple[WeightedDag, Ordering]:
     """Draw the model (graph, weights, scales) described by ``cfg``."""
-    if isinstance(cfg.graph, LargeSparse):
+    if isinstance(cfg.graph, Dag):
+        dag = cfg.graph
+        ordering = Ordering(dag.topological_order())
+    else:
         dag, ordering = generate_large_sparse_dag(
             cfg.p,
             cfg.graph.root_frac,
@@ -219,9 +218,6 @@ def sample_model(cfg: SimConfig) -> tuple[WeightedDag, Ordering]:
             cfg.graph.max_parents,
             rng_stream(cfg.seed, STREAM_GRAPH),
         )
-    else:
-        dag = cfg.graph.dag
-        ordering = Ordering(dag.topological_order())
     weights = sample_weights(dag, cfg.coef_low, cfg.coef_high, rng_stream(cfg.seed, STREAM_WEIGHTS))
     scales = rng_stream(cfg.seed, STREAM_SCALES).uniform(cfg.scale_low, cfg.scale_high, size=cfg.p)
     return WeightedDag(dag, weights, cfg.family, scales), ordering

@@ -466,6 +466,12 @@ class TestGenerate:
         assert code == 2
         assert f"{cfg}:3" in capsys.readouterr().err
 
+    def test_omitted_fields_take_the_simulation_defaults(self):
+        doc = {"p": 30, "n": 40, "seed": 3, "family": "laplace",
+               "graph": {"scheme": "large-sparse"}}
+        assert cli.parse_sim_config(doc, Path()) == lingamsort.SimConfig(
+            p=30, n=40, seed=3, family=NoiseFamily.from_string("laplace"))
+
     def test_gaussian_family_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p": 2, "n": 10, "seed": 1, "family": "gaussian",
@@ -1079,6 +1085,56 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"error: {files[kind]}: " in err and json.dumps(value) in err
+
+
+@pytest.mark.parametrize("command, kind, line", [
+    ("generate", "config", 0),
+    ("generate", "edges", 1),
+    ("benchmark", "grid", 0),
+    ("sort", "data", 0),
+    ("sort", "data", 2),
+    ("sort", "neighborhoods", 0),
+    ("eval", "truth", 0),
+    ("eval", "ordering", 0),
+    ("fit", "ordering", 0),
+    ("fit", "data", 3),
+    ("loglik", "model", 0),
+    ("loglik", "data", 1),
+], ids=["generate-config", "generate-edge-list", "benchmark-config", "sort-data-header",
+        "sort-data-line", "sort-nbhd", "eval-truth", "eval-ordering", "fit-ordering",
+        "fit-data-line", "loglik-model", "loglik-data-line"])
+def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kind, line):
+    # each of these exited 1 with a UnicodeDecodeError, and the edge list
+    # exited 2 naming the config that points to it
+    files = {name: tmp_path / name for name in
+             ("config", "edges", "grid", "data", "neighborhoods", "truth", "ordering", "model")}
+    _write_chain_config(files["config"], p=4, n=40)
+    files["edges"] = files["config"].parent / "edges.txt"
+    files["grid"].write_text(json.dumps({"base_seed": 1, "cells": [
+        {"p": 5, "n": 40, "family": "laplace"}]}))
+    files["neighborhoods"].write_text(json.dumps([[1], [0, 2], [3], [2]]))
+    files["ordering"].write_text(json.dumps({"ordering": [0, 1, 2, 3]}))
+    out = tmp_path / "out"
+    args = {
+        "generate": ["generate", "--config", str(files["config"]),
+                     "--out-data", str(files["data"]), "--out-truth", str(files["truth"])],
+        "benchmark": ["benchmark", "--config", str(files["grid"]), "--out", str(out)],
+        "sort": ["sort", "--data", str(files["data"]),
+                 "--neighborhoods", str(files["neighborhoods"]), "--out", str(out)],
+        "eval": ["eval", "--truth", str(files["truth"]), "--ordering", str(files["ordering"])],
+        "fit": ["fit", "--data", str(files["data"]), "--ordering", str(files["ordering"]),
+                "--out", str(files["model"])],
+        "loglik": ["loglik", "--model", str(files["model"]), "--data", str(files["data"])],
+    }
+    for setup in ("generate", "fit", command):
+        assert main(args[setup]) == 0
+    bad = files[kind]
+    lines = bad.read_bytes().splitlines(keepends=True)
+    lines[line] = b"\xff" + lines[line]
+    bad.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(args[command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: byte 0xff is not ")
 
 
 @pytest.mark.parametrize("command, path, value, message", [

@@ -163,10 +163,8 @@ class TestSimConfig:
         assert np.array_equal(x1.values, x2.values)
 
     def test_from_dag_scheme_uses_given_graph(self):
-        from lingamsort import FromDag
-
         dag = chain_dag(4)
-        cfg = SimConfig(p=4, n=16, seed=5, family=LAP, graph=FromDag(dag))
+        cfg = SimConfig(p=4, n=16, seed=5, family=LAP, graph=dag)
         w, ordering, _ = sample_dataset(cfg)
         assert w.dag == dag
         assert is_topological(dag, ordering)
