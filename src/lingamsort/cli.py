@@ -613,6 +613,8 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
         hold = DataMatrix(rows.values[np.sort(perm[:n_hold])])
         rows = DataMatrix(rows.values[np.sort(perm[n_hold:])])  # drops a CSV's whole array
         nbhd = top_correlated(hold, m)
+    elif spec == "mb" and not Path(spec).exists():
+        raise UsageError("the mb scheme needs the true DAG, which only benchmark cells have")
     elif not Path(spec).exists():
         raise UsageError(f"neighborhood file not found: {spec}")
     else:

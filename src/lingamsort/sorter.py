@@ -46,17 +46,21 @@ temporary is built.  Step 0 computes the column moments and scores every
 standardized column in one chunked pass over the caller's data.
 
 **Slots.**  ``sort`` adds no n x p copy of the caller's data.  Its
-columns live in a pool of slots, :class:`ResidualState`, and a node holds
-a slot only while some live (unsorted) node needs its values.  From its
-first update to its selection it holds its current residual, which
-starts as its standardized column ``(x[:, k] - mean[k]) / sd[k]``, bit for
-bit the column that :func:`lingamsort.model.standardize` writes.  Once it
-is sorted, and while live nodes have it as a neighbor, it holds that
-standardized column x_k, which is all a regressor needs: at the end of
-``sel``'s step, after the batch has read r_sel, ``sort`` writes x_sel
-into ``sel``'s slot.  So every factor's columns Z are read from the pool.  Freed slots are reused
-last in, first out, and only slots in use are written, so resident memory
-follows the most slots held at once, not n x p.
+residuals live in a pool of slots, :class:`ResidualState`, and a node
+holds a slot from its first update to its selection, for its current
+residual, which starts as its standardized column
+``(x[:, k] - mean[k]) / sd[k]``, bit for bit the column that
+:func:`lingamsort.model.standardize` writes.  A sorted node holds none.
+Every standardized column a step reads, x_sel, the columns Z of the
+factors it extends and the starting residuals of the nodes it touches
+first, is standardized anew from the caller's column, with the step 0
+moments and that same arithmetic: a first-touched node's straight into
+its new slot, and x_sel and Z into one array, by one gather of their
+columns when the caller's data are row-major, which reads each row once.
+``sel`` gives its slot back once the batch has read r_sel.
+Freed slots are reused last in, first out, and only slots in use are
+written, so resident memory follows the most residuals held at once, not
+n x p.
 """
 from __future__ import annotations
 
@@ -103,11 +107,15 @@ class ResidualState:
     (column of ``pool``) that holds node k's values, or -1 when k holds
     none; ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
     pool becomes the state's own: it is updated in place, not copied.
-    Which node holds a slot, and what it holds, is the module docstring's
+    A live node holds a slot from its first update to its selection, for
+    its residual, and a sorted node holds none: the module docstring's
     slot rule, which ``sort`` keeps.  :meth:`acquire` gives a node the
     slot freed last, or else the lowest one never used, so the slots in
     use, and so the pages ever written, stay under the high-water mark
-    ``slots_used``; :meth:`release` frees a node's slot.
+    ``slots_used``; :meth:`release` frees the slot a node holds, if any.
+    Regressors are read from ``z``, node j's standardized column as row
+    ``z[z_at[j]]``: ``sort`` sets them to each step's gather, and a state
+    built on its own reads its slots, ``z_at`` being ``slot``.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -127,6 +135,7 @@ class ResidualState:
         self.pool = pool
         self.rows = pool.T
         self.slot = slot
+        self.z, self.z_at = self.rows, slot
         self.free: list[int] = []
         self.slots_used = 1 + max(slot, default=-1)
         self.pivot_floor = PIVOT_RTOL * pool.shape[0]
@@ -148,8 +157,9 @@ class ResidualState:
         return at
 
     def release(self, node: int) -> None:
-        self.free.append(self.slot[node])
-        self.slot[node] = -1
+        if self.slot[node] >= 0:
+            self.free.append(self.slot[node])
+            self.slot[node] = -1
 
     def path(self, factor: int) -> list[int]:
         """The factors from the root's first child down to ``factor``."""
@@ -170,8 +180,8 @@ class ResidualState:
             factor = self.parent[factor]
         for f in reversed(pending):
             path = self.path(self.parent[f])
-            at = [self.slot[self.col[g]] for g in path]
-            c = self.pool[:, at].T @ self.pool[:, self.slot[self.col[f]]]
+            at = [self.z_at[self.col[g]] for g in path]
+            c = self.z.take(at, axis=0, mode="clip") @ self.z[self.z_at[self.col[f]]]
             self.inner_products += c.size
             coef = _solve(self.w, [self.row[g] for g in path], c.tolist())
             self.row[f] = self._append(coef, self.deferred.pop(f))
@@ -210,33 +220,31 @@ def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.nda
     ``x`` is x_sel, ``sel``'s standardized column.  Group g, on factor
     ``factors[g]``, gets ``u[g]`` and ``delta[g]`` by the module
     docstring's update.  One gather puts every group's columns Z, read from
-    their slots, under x_sel in a matrix z; c for all groups is one product,
+    ``state.z``, under x_sel in a matrix z; c for all groups is one product,
     beta = W'(W c) is an m x m product per group on Python floats (at
     neighborhood sizes, less work than a padded batch of W's), and u for
     all groups is one product ``mix @ z``, whose row g holds 1 for x_sel
     and -beta for the group's columns.  The root factor is a group with no
     columns, whose u is x_sel.  The factor ``own``, if listed, is the one
     ``sel`` itself was regressed on: its u is r_sel, still in ``sel``'s
-    slot, which joins z for it, and its child defers its row of W.
+    slot (or x_sel, when ``sel`` holds none and so was never updated),
+    which joins z for it, and its child defers its row of W.
 
     Returns (children, u, delta), u as a groups x n array.  A group whose
     regressor is collinear keeps its factor as its child and gets
     delta = inf, so that the update of r_k leaves its nodes as they are.
     """
-    paths = []
     for f in factors:
-        if f == own:
-            paths.append([])
-            continue
-        if state.row[f] is None:
+        if f != own and state.row[f] is None:
             state.complete(f)
-        paths.append(state.path(f))
-    slot, col = state.slot, state.col
+    paths = [[] if f == own else state.path(f) for f in factors]
     head = 1 + (own in factors)  # rows of z before the groups' columns
-    at = [slot[sel]] * (head - 1) + [slot[col[g]] for path in paths for g in path]
-    z = np.empty((1 + len(at), len(x)))
+    at = [state.z_at[state.col[g]] for path in paths for g in path]
+    z = np.empty((head + len(at), len(x)))
     z[0] = x
-    state.rows.take(at, axis=0, out=z[1:], mode="clip")
+    if head == 2:
+        z[1] = x if state.slot[sel] < 0 else state.rows[state.slot[sel]]
+    state.z.take(at, axis=0, out=z[head:], mode="clip")
     c = (z[head:] @ x).tolist()
     state.inner_products += len(c) + len(factors)
     coefs, mix = [], []  # -beta per group; u = mix @ z
@@ -282,8 +290,9 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     index is taken.
 
     ``update_count`` is the module docstring's count of inner products.
-    ``diagnostics`` holds the (node, step) pairs of ``degenerate``
-    residuals, the (k, sel) pairs of ``skipped_updates`` (collinear
+    ``diagnostics`` holds ``degenerate``, one (node, step) pair per node
+    whose residual scored -inf, at the first such step, the (k, sel)
+    pairs of ``skipped_updates`` (collinear
     regressors), ``rescore_events`` (update events) and
     ``residual_slots``, the most pool slots held at once.
 
@@ -310,9 +319,8 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     for k, s in enumerate(neighborhoods.sets):
         for j in s.tolist():
             affected[j].append(k)
-    dependents = [len(a) for a in affected]  # live k such that j is in N(k)
 
-    degenerate: list[tuple[int, int]] = []
+    degenerate: dict[int, int] = {}  # node -> the first step it scored -inf
     skipped: list[tuple[int, int]] = []
     scores = np.empty(p)
 
@@ -321,23 +329,33 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         fresh = llr_score(family, block)
         scores[nodes] = fresh
         if np.minimum.reduce(fresh) == -np.inf:
-            degenerate.extend((int(nodes[i]), step) for i in np.flatnonzero(fresh == -np.inf))
+            for i in np.flatnonzero(fresh == -np.inf).tolist():
+                degenerate.setdefault(int(nodes[i]), step)
 
-    def standardized(k: int, out: np.ndarray) -> np.ndarray:
-        # bit for bit the column that standardize writes
-        np.subtract(source[:, k], mean[k], out=out)
-        out /= sd[k]
-        return out
+    def gather(nodes: list[int], head: int) -> np.ndarray:
+        # the standardized columns of nodes, bit for bit those that
+        # standardize writes: the first head as the rows of the array
+        # returned, and each of the others in a slot that its node takes
+        z, done = np.empty((head, n)), 0
+        if not source.flags.f_contiguous:  # one gather reads each row once
+            part = np.array(nodes[:head])
+            z = (source[:, part] - mean[part]) / sd[part]  # numpy keeps columns contiguous
+            z, done = np.ascontiguousarray(z.T), head  # so z.T is no copy
+        for i, k in enumerate(nodes[done:], done):
+            out = z[i] if i < head else rows[state.acquire(k)]
+            np.subtract(source[:, k], means[k], out=out)
+            out /= sds[k]
+        return z
 
     # step 0: every residual is its standardized column, scored as it is
     # formed in the pool's leading slots, which no node holds yet
     mean, sd = standardize_pass(source, state.pool, visit=lambda lo, z: score(
         range(lo, lo + z.shape[1]), z, 0), nbytes=STEP0_BYTES)
+    means, sds = mean.tolist(), sd.tolist()  # cheaper scalars for one column at a time
     chosen: list[int] = []
     live = [True] * p
     steps: list[list[tuple[int, float]]] | None = [] if trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
-    x_sel = np.empty(n)
     for t in range(p):
         if steps is not None:
             steps.append([(k, float(scores[k])) for k in range(p) if live[k]])
@@ -348,26 +366,22 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         chosen.append(sel)
         live[sel] = False
         scores[sel] = -np.inf
-        for j in neighborhoods.sets[sel].tolist():
-            dependents[j] -= 1
-            if not (dependents[j] or live[j]):  # no live node reads x_j any more
-                state.release(j)
-        if not dependents[sel]:  # sel is no live node's regressor
-            if slot[sel] >= 0:
-                state.release(sel)
-            continue
         touched = [k for k in affected[sel] if live[k]]
-        # x_sel goes straight to sel's new slot, unless sel holds its
-        # residual, which partial_update may read
-        x = standardized(sel, x_sel if slot[sel] >= 0 else rows[state.acquire(sel)])
-        for k in touched:
-            if slot[k] < 0:  # first touch: k's residual is its standardized column
-                standardized(k, rows[state.acquire(k)])
+        if not touched:
+            state.release(sel)
+            continue
         groups: dict = {}  # factor -> its group's index
         group = [groups.setdefault(factor[k], len(groups)) for k in touched]
         factors = list(groups)
+        # x_sel and the columns of every factor that the step extends, then
+        # the starting residuals of the nodes it touches first
+        head = [sel, *dict.fromkeys(
+            state.col[g] for f in factors if f != factor[sel] for g in state.path(f))]
+        fresh = [k for k in touched if slot[k] < 0]
+        state.z, state.z_at = gather(head + fresh, len(head)), dict(zip(head, range(len(head))))
         # looked up in this module at every call, so it can be wrapped
-        children, u, delta = partial_update(state, factors, sel, x, factor[sel])
+        children, u, delta = partial_update(state, factors, sel, state.z[0], factor[sel])
+        state.release(sel)  # the batch has read r_sel
         for g, f in enumerate(factors):
             if children[g] == f:  # sel is collinear with the group's regressors
                 skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
@@ -387,15 +401,13 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
             score(part, block.T, t + 1)
             rows[at] = block
         rescore_events += len(touched)
-        if x is x_sel:
-            rows[slot[sel]] = x_sel  # the batch has already read r_sel
     return SortResult(
         ordering=Ordering(chosen),
         update_count=state.inner_products,
         wall_time=time.perf_counter() - started,
         step_scores=steps,
         diagnostics={
-            "degenerate": degenerate,
+            "degenerate": list(degenerate.items()),
             "skipped_updates": skipped,
             "rescore_events": rescore_events,
             "residual_slots": state.slots_used,

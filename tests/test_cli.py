@@ -711,6 +711,21 @@ class TestSortEvalPipeline:
         assert not Path(args[-1]).exists()
 
     @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_mb_outside_a_benchmark_cell_exits_2_naming_the_scheme(self, tmp_path, capsys,
+                                                                    monkeypatch, command):
+        # with no file named mb, the scheme is meant: it needs the true DAG
+        monkeypatch.chdir(tmp_path)
+        args = self._sort_and_fit(tmp_path, "--neighborhoods", "mb")[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "the mb scheme needs the true DAG, which only benchmark cells have" in err
+        assert "not found" not in err
+        assert not Path(args[-1]).exists()
+        # a file named mb is read as sets, as any other path
+        Path("mb").write_text(json.dumps([[1], [0, 2], [1], [4], [3, 5], [4]]))
+        assert main(args) == 0
+
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
     def test_csv_array_is_freed_before_the_sets_are_built(self, tmp_path, monkeypatch,
                                                           command):
         # with a holdout, the CSV's whole array must be gone once its rows

@@ -135,6 +135,19 @@ class TestSortFast:
         # one of the twins is perfectly explained and must come last
         assert res.ordering.perm[-1] in (0, 1)
 
+    def test_degenerate_node_recorded_once_at_its_first_step(self):
+        # column 200 copies column 0: once 0 is sorted, 200's residual is
+        # zero at every later step, and it is recorded at the first
+        cfg = SimConfig(p=200, n=400, seed=derive_seed(9600, 1), family=LAP,
+                        graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+        _, _, x = sample_dataset(cfg)
+        res = sort(DataMatrix(np.column_stack([x.values, x.values[:, 0]])), LAP,
+                   full_neighborhoods(201))
+        twins = [pair for pair in res.diagnostics["degenerate"] if pair[0] in (0, 200)]
+        first = 1 + min(res.ordering.perm.index(0), res.ordering.perm.index(200))
+        assert len(twins) == 1
+        assert twins[0][1] == first
+
     def test_update_count_counts_inner_products(self):
         # full neighborhoods: every unsorted node shares the selected node's
         # factor, so each step costs 1 (delta = r_sel'r_sel) plus 1 per node
@@ -538,27 +551,23 @@ class TestColumnRelabelling:
 
 
 def _slots_needed(perm, sets):
-    """The most nodes that hold values a live node still needs, after any
-    step: a live node from the step that sorts its first neighbor, and a
-    sorted node until the step that sorts the last node with it as a
-    neighbor."""
+    """The most nodes that hold a residual at once: a node from the step
+    that sorts its first neighbor until the step that sorts it, which
+    frees its slot once the step has read it."""
     p = len(perm)
     pos = np.empty(p, dtype=int)
     pos[list(perm)] = np.arange(p)
-    last = pos.copy()  # when k's last dependent is sorted, if after k
-    for i, s in enumerate(sets):
-        np.maximum.at(last, s, pos[i])
-    held = np.zeros(p + 1, dtype=int)  # +1 from step a, -1 from step b
+    held = np.zeros(p + 1, dtype=int)  # +1 from step a, -1 after step b
     for k, s in enumerate(sets):
-        first = min(pos[s].min(initial=p), pos[k])
-        if first < last[k]:
+        first = pos[s].min(initial=p)
+        if first < pos[k]:
             held[first] += 1
-            held[last[k]] -= 1
+            held[pos[k] + 1] -= 1
     return int(np.cumsum(held).max())
 
 
 class TestResidualSlots:
-    """The pool holds a node's column only while a live node needs it."""
+    """The pool holds a node's residual only while it is live and updated."""
 
     @pytest.mark.parametrize("kind", ["mb", "corr", "full"])
     def test_high_water_mark_is_the_most_columns_needed_at_once(self, kind):
@@ -570,9 +579,26 @@ class TestResidualSlots:
         needed = _slots_needed(res.ordering.perm, nbhd.sets)
         assert res.diagnostics["residual_slots"] == needed
         if kind == "full":
-            assert needed == x.p
+            assert needed == x.p - 1
         else:
             assert needed < x.p
+
+
+class TestCallerData:
+    def test_sort_never_writes_to_the_callers_data(self):
+        cfg = SimConfig(p=40, n=200, seed=derive_seed(9500, 1), family=LAP,
+                        graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+        w, _, x = sample_dataset(cfg)
+        for kind in ("mb", "corr", "full"):
+            nbhd = _neighborhoods(kind, w, x)
+            for given in _inputs(x.values.copy()):
+                base = sort(DataMatrix(given.values.copy(order="K")), LAP, nbhd)
+                given.values.flags.writeable = False
+                res = sort(given, LAP, nbhd)
+                assert res.ordering.perm == base.ordering.perm, kind
+                assert res.update_count == base.update_count, kind
+                assert (res.diagnostics["residual_slots"]
+                        == base.diagnostics["residual_slots"]), kind
 
 
 _VMHWM_SCRIPT = """
