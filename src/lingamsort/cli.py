@@ -165,6 +165,20 @@ def _decoding(path: str | Path) -> Iterator[None]:
                          f"{exc.encoding} text") from None
 
 
+@contextmanager
+def _malformed(where: str) -> Iterator[None]:
+    """The rule for a missing or malformed field of an input file, option
+    or cell: a KeyError, TypeError, ValueError or OverflowError raised while
+    a reader builds its value becomes a UsageError (exit 2) that names
+    ``where``, and the missing key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
 def _csv_row(row: np.ndarray) -> str:
     # the repr of a list of floats is their shortest round-trip reprs joined
     # by ", "; no float repr needs CSV quoting, so these are the bytes
@@ -416,13 +430,11 @@ def family_to_doc(family: NoiseFamily) -> dict:
 
 
 def family_from_doc(doc: object, where: str) -> NoiseFamily:
-    try:
+    with _malformed(where):
         if isinstance(doc, str):
             return NoiseFamily.from_string(doc)
         if isinstance(doc, dict):
             return NoiseFamily(doc["tag"], df=doc.get("df"))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"{where}: {exc}") from None
     raise UsageError(f"{where}: expected a family string or object")
 
 
@@ -454,7 +466,7 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
     ``{from, to, weight}`` records under ``edge_field``, as dicts or as
     :func:`_edge_record` tuples.  An out-of-range node, self-loop, cycle,
     zero or non-finite weight or bad scale is a UsageError."""
-    try:
+    with _malformed(where):
         p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
@@ -469,16 +481,12 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
         cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
         dag = Dag(p, [pa for pa, _ in cols])
         return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: missing or malformed field ({exc})") from None
 
 
 def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
     w = weighted_dag_from_doc(doc, "edges", where)
-    try:
+    with _malformed(where):
         return w, Ordering(_integers(doc["ordering"], where)), int(doc["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: missing or malformed field ({exc})") from None
 
 
 def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
@@ -497,18 +505,14 @@ def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
                 raise UsageError(f"{path}:{i}: node indices must be integers") from None
     if p is None:
         p = 1 + max((max(j, k) for j, k in edges), default=-1)
-    try:
+    with _malformed(str(path)):
         return Dag.from_edges(p, edges)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
 
 
 def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
     doc = _read_json(path)
-    try:
+    with _malformed(str(path)):
         return NeighborhoodSets([_integers(s, str(path)) for s in doc])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +545,7 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
     family = family_from_doc(_require(doc, "family", where), f"{where}: field 'family'")
     graph_doc = _require(doc, "graph", where)
     scheme = _require(graph_doc, "scheme", f"{where}: field 'graph'")
-    try:
+    with _malformed(where):
         if scheme == "large-sparse":
             counts = _given(graph_doc, "min_parents", "max_parents")
             _integers(list(counts.values()), where)
@@ -554,8 +558,6 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
             raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
         ranges = _given(doc, "coef_low", "coef_high", "scale_low", "scale_high", cast=float)
         return SimConfig(p=p, n=n, seed=seed, family=family, graph=graph, **ranges)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: {exc}") from None
 
 
 def _parse_corr(spec: str, p: int, where: str,
@@ -567,11 +569,9 @@ def _parse_corr(spec: str, p: int, where: str,
     if len(fields) != 2 + (split_seed is None):
         form = "corr:m:frac:seed" if split_seed is None else "corr:m:frac (split seed is derived)"
         raise UsageError(f"{where}: expected {form}")
-    try:
+    with _malformed(f"{where}: bad corr specification"):
         m, frac = int(fields[0]), float(fields[1])
         seed = split_seed if split_seed is not None else int(fields[2])
-    except ValueError as exc:
-        raise UsageError(f"{where}: bad corr specification: {exc}") from None
     if not 0 < m < p:
         raise UsageError(f"{where}: corr: need 0 < m < p, got m={m}, p={p}")
     if not 0 < frac < 1:  # NaN too
@@ -608,7 +608,9 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
         m, frac, seed = _parse_corr(spec, rows.p, where, split_seed)
         n_hold = int(math.floor(frac * rows.n))
         if n_hold < 3 or rows.n - n_hold < 2:
-            raise UsageError(f"cannot split {rows.n} rows with fraction {frac}")
+            raise UsageError(f"{where}: corr: cannot split {rows.n} rows with holdout fraction "
+                             f"{frac}: the split needs at least 3 holdout rows and 2 "
+                             "estimation rows")
         perm = rng_stream(seed, STREAM_SPLIT).permutation(rows.n)
         hold = DataMatrix(rows.values[np.sort(perm[:n_hold])])
         rows = DataMatrix(rows.values[np.sort(perm[n_hold:])])  # drops a CSV's whole array
@@ -632,15 +634,9 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
 # commands
 
 
-def _read_config(path: Path) -> dict:
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    return _read_json(path)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    cfg = parse_sim_config(_read_config(config_path), config_path.parent, where=str(config_path))
+    cfg = parse_sim_config(_read_json(config_path), config_path.parent, where=str(config_path))
     w, ordering, x = sample_dataset(cfg)
     write_data_csv(args.out_data, x)
     _write_json(args.out_truth, truth_to_doc(w, ordering, cfg.seed))
@@ -683,10 +679,8 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 def read_ordering(path: str | Path) -> Ordering:
     doc = _read_json(path)
-    try:
+    with _malformed(str(path)):
         return Ordering(_integers(doc["ordering"], str(path)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -721,10 +715,8 @@ def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
     if "n" in cell:
         n = cell["n"]
     elif "n_mult" in cell:
-        try:
+        with _malformed(f"{where}: field 'n_mult'"):
             n = max(2, int(round(float(cell["n_mult"]) * p)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"{where}: field 'n_mult': {exc}") from None
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
     graph_doc = _object(cell.get("graph", {}), f"{where}: field 'graph'")
@@ -766,7 +758,7 @@ def _run_replicate(cell: _Cell, cell_idx: int, r: int, timings: bool) -> dict:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    doc = _read_config(config_path)
+    doc = _read_json(config_path)
     where = str(config_path)
     base_seed, = _integers([_require(doc, "base_seed", where)], where)
     if base_seed < 0:
@@ -822,10 +814,8 @@ def read_model(path: str | Path) -> tuple[WeightedDag, np.ndarray, np.ndarray]:
     """A model file as (model, train_means, train_sds)."""
     doc = _read_json(path, _edge_record)
     model = weighted_dag_from_doc(doc, "coefficients", str(path))
-    try:
+    with _malformed(str(path)):
         return model, np.asarray(doc["train_means"], float), np.asarray(doc["train_sds"], float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: missing or malformed field ({exc})") from None
 
 
 def cmd_loglik(args: argparse.Namespace) -> int:
@@ -833,10 +823,8 @@ def cmd_loglik(args: argparse.Namespace) -> int:
     x = read_data_csv(args.data)
     if x.p != model.p:
         raise UsageError(f"model has {model.p} nodes, data has {x.p}")
-    try:
+    with _malformed(str(args.model)):
         test = apply_moments(x, mean, sd)
-    except ValueError as exc:
-        raise UsageError(f"{args.model}: {exc}") from None
     value = heldout_loglik(test, model)
     print(json.dumps({"mean_loglik": value, "units": "per-observation-per-variable",
                       "family": str(model.family)}))

@@ -710,6 +710,20 @@ class TestSortEvalPipeline:
                 f"found {float(frac)}" in capsys.readouterr().err)
         assert not Path(args[-1]).exists()
 
+    @pytest.mark.parametrize("frac", ["0.05", "0.98"],
+                             ids=["2-holdout-rows", "1-estimation-row"])
+    @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
+    def test_corr_split_too_small_exits_2_naming_the_option(self, tmp_path, capsys,
+                                                            command, frac):
+        # 50 rows: the holdout would keep 2 rows, or leave 1 for estimation;
+        # this message named neither the option nor what the split needs
+        args = self._sort_and_fit(tmp_path, "--neighborhoods", f"corr:2:{frac}:1")[command]
+        assert main(args) == 2
+        assert (f"error: --neighborhoods: corr: cannot split 50 rows with holdout fraction "
+                f"{frac}: the split needs at least 3 holdout rows and 2 estimation rows"
+                in capsys.readouterr().err)
+        assert not Path(args[-1]).exists()
+
     @pytest.mark.parametrize("command", [0, 1], ids=["sort", "fit"])
     def test_mb_outside_a_benchmark_cell_exits_2_naming_the_scheme(self, tmp_path, capsys,
                                                                     monkeypatch, command):
@@ -901,7 +915,10 @@ class TestBenchmark:
          "UsageError: full: node 0 has 29 neighbors, more than the 10 estimation rows"),
         ({"p": 5, "n": 1},
          "UsageError: {cfg}: cells[0]: estimation needs at least two data rows, found 1"),
-    ], ids=["full-bigger-than-n", "one-row"])
+        ({"p": 5, "n": 5, "neighborhoods": "corr:2:0.5"},
+         "UsageError: {cfg}: cells[0]: corr: cannot split 5 rows with holdout fraction 0.5: "
+         "the split needs at least 3 holdout rows and 2 estimation rows"),
+    ], ids=["full-bigger-than-n", "one-row", "corr-split-too-small"])
     def test_replicate_gets_the_cli_diagnostic(self, tmp_path, cell, error):
         # a replicate's sets and rows are checked as sort's and fit's are
         cfg = tmp_path / "bench.json"
@@ -1172,6 +1189,7 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
     ("benchmark", ["cells"], {"p": 5}, "cells"),
     ("benchmark", ["cells", 0], 3, "object"),
     ("benchmark", ["cells", 0], {"p": 5, "n_mult": "abc", "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": math.inf, "family": "laplace"}, "n_mult"),
     ("benchmark", ["cells", 0, "graph"], 3, "field 'graph'"),
     ("benchmark", ["cells", 0, "neighborhoods"], 7, "neighborhood scheme 7"),
     ("benchmark", ["cells", 0, "replicates"], -2, "replicates"),
@@ -1187,7 +1205,8 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
         "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
         "cell-gaussian", "seed-negative", "graph-not-object", "base-seed-negative",
-        "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-graph-not-object",
+        "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-n-mult-infinite",
+        "cell-graph-not-object",
         "cell-neighborhoods-not-string", "replicates-negative", "df-string", "df-infinite",
         "cell-df-infinite", "p-one", "root-frac-leaves-no-children", "cell-p-one",
         "cell-root-frac-leaves-no-children"])

@@ -1,10 +1,14 @@
-"""Source hygiene, read with ``ast`` alone: no module under
-``src/lingamsort/`` keeps an import it never uses, and no private top-level
-function or class is left that nothing in ``src/`` refers to."""
+"""Source hygiene: no module under
+``src/lingamsort/`` keeps an import it never uses, no private top-level
+function or class is left that nothing in ``src/`` refers to, and the
+package exports exactly the names that its documented uses take from it."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import lingamsort
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lingamsort"
 MODULES = sorted(SRC.glob("*.py"))
@@ -49,3 +53,24 @@ def test_every_private_definition_is_referenced():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in referenced]
     assert unused == []
+
+
+def _used_as_ls(text: str) -> set[str]:
+    return set(re.findall(r"\bls\.(\w+)", text))
+
+
+def test_public_names_are_the_documented_ones():
+    # the package exports what README's python blocks and the benchmark's
+    # data preparation use as ls.<name> and what the acceptance suite
+    # imports from it; every other name comes from its submodule
+    root = SRC.parent.parent
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    acceptance = _tree(root / "tests" / "test_acceptance.py")
+    documented = (_used_as_ls("".join(blocks))
+                  | _used_as_ls((root / "perfbench" / "prepare.py").read_text())
+                  | {a.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+                     and node.module == "lingamsort" for a in node.names})
+    assert sorted(lingamsort.__all__) == sorted(documented)
+    imported = [a.asname or a.name for node in _tree(SRC / "__init__.py").body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(imported) == sorted(lingamsort.__all__)

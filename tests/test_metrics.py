@@ -10,11 +10,8 @@ from conftest import all_dags, all_orderings, chain_dag, dense_b, ols_residual
 from lingamsort import (
     Dag,
     DataMatrix,
-    DegenerateResidual,
-    NeighborhoodSets,
     NoiseFamily,
     Ordering,
-    RankDeficient,
     SimConfig,
     WeightedDag,
     apply_moments,
@@ -24,19 +21,17 @@ from lingamsort import (
     full_neighborhoods,
     heldout_loglik,
     is_topological,
-    log_density,
     markov_blankets,
     order_error,
-    reversed_edge_count,
     rng_stream,
     sample_dataset,
     standardize,
     top_correlated,
 )
 import lingamsort.metrics
-from lingamsort.metrics import _chains
-from lingamsort.model import PIVOT_RTOL
-from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
+from lingamsort.metrics import RankDeficient, _chains, reversed_edge_count
+from lingamsort.model import PIVOT_RTOL, NeighborhoodSets
+from lingamsort.scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual, log_density
 
 LAP = NoiseFamily.laplace()
 GAU = NoiseFamily.gaussian()

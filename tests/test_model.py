@@ -7,12 +7,12 @@ from conftest import chain_dag, dense_b, diamond_dag, mixing_matrix
 from lingamsort import (
     Dag,
     DataMatrix,
-    NeighborhoodSets,
     NoiseFamily,
     Ordering,
     WeightedDag,
     is_topological,
 )
+from lingamsort.model import NeighborhoodSets
 
 
 class TestDag:

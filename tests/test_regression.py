@@ -9,9 +9,6 @@ import lingamsort.sorter
 from lingamsort import (
     DataMatrix,
     NoiseFamily,
-    RankDeficient,
-    VarianceOverflow,
-    ZeroVarianceColumn,
     apply_moments,
     column_moments,
     full_neighborhoods,
@@ -19,8 +16,8 @@ from lingamsort import (
     standardize,
 )
 import conftest
-from lingamsort.metrics import ols_residual
-from lingamsort.model import PIVOT_RTOL
+from lingamsort.metrics import RankDeficient, ols_residual
+from lingamsort.model import PIVOT_RTOL, VarianceOverflow, ZeroVarianceColumn
 from lingamsort.sorter import ResidualState, partial_update
 
 

@@ -6,15 +6,14 @@ import scipy.stats
 from scipy.integrate import quad
 
 from lingamsort import (
-    DegenerateResidual,
     NoiseFamily,
     fit_scale,
     laplace_fast_score,
     llr_score,
-    log_density,
     rng_stream,
     sample_noise,
 )
+from lingamsort.scoring import DegenerateResidual, log_density
 
 LAP = NoiseFamily.laplace()
 LOGI = NoiseFamily.logistic()

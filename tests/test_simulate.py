@@ -5,13 +5,11 @@ import pytest
 
 from conftest import chain_dag, mixing_matrix, weighted_chain
 from lingamsort import (
-    STREAM_NOISE,
     Dag,
     LargeSparse,
     NoiseFamily,
     SimConfig,
     WeightedDag,
-    generate_large_sparse_dag,
     is_topological,
     rng_stream,
     sample_data,
@@ -19,6 +17,7 @@ from lingamsort import (
     sample_noise,
     sample_weights,
 )
+from lingamsort.simulate import STREAM_NOISE, generate_large_sparse_dag
 
 LAP = NoiseFamily.laplace()
 

@@ -15,13 +15,12 @@ from conftest import chain_dag, ols_residual, population_check, weighted_chain
 from lingamsort import (
     Dag,
     DataMatrix,
-    DegenerateResidual,
     LargeSparse,
-    NeighborhoodSets,
     NoiseFamily,
     SimConfig,
     WeightedDag,
     derive_seed,
+    fit_coefficients,
     full_neighborhoods,
     is_topological,
     llr_score,
@@ -36,7 +35,9 @@ from lingamsort import (
 )
 import lingamsort
 import lingamsort.sorter
-from lingamsort.scoring import DEGENERATE_MEAN_SQUARE
+from lingamsort.cli import estimation_input
+from lingamsort.model import NeighborhoodSets
+from lingamsort.scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual
 
 LAP = NoiseFamily.laplace()
 
@@ -599,6 +600,32 @@ class TestCallerData:
                 assert res.update_count == base.update_count, kind
                 assert (res.diagnostics["residual_slots"]
                         == base.diagnostics["residual_slots"]), kind
+
+
+class TestSortMatchesFitAtScale:
+    """At p in the thousands, where the incremental-Cholesky engine is
+    stressed most (the factor tree, deferred rows, slot reuse), each step's
+    winning score is the score of the residual that ``fit_coefficients``
+    finds by another algorithm, one Householder QR per chain, along the
+    same ordering and sets (Golub & Van Loan, *Matrix Computations* 6.5
+    against 5.2)."""
+
+    @pytest.mark.parametrize("spec, p, n, family", [
+        ("mb", 1000, 500, LAP),
+        ("corr:10:0.2", 1000, 500, LAP),
+        ("full", 300, 600, NoiseFamily.logistic()),
+    ], ids=["mb-p1000", "corr-p1000", "full-p300-logistic"])
+    def test_winning_scores_are_the_fit_residual_scores(self, spec, p, n, family):
+        w, _, x = sample_dataset(SimConfig(p=p, n=n, seed=3, family=family))
+        nbhd, rows = estimation_input(spec, x, spec, dag=w.dag, split_seed=3)
+        res = sort(rows, family, nbhd, trace=True)
+        train = standardize(rows)
+        model = fit_coefficients(train, res.ordering, nbhd, family)
+        z = train.values
+        won = [dict(step)[k] for step, k in zip(res.step_scores, res.ordering.perm)]
+        fit = [llr_score(family, z[:, k] - z[:, list(model.dag.parents[k])] @ model.weights[k])
+               for k in res.ordering.perm]
+        np.testing.assert_allclose(won, fit, rtol=1e-9, atol=0)
 
 
 _VMHWM_SCRIPT = """
