@@ -333,20 +333,33 @@ def read_data_csv(path: str | Path) -> DataMatrix:
     return DataMatrix(values)
 
 
-def _read_json(path: str | Path,
-               object_pairs_hook: Callable[[list], object] | None = None) -> dict:
+def _expect(doc: object, top: type, where: str):
+    """``doc``, refused unless it is a ``top``: dict for a JSON object, list
+    for a JSON array."""
+    if type(doc) is tuple:  # an object that _edge_record decoded as a record
+        doc = dict(zip(("from", "to", "weight"), doc))
+    if not isinstance(doc, top):
+        kind = "object" if top is dict else "array"
+        raise UsageError(f"{where}: expected a JSON {kind}, not {type(doc).__name__}")
+    return doc
+
+
+def _read_json(path: str | Path, top: type = dict) -> dict | list:
+    """The document in ``path``, each object decoded by :func:`_edge_record`,
+    refused unless its top level is a ``top``, as :func:`_expect` checks."""
     try:
         with open(path) as fh, _decoding(path):
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
+            doc = json.load(fh, object_pairs_hook=_edge_record)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    return _expect(doc, top, str(path))
 
 
 def _integers(values: list, where: str) -> list:
-    """``values``, refused unless each is a JSON integer: a node index, a
-    count or a seed is never truncated from a float or read from a boolean
-    or a string."""
-    for v in values:
+    """``values``, refused unless it is a JSON array and each entry a JSON
+    integer: a node index, a count or a seed is never truncated from a float
+    or read from a boolean or a string."""
+    for v in _expect(values, list, where):
         if type(v) is not int:
             raise UsageError(f"{where}: node indices, counts and seeds must be integers, "
                              f"found {json.dumps(v)}")
@@ -452,8 +465,9 @@ def truth_to_doc(w: WeightedDag, ordering: Ordering, seed: int) -> dict:
 def _edge_record(pairs: list[tuple[str, object]]) -> object:
     """A decoded ``{"from", "to", "weight"}`` record, its keys in that
     order, as a (from, to, weight) tuple, which holds it in less than half
-    a dict's memory; any other object as a dict.  For ``json.load``'s
-    ``object_pairs_hook``, so that no dict is built per record."""
+    a dict's memory; any other object as a dict.  :func:`_read_json`
+    decodes every document through it, so that no dict is built per
+    record."""
     if len(pairs) == 3:
         (a, j), (b, k), (c, weight) = pairs
         if a == "from" and b == "to" and c == "weight":
@@ -463,14 +477,16 @@ def _edge_record(pairs: list[tuple[str, object]]) -> object:
 
 def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag:
     """The model in a truth or model file: ``p``, ``family``, ``scales`` and
-    ``{from, to, weight}`` records under ``edge_field``, as dicts or as
-    :func:`_edge_record` tuples.  An out-of-range node, self-loop, cycle,
-    zero or non-finite weight or bad scale is a UsageError."""
+    ``{from, to, weight}`` records under ``edge_field``, as
+    :func:`_edge_record` tuples or as dicts: a record with other keys, or
+    with its keys in another order, or a document built in Python.  An
+    out-of-range node, self-loop, cycle, zero or non-finite weight or bad
+    scale is a UsageError."""
     with _malformed(where):
         p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
-        for e in doc[edge_field]:
+        for e in _expect(doc[edge_field], list, where):
             whole = type(e) is tuple
             j, k = (e[0], e[1]) if whole else (e["from"], e["to"])
             if type(j) is not int or type(k) is not int:
@@ -486,7 +502,7 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
 def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
     w = weighted_dag_from_doc(doc, "edges", where)
     with _malformed(where):
-        return w, Ordering(_integers(doc["ordering"], where)), int(doc["seed"])
+        return w, Ordering(_integers(doc["ordering"], where)), _integers([doc["seed"]], where)[0]
 
 
 def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
@@ -510,25 +526,13 @@ def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
 
 
 def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
-    doc = _read_json(path)
+    doc = _read_json(path, list)
     with _malformed(str(path)):
         return NeighborhoodSets([_integers(s, str(path)) for s in doc])
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _object(doc: object, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise UsageError(f"{where}: expected a JSON object, not {type(doc).__name__}")
-    return doc
-
-
-def _require(doc: object, field: str, where: str):
-    if field not in _object(doc, where):
-        raise UsageError(f"{where}: missing required field {field!r}")
-    return doc[field]
 
 
 def _given(doc: dict, *fields: str, cast: Callable[[object], object] = lambda v: v) -> dict:
@@ -541,18 +545,19 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
     """A simulation config as a :class:`SimConfig`.  ``p``, ``n``, ``seed``,
     ``family`` and ``graph.scheme`` are required; every other field is
     optional, and its default is the one ``simulate`` states."""
-    p, n, seed = _integers([_require(doc, f, where) for f in ("p", "n", "seed")], where)
-    family = family_from_doc(_require(doc, "family", where), f"{where}: field 'family'")
-    graph_doc = _require(doc, "graph", where)
-    scheme = _require(graph_doc, "scheme", f"{where}: field 'graph'")
     with _malformed(where):
+        p, n, seed = _integers([doc["p"], doc["n"], doc["seed"]], where)
+        family = family_from_doc(doc["family"], f"{where}: field 'family'")
+        graph_doc = _expect(doc["graph"], dict, f"{where}: field 'graph'")
+        with _malformed(f"{where}: field 'graph'"):
+            scheme = graph_doc["scheme"]
+            rel = graph_doc["path"] if scheme == "edge-list" else None
         if scheme == "large-sparse":
             counts = _given(graph_doc, "min_parents", "max_parents")
             _integers(list(counts.values()), where)
             graph: LargeSparse | Dag = LargeSparse(**counts,
                                                    **_given(graph_doc, "root_frac", cast=float))
         elif scheme == "edge-list":
-            rel = _require(graph_doc, "path", f"{where}: field 'graph'")
             graph = load_edge_list(base_dir / rel, p=p)
         else:
             raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
@@ -617,8 +622,6 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
         nbhd = top_correlated(hold, m)
     elif spec == "mb" and not Path(spec).exists():
         raise UsageError("the mb scheme needs the true DAG, which only benchmark cells have")
-    elif not Path(spec).exists():
-        raise UsageError(f"neighborhood file not found: {spec}")
     else:
         nbhd = read_neighborhoods(spec)
     if nbhd.p != rows.p:
@@ -684,7 +687,7 @@ def read_ordering(path: str | Path) -> Ordering:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    w, _, _ = truth_from_doc(_read_json(args.truth, _edge_record), where=str(args.truth))
+    w, _, _ = truth_from_doc(_read_json(args.truth), where=str(args.truth))
     ordering = read_ordering(args.ordering)
     if ordering.p != w.p:
         raise UsageError(f"ordering has {ordering.p} nodes, truth has {w.p}")
@@ -708,8 +711,9 @@ class _Cell:
 
 
 def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
-    cell = _object(cell, where)
-    replicates, p = _integers([cell.get("replicates", 1), _require(cell, "p", where)], where)
+    cell = _expect(cell, dict, where)
+    with _malformed(where):
+        replicates, p = _integers([cell.get("replicates", 1), cell["p"]], where)
     if replicates < 0:
         raise UsageError(f"{where}: replicates must be non-negative, found {replicates}")
     if "n" in cell:
@@ -719,7 +723,7 @@ def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
             n = max(2, int(round(float(cell["n_mult"]) * p)))
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
-    graph_doc = _object(cell.get("graph", {}), f"{where}: field 'graph'")
+    graph_doc = _expect(cell.get("graph", {}), dict, f"{where}: field 'graph'")
     if graph_doc.get("scheme", "large-sparse") != "large-sparse":
         raise UsageError(f"{where}: benchmark cells support only the large-sparse scheme")
     cfg = parse_sim_config({**cell, "n": n, "seed": base_seed,
@@ -760,12 +764,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     doc = _read_json(config_path)
     where = str(config_path)
-    base_seed, = _integers([_require(doc, "base_seed", where)], where)
-    if base_seed < 0:
-        raise UsageError(f"{where}: base_seed must be non-negative, found {base_seed}")
-    cells = _require(doc, "cells", where)
-    if not isinstance(cells, list):
-        raise UsageError(f"{where}: field 'cells' must be a list, not {type(cells).__name__}")
+    with _malformed(where):
+        base_seed, = _integers([doc["base_seed"]], where)
+        if base_seed < 0:
+            raise UsageError(f"{where}: base_seed must be non-negative, found {base_seed}")
+        cells = _expect(doc["cells"], list, f"{where}: field 'cells'")
     # every cell is checked before any is sampled
     parsed = [_parse_cell(cell, base_seed, f"{where}: cells[{ci}]") for ci, cell in enumerate(cells)]
     records = [_run_replicate(cell, ci, r, args.timings)
@@ -812,7 +815,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def read_model(path: str | Path) -> tuple[WeightedDag, np.ndarray, np.ndarray]:
     """A model file as (model, train_means, train_sds)."""
-    doc = _read_json(path, _edge_record)
+    doc = _read_json(path)
     model = weighted_dag_from_doc(doc, "coefficients", str(path))
     with _malformed(str(path)):
         return model, np.asarray(doc["train_means"], float), np.asarray(doc["train_sds"], float)

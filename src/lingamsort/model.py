@@ -46,8 +46,10 @@ MODEL_FAMILIES = (LAPLACE, LOGISTIC, SCALED_T)
 # squared norm: below it the design is treated as rank deficient.
 PIVOT_RTOL = 1e-10
 
-# Bytes of one column chunk of the moment pass, and so of its temporary.
-MOMENT_CHUNK_BYTES = 2 << 20
+# Bytes of one column chunk of the moment pass, and so of its temporary: the
+# sorter's step 0 scores each chunk as it is formed, and at this size its
+# temporaries stay in a core's cache and add little to the sort's peak.
+MOMENT_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -289,14 +291,14 @@ class VarianceOverflow(ValueError):
         self.column = column
 
 
-def _chunks(n: int, p: int, nbytes: int):
-    """Column ranges [lo, hi) of about ``nbytes`` each.
+def _chunks(n: int, p: int):
+    """Column ranges [lo, hi) of about ``MOMENT_CHUNK_BYTES`` each.
 
     None is one column wide unless p is 1: numpy sums a lone column of a
     row-major array pairwise, but the columns of a wider block one row at a
     time, as ``np.mean`` does over the whole array.
     """
-    width = max(2, nbytes // (8 * n))
+    width = max(2, MOMENT_CHUNK_BYTES // (8 * n))
     bounds = list(range(0, p, width))
     if p > 1 and p % width == 1:
         bounds.pop()  # the one-column tail joins the chunk before it
@@ -305,8 +307,8 @@ def _chunks(n: int, p: int, nbytes: int):
 
 
 def _moments(values: np.ndarray, out: np.ndarray | None = None,
-             visit: Callable[[int, np.ndarray], None] | None = None,
-             nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+             visit: Callable[[int, np.ndarray], None] | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Column means and standard deviations (denominator n), equal bit for
     bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``.
 
@@ -316,17 +318,16 @@ def _moments(values: np.ndarray, out: np.ndarray | None = None,
     called, unless one of them is constant or overflows, which the callers
     refuse; the next chunk overwrites z.
 
-    Works one chunk of about ``nbytes`` (``MOMENT_CHUNK_BYTES`` by default)
-    at a time and repeats numpy's arithmetic: the sum over rows divided by
-    n, then the same for the squared deviations, which are formed in the
-    source's layout because that sets numpy's summation order.  An
-    overflow leaves an infinite or NaN sd and raises no warning; the
-    callers check.
+    Works one chunk of :func:`_chunks` at a time and repeats numpy's
+    arithmetic: the sum over rows divided by n, then the same for the
+    squared deviations, which are formed in the source's layout because
+    that sets numpy's summation order.  An overflow leaves an infinite or
+    NaN sd and raises no warning; the callers check.
     """
     n, p = values.shape
     mean = np.empty(p)
     sd = np.empty(p)
-    for lo, hi in _chunks(n, p, nbytes or MOMENT_CHUNK_BYTES):
+    for lo, hi in _chunks(n, p):
         block = values[:, lo:hi]
         z = None if out is None else out[:, :hi - lo] if visit else out[:, lo:hi]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -367,13 +368,13 @@ def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
-                     visit: Callable[[int, np.ndarray], None] | None = None,
-                     nbytes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     visit: Callable[[int, np.ndarray], None] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """One chunked pass over an n x p array: its column moments (mean, sd),
     equal bit for bit to :func:`column_moments`, with its standardized
     columns ``(values - mean) / sd`` written to ``out``, or handed to
-    ``visit`` a chunk of about ``nbytes`` at a time through the scratch
-    ``out``, as ``_moments`` sets out.
+    ``visit`` a chunk at a time through the scratch ``out``, as
+    ``_moments`` sets out.
 
     Raises ValueError for fewer than two rows, then
     :class:`ZeroVarianceColumn` for the lowest constant column, then
@@ -381,7 +382,7 @@ def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
     """
     if values.shape[0] < 2:
         raise ValueError("standardization needs at least two rows")
-    mean, sd = _moments(values, out, visit, nbytes)
+    mean, sd = _moments(values, out, visit)
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))

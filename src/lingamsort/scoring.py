@@ -39,6 +39,22 @@ class DegenerateResidual(ValueError):
         self.node = node
 
 
+def _eta_per_sigma(family: NoiseFamily) -> float:
+    """eta_hat / sigma_hat, the moment plug-in scale of every family but
+    Laplace: sqrt(3)/pi (Logistic), sqrt((df-2)/df) (Scaled-t), 1 (Gaussian)."""
+    if family.tag == LOGISTIC:
+        return math.sqrt(3.0) / math.pi
+    if family.tag == SCALED_T:
+        return math.sqrt((family.df - 2.0) / family.df)
+    return 1.0
+
+
+def _t_constant(nu: float) -> float:
+    """The scaled-t log-density's terms that depend on nu alone:
+    lgamma((nu+1)/2) - lgamma(nu/2) - log(nu pi)/2."""
+    return math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+
+
 def log_density(family: NoiseFamily, r: np.ndarray | float, eta: float) -> np.ndarray | float:
     """log g(r; eta) for the family, vectorized over r.
 
@@ -58,17 +74,9 @@ def log_density(family: NoiseFamily, r: np.ndarray | float, eta: float) -> np.nd
         out = -az - math.log(eta) - 2.0 * np.log1p(np.exp(-az))
     elif tag == SCALED_T:
         nu = family.df
-        const = (
-            math.lgamma((nu + 1.0) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-            - math.log(eta)
-        )
-        out = const - ((nu + 1.0) / 2.0) * np.log1p(z * z / nu)
-    elif tag == GAUSSIAN:
+        out = _t_constant(nu) - math.log(eta) - ((nu + 1.0) / 2.0) * np.log1p(z * z / nu)
+    else:  # Gaussian
         out = -0.5 * LOG_2PI - math.log(eta) - 0.5 * z * z
-    else:
-        raise ValueError(f"unknown family {tag!r}")
     return out if out.ndim else float(out)
 
 
@@ -76,26 +84,18 @@ def fit_scale(family: NoiseFamily, residual: np.ndarray) -> tuple[float, float]:
     """(eta_hat, sigma_hat) for a mean-zero residual vector.
 
     sigma_hat is always sqrt(mean(r^2)).  eta_hat is the Laplace maximum
-    likelihood estimate mean(|r|), or the moment plug-in for the other
-    families: sqrt(3)/pi * sigma_hat (Logistic), sigma_hat *
-    sqrt((df-2)/df) (Scaled-t), sigma_hat itself (Gaussian).  No mean is
-    subtracted; residuals are mean-zero by construction.
+    likelihood estimate mean(|r|), or :func:`_eta_per_sigma` times sigma_hat
+    for the other families.  No mean is subtracted; residuals are mean-zero
+    by construction.
     """
     residual = np.asarray(residual, dtype=float)
     sigma = math.sqrt(float(residual @ residual) / residual.size)
     if sigma == 0.0:
         raise DegenerateResidual()
-    tag = family.tag
-    if tag == LAPLACE:
+    if family.tag == LAPLACE:
         eta = float(np.abs(residual).mean())
-    elif tag == LOGISTIC:
-        eta = math.sqrt(3.0) / math.pi * sigma
-    elif tag == SCALED_T:
-        eta = sigma * math.sqrt((family.df - 2.0) / family.df)
-    elif tag == GAUSSIAN:
-        eta = sigma
     else:
-        raise ValueError(f"unknown family {tag!r}")
+        eta = _eta_per_sigma(family) * sigma
     return eta, sigma
 
 
@@ -134,9 +134,9 @@ def _block_scores(family: NoiseFamily, block: np.ndarray) -> np.ndarray:
     if tag == GAUSSIAN:
         return np.zeros(block.shape[1])
     sigma = np.sqrt(mean_square)
+    eta = _eta_per_sigma(family) * sigma
     work = np.empty_like(block)
     if tag == LOGISTIC:
-        eta = math.sqrt(3.0) / math.pi * sigma
         np.abs(block, out=work)
         work /= eta
         mean_abs = work.mean(axis=0)
@@ -144,21 +144,12 @@ def _block_scores(family: NoiseFamily, block: np.ndarray) -> np.ndarray:
         np.exp(work, out=work)
         np.log1p(work, out=work)
         log_g = -mean_abs - np.log(eta) - 2.0 * work.mean(axis=0)
-    elif tag == SCALED_T:
+    else:  # Scaled-t
         nu = family.df
-        eta = sigma * math.sqrt((nu - 2.0) / nu)
         np.multiply(block, block, out=work)
         work /= eta * eta * nu
         np.log1p(work, out=work)
-        log_g = (
-            math.lgamma((nu + 1.0) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-            - np.log(eta)
-            - ((nu + 1.0) / 2.0) * work.mean(axis=0)
-        )
-    else:
-        raise ValueError(f"unknown family {tag!r}")
+        log_g = _t_constant(nu) - np.log(eta) - ((nu + 1.0) / 2.0) * work.mean(axis=0)
     return log_g + 0.5 * LOG_2PI + np.log(sigma) + 0.5
 
 

@@ -85,10 +85,6 @@ from .scoring import llr_score
 
 # Largest residual block, in bytes, that one update or scoring call touches.
 BLOCK_BYTES = 2 << 20
-# Chunk, in bytes, of step 0's pass that standardizes and scores every
-# column: its temporaries stay in a core's cache and add little to the
-# sort's resident peak.
-STEP0_BYTES = 1 << 20
 
 
 @dataclass
@@ -350,7 +346,7 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     # step 0: every residual is its standardized column, scored as it is
     # formed in the pool's leading slots, which no node holds yet
     mean, sd = standardize_pass(source, state.pool, visit=lambda lo, z: score(
-        range(lo, lo + z.shape[1]), z, 0), nbytes=STEP0_BYTES)
+        range(lo, lo + z.shape[1]), z, 0))
     means, sds = mean.tolist(), sd.tolist()  # cheaper scalars for one column at a time
     chosen: list[int] = []
     live = [True] * p

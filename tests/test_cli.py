@@ -1080,9 +1080,12 @@ def _edit(doc, path, value):
     ("eval", "truth", ["ordering", 1], 1.5),
     ("eval", "truth", ["edges", 0, "from"], False),
     ("eval", "truth", ["p"], 4.0),
+    ("eval", "truth", ["seed"], 1.5),
+    ("eval", "truth", ["seed"], True),
 ], ids=["fit-ordering-float", "fit-ordering-bool", "fit-nbhd-float", "sort-nbhd-float",
         "sort-nbhd-bool", "model-from-float", "model-to-float", "model-p-float",
-        "eval-ordering-float", "truth-ordering-float", "truth-from-bool", "truth-p-float"])
+        "eval-ordering-float", "truth-ordering-float", "truth-from-bool", "truth-p-float",
+        "truth-seed-float", "truth-seed-bool"])
 def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, command, kind,
                                                         path, value):
     # each of these was truncated by int() and ran on the wrong graph
@@ -1117,6 +1120,75 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"error: {files[kind]}: " in err and json.dumps(value) in err
+
+
+@pytest.mark.parametrize("command, kind, path, message", [
+    ("generate", "config", None, "expected a JSON object, not list"),
+    ("benchmark", "grid", None, "expected a JSON object, not list"),
+    ("eval", "truth", None, "expected a JSON object, not list"),
+    ("eval", "ordering", None, "expected a JSON object, not list"),
+    ("fit", "ordering", None, "expected a JSON object, not list"),
+    ("loglik", "model", None, "expected a JSON object, not list"),
+    ("sort", "neighborhoods", None, "expected a JSON array, not int"),
+    ("generate", "config", ["p"], "missing field 'p'"),
+    ("generate", "config", ["graph", "scheme"], "field 'graph': missing field 'scheme'"),
+    ("benchmark", "grid", ["cells", 0, "p"], "cells[0]: missing field 'p'"),
+    ("benchmark", "grid", ["base_seed"], "missing field 'base_seed'"),
+    ("eval", "truth", ["seed"], "missing field 'seed'"),
+    ("loglik", "model", ["train_sds"], "missing field 'train_sds'"),
+    ("eval", "ordering", ["ordering"], "missing field 'ordering'"),
+], ids=["config-top", "grid-top", "truth-top", "eval-ordering-top", "fit-ordering-top",
+        "model-top", "nbhd-top", "config-p", "graph-scheme", "cell-p", "grid-base-seed",
+        "truth-seed", "model-train-sds", "ordering-ordering"])
+def test_malformed_json_input_exits_2_naming_the_file(tmp_path, capsys, command, kind,
+                                                      path, message):
+    # a top level of the wrong kind gave Python's reason for a truth, model,
+    # ordering or neighborhood file; a missing field had two wordings
+    data = tmp_path / "d.csv"
+    write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 4))))
+    good = {
+        "config": {"p": 5, "n": 40, "seed": 1, "family": "laplace",
+                   "graph": {"scheme": "large-sparse", "min_parents": 1, "max_parents": 2}},
+        "grid": {"base_seed": 1, "cells": [{"p": 5, "n": 40, "family": "laplace"}]},
+        "ordering": {"ordering": [0, 1, 2, 3]},
+        "neighborhoods": [[1], [0, 2], [3], [2]],
+        "model": {"p": 4, "family": {"tag": "laplace"},
+                  "coefficients": [{"from": 0, "to": 1, "weight": 0.5}],
+                  "scales": [1.0] * 4, "train_means": [0.0] * 4, "train_sds": [1.0] * 4},
+        "truth": {"p": 4, "edges": [{"from": 0, "to": 1, "weight": 0.5}],
+                  "family": {"tag": "laplace"}, "scales": [1.0] * 4,
+                  "ordering": [0, 1, 2, 3], "seed": 1},
+    }
+    files = {}
+    for name, doc in good.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    args = {
+        "generate": ["generate", "--config", str(files["config"]), "--out-data", out,
+                     "--out-truth", str(tmp_path / "t.json")],
+        "benchmark": ["benchmark", "--config", str(files["grid"]), "--out", out],
+        "sort": ["sort", "--data", str(data), "--neighborhoods", str(files["neighborhoods"]),
+                 "--out", out],
+        "eval": ["eval", "--truth", str(files["truth"]), "--ordering", str(files["ordering"])],
+        "fit": ["fit", "--data", str(data), "--ordering", str(files["ordering"]),
+                "--out", out],
+        "loglik": ["loglik", "--model", str(files["model"]), "--data", str(data)],
+    }[command]
+    assert main(args) == 0
+    if path is None:
+        bad = 7 if kind == "neighborhoods" else [good[kind]]
+    else:
+        bad = json.loads(json.dumps(good[kind]))
+        *head, last = path
+        target = bad
+        for key in head:
+            target = target[key]
+        del target[last]
+    files[kind].write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"error: {files[kind]}: {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, kind, line", [
