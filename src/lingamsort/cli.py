@@ -333,14 +333,19 @@ def read_data_csv(path: str | Path) -> DataMatrix:
     return DataMatrix(values)
 
 
+# the JSON kind of each type that json.load gives
+_JSON_KINDS = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 def _expect(doc: object, top: type, where: str):
     """``doc``, refused unless it is a ``top``: dict for a JSON object, list
-    for a JSON array."""
+    for a JSON array.  The refusal names both by their JSON kinds."""
     if type(doc) is tuple:  # an object that _edge_record decoded as a record
         doc = dict(zip(("from", "to", "weight"), doc))
     if not isinstance(doc, top):
-        kind = "object" if top is dict else "array"
-        raise UsageError(f"{where}: expected a JSON {kind}, not {type(doc).__name__}")
+        found = _JSON_KINDS.get(type(doc), type(doc).__name__)
+        raise UsageError(f"{where}: expected a JSON {_JSON_KINDS[top]}, not {found}")
     return doc
 
 
@@ -505,8 +510,9 @@ def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Orderi
         return w, Ordering(_integers(doc["ordering"], where)), _integers([doc["seed"]], where)[0]
 
 
-def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
-    """Whitespace-separated ``from to`` pairs, 0-based, one edge per line."""
+def load_edge_list(path: str | Path, p: int) -> Dag:
+    """A DAG on ``p`` nodes from whitespace-separated ``from to`` pairs,
+    0-based, one edge per line."""
     edges: list[tuple[int, int]] = []
     with open(path) as fh, _decoding(path):
         for i, line in enumerate(fh, start=1):
@@ -519,8 +525,6 @@ def load_edge_list(path: str | Path, p: int | None = None) -> Dag:
                 edges.append((int(tokens[0]), int(tokens[1])))
             except ValueError:
                 raise UsageError(f"{path}:{i}: node indices must be integers") from None
-    if p is None:
-        p = 1 + max((max(j, k) for j, k in edges), default=-1)
     with _malformed(str(path)):
         return Dag.from_edges(p, edges)
 

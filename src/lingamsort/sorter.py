@@ -38,7 +38,8 @@ at most d.
 
 **Steps.**  Each step is one batch.  The nodes that gain ``sel`` are
 grouped by factor, and one call of :func:`partial_update` extends every
-group's factor at once and returns each group's u.  The touched residuals
+group's factor at once and returns each group's u, from one gather of the
+standardized columns it multiplies.  The touched residuals
 are then gathered once per chunk of at most ``BLOCK_BYTES``, given their
 group's rank-one update, scored by one block call of
 :func:`lingamsort.scoring.llr_score` and written back, so that no n x p
@@ -51,13 +52,13 @@ holds a slot from its first update to its selection, for its current
 residual, which starts as its standardized column
 ``(x[:, k] - mean[k]) / sd[k]``, bit for bit the column that
 :func:`lingamsort.model.standardize` writes.  A sorted node holds none.
-Every standardized column a step reads, x_sel, the columns Z of the
-factors it extends and the starting residuals of the nodes it touches
-first, is standardized anew from the caller's column, with the step 0
-moments and that same arithmetic: a first-touched node's straight into
-its new slot, and x_sel and Z into one array, by one gather of their
-columns when the caller's data are row-major, which reads each row once.
-``sel`` gives its slot back once the batch has read r_sel.
+Every standardized column a step reads is standardized anew from the
+caller's columns, with the step 0 moments and that same arithmetic: the
+starting residual of a node the step touches first straight into its
+new slot, and x_sel and the columns Z of the factors the step extends by
+one gather, the same for row- and column-major data, straight into the
+batch matrix of :func:`partial_update`.  ``sel`` gives its slot back
+once the batch has read r_sel.
 Freed slots are reused last in, first out, and only slots in use are
 written, so resident memory follows the most residuals held at once, not
 n x p.
@@ -68,6 +69,7 @@ import math
 import time
 import warnings
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,9 +111,6 @@ class ResidualState:
     slot freed last, or else the lowest one never used, so the slots in
     use, and so the pages ever written, stay under the high-water mark
     ``slots_used``; :meth:`release` frees the slot a node holds, if any.
-    Regressors are read from ``z``, node j's standardized column as row
-    ``z[z_at[j]]``: ``sort`` sets them to each step's gather, and a state
-    built on its own reads its slots, ``z_at`` being ``slot``.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -131,7 +130,6 @@ class ResidualState:
         self.pool = pool
         self.rows = pool.T
         self.slot = slot
-        self.z, self.z_at = self.rows, slot
         self.free: list[int] = []
         self.slots_used = 1 + max(slot, default=-1)
         self.pivot_floor = PIVOT_RTOL * pool.shape[0]
@@ -166,21 +164,18 @@ class ResidualState:
         out.reverse()
         return out
 
-    def complete(self, factor: int) -> None:
-        """Fill in the deferred rows of ``factor`` and its ancestors, each
-        from the Gram column of its last member, at the module docstring's
-        cost."""
-        pending = []
-        while self.row[factor] is None:
-            pending.append(factor)
-            factor = self.parent[factor]
-        for f in reversed(pending):
-            path = self.path(self.parent[f])
-            at = [self.z_at[self.col[g]] for g in path]
-            c = self.z.take(at, axis=0, mode="clip") @ self.z[self.z_at[self.col[f]]]
-            self.inner_products += c.size
-            coef = _solve(self.w, [self.row[g] for g in path], c.tolist())
-            self.row[f] = self._append(coef, self.deferred.pop(f))
+    def complete(self, factor: int, z: np.ndarray) -> None:
+        """Fill in the deferred rows on the path of ``factor``, each from
+        the Gram column of its last member, at the module docstring's cost;
+        row i of ``z`` is the standardized column of the path's i-th
+        factor."""
+        path = self.path(factor)
+        for i, f in enumerate(path):
+            if self.row[f] is None:
+                c = z[:i] @ z[i]
+                self.inner_products += i
+                coef = _solve(self.w, [self.row[g] for g in path[:i]], c.tolist())
+                self.row[f] = self._append(coef, self.deferred.pop(f))
 
     def _append(self, coef: list[float], delta: float) -> int:
         """Store the row (-beta', 1) / sqrt(delta), given coef = -beta, and
@@ -209,14 +204,17 @@ def _solve(w, rows: list[int], c: list[float]) -> list[float]:
     return [-b for b in beta]
 
 
-def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.ndarray,
+def partial_update(state: ResidualState, factors: list[int], sel: int,
+                   columns: Callable[[list[int]], np.ndarray],
                    own: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Extend every factor in ``factors`` by column ``sel``, in one batch.
 
-    ``x`` is x_sel, ``sel``'s standardized column.  Group g, on factor
-    ``factors[g]``, gets ``u[g]`` and ``delta[g]`` by the module
-    docstring's update.  One gather puts every group's columns Z, read from
-    ``state.z``, under x_sel in a matrix z; c for all groups is one product,
+    ``columns(nodes)`` gives the standardized columns of ``nodes`` as the
+    rows of a new array.  Group g, on factor ``factors[g]``, gets ``u[g]``
+    and ``delta[g]`` by the module docstring's update.  One call of
+    ``columns`` gives the matrix z: x_sel, then every group's columns Z in
+    the order they joined its factor, each group's deferred rows of W being
+    filled in from its own rows of z; c for all groups is one product,
     beta = W'(W c) is an m x m product per group on Python floats (at
     neighborhood sizes, less work than a padded batch of W's), and u for
     all groups is one product ``mix @ z``, whose row g holds 1 for x_sel
@@ -224,29 +222,25 @@ def partial_update(state: ResidualState, factors: list[int], sel: int, x: np.nda
     columns, whose u is x_sel.  The factor ``own``, if listed, is the one
     ``sel`` itself was regressed on: its u is r_sel, still in ``sel``'s
     slot (or x_sel, when ``sel`` holds none and so was never updated),
-    which joins z for it, and its child defers its row of W.
+    which joins z under x_sel for it, and its child defers its row of W.
 
     Returns (children, u, delta), u as a groups x n array.  A group whose
     regressor is collinear keeps its factor as its child and gets
     delta = inf, so that the update of r_k leaves its nodes as they are.
     """
-    for f in factors:
-        if f != own and state.row[f] is None:
-            state.complete(f)
     paths = [[] if f == own else state.path(f) for f in factors]
     head = 1 + (own in factors)  # rows of z before the groups' columns
-    at = [state.z_at[state.col[g]] for path in paths for g in path]
-    z = np.empty((head + len(at), len(x)))
-    z[0] = x
-    if head == 2:
-        z[1] = x if state.slot[sel] < 0 else state.rows[state.slot[sel]]
-    state.z.take(at, axis=0, out=z[head:], mode="clip")
-    c = (z[head:] @ x).tolist()
+    z = columns([sel] * head + [state.col[g] for path in paths for g in path])
+    if head == 2 and state.slot[sel] >= 0:
+        z[1] = state.rows[state.slot[sel]]
+    c = (z[head:] @ z[0]).tolist()
     state.inner_products += len(c) + len(factors)
     coefs, mix = [], []  # -beta per group; u = mix @ z
     lo = 0
     for f, path in zip(factors, paths):
         hi = lo + len(path)
+        if f != own and state.row[f] is None:
+            state.complete(f, z[head + lo:head + hi])
         coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
         row = [0.0] * len(z)
         row[f == own] = 1.0
@@ -328,26 +322,20 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
             for i in np.flatnonzero(fresh == -np.inf).tolist():
                 degenerate.setdefault(int(nodes[i]), step)
 
-    def gather(nodes: list[int], head: int) -> np.ndarray:
-        # the standardized columns of nodes, bit for bit those that
-        # standardize writes: the first head as the rows of the array
-        # returned, and each of the others in a slot that its node takes
-        z, done = np.empty((head, n)), 0
-        if not source.flags.f_contiguous:  # one gather reads each row once
-            part = np.array(nodes[:head])
-            z = (source[:, part] - mean[part]) / sd[part]  # numpy keeps columns contiguous
-            z, done = np.ascontiguousarray(z.T), head  # so z.T is no copy
-        for i, k in enumerate(nodes[done:], done):
-            out = z[i] if i < head else rows[state.acquire(k)]
-            np.subtract(source[:, k], means[k], out=out)
-            out /= sds[k]
-        return z
+    def columns(nodes: list[int]) -> np.ndarray:
+        # the standardized columns of nodes as rows, bit for bit those that
+        # standardize writes; numpy's gather keeps each column contiguous,
+        # whatever the source's layout, so the rows are too
+        part = np.array(nodes)
+        z = source[:, part]
+        z -= mean[part]
+        z /= sd[part]
+        return z.T
 
     # step 0: every residual is its standardized column, scored as it is
     # formed in the pool's leading slots, which no node holds yet
     mean, sd = standardize_pass(source, state.pool, visit=lambda lo, z: score(
         range(lo, lo + z.shape[1]), z, 0))
-    means, sds = mean.tolist(), sd.tolist()  # cheaper scalars for one column at a time
     chosen: list[int] = []
     live = [True] * p
     steps: list[list[tuple[int, float]]] | None = [] if trace else None
@@ -369,14 +357,12 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         groups: dict = {}  # factor -> its group's index
         group = [groups.setdefault(factor[k], len(groups)) for k in touched]
         factors = list(groups)
-        # x_sel and the columns of every factor that the step extends, then
-        # the starting residuals of the nodes it touches first
-        head = [sel, *dict.fromkeys(
-            state.col[g] for f in factors if f != factor[sel] for g in state.path(f))]
-        fresh = [k for k in touched if slot[k] < 0]
-        state.z, state.z_at = gather(head + fresh, len(head)), dict(zip(head, range(len(head))))
+        for k in [k for k in touched if slot[k] < 0]:  # each starts at its column
+            out = rows[state.acquire(k)]
+            np.subtract(source[:, k], mean[k], out=out)
+            out /= sd[k]
         # looked up in this module at every call, so it can be wrapped
-        children, u, delta = partial_update(state, factors, sel, state.z[0], factor[sel])
+        children, u, delta = partial_update(state, factors, sel, columns, factor[sel])
         state.release(sel)  # the batch has read r_sel
         for g, f in enumerate(factors):
             if children[g] == f:  # sel is collinear with the group's regressors

@@ -137,7 +137,7 @@ class TestFileFormats:
     def test_edge_list_loader(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0 1\n1 2\n\n0 2\n")
-        dag = load_edge_list(path)
+        dag = load_edge_list(path, p=3)
         assert dag.p == 3
         assert list(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
 
@@ -153,7 +153,7 @@ class TestFileFormats:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2\n")
         with pytest.raises(UsageError, match="expected"):
-            load_edge_list(path)
+            load_edge_list(path, p=3)
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1002,6 +1002,32 @@ class TestFitLoglik:
         assert f"{data}: column v2 is explained exactly by its predecessors" in err
         assert not model.exists()
 
+    def test_collinear_regressor_sort_skips_and_fit_refuses(self, tmp_path, capsys):
+        # where the two differ by design: the sorter skips a regressor that
+        # is collinear with a factor's columns and goes on, while fit
+        # refuses the same predecessors
+        rng = np.random.default_rng(0)
+        v = rng.laplace(size=(300, 4))
+        v[:, 2] = v[:, 0] + v[:, 1]
+        v[:, 3] = 0.8 * v[:, 0] - 0.5 * v[:, 1] + rng.standard_normal(300)
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(v))
+        nbhd = tmp_path / "n.json"
+        nbhd.write_text(json.dumps([[1, 2, 3], [0, 2, 3], [], [0, 1, 2]]))
+        ordering = tmp_path / "o.json"
+        assert main(["sort", "--data", str(data), "--neighborhoods", str(nbhd),
+                     "--out", str(ordering)]) == 0
+        doc = json.loads(ordering.read_text())
+        assert doc["ordering"] == [1, 0, 2, 3]
+        assert doc["diagnostics"]["skipped_updates"] == 1
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--ordering", str(ordering),
+                     "--neighborhoods", str(nbhd), "--out", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: the predecessors of column v3 are collinear\n" in err
+        assert not model.exists()
+
     def test_one_row_test_csv_is_accepted(self, tmp_path, capsys):
         data, model = self._pipeline(tmp_path, "laplace")
         one = tmp_path / "one.csv"
@@ -1123,13 +1149,13 @@ def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command, kind, path, message", [
-    ("generate", "config", None, "expected a JSON object, not list"),
-    ("benchmark", "grid", None, "expected a JSON object, not list"),
-    ("eval", "truth", None, "expected a JSON object, not list"),
-    ("eval", "ordering", None, "expected a JSON object, not list"),
-    ("fit", "ordering", None, "expected a JSON object, not list"),
-    ("loglik", "model", None, "expected a JSON object, not list"),
-    ("sort", "neighborhoods", None, "expected a JSON array, not int"),
+    ("generate", "config", None, "expected a JSON object, not array"),
+    ("benchmark", "grid", None, "expected a JSON object, not array"),
+    ("eval", "truth", None, "expected a JSON object, not array"),
+    ("eval", "ordering", None, "expected a JSON object, not array"),
+    ("fit", "ordering", None, "expected a JSON object, not array"),
+    ("loglik", "model", None, "expected a JSON object, not array"),
+    ("sort", "neighborhoods", None, "expected a JSON array, not number"),
     ("generate", "config", ["p"], "missing field 'p'"),
     ("generate", "config", ["graph", "scheme"], "field 'graph': missing field 'scheme'"),
     ("benchmark", "grid", ["cells", 0, "p"], "cells[0]: missing field 'p'"),
@@ -1189,6 +1215,27 @@ def test_malformed_json_input_exits_2_naming_the_file(tmp_path, capsys, command,
     capsys.readouterr()
     assert main(args) == 2
     assert f"error: {files[kind]}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, found", [(None, "null"), ("abc", "string"), (1.5, "number"),
+                                          (True, "boolean")])
+@pytest.mark.parametrize("kind", ["truth", "neighborhoods"])
+def test_json_top_level_is_named_by_its_json_kind(tmp_path, capsys, kind, value, found):
+    # a refusal named Python's type of the value (NoneType, str, float, bool)
+    data = tmp_path / "d.csv"
+    write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 4))))
+    ordering = tmp_path / "o.json"
+    ordering.write_text(json.dumps({"ordering": [0, 1, 2, 3]}))
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(value))
+    if kind == "truth":
+        args, expected = ["eval", "--truth", str(bad), "--ordering", str(ordering)], "object"
+    else:
+        args = ["sort", "--data", str(data), "--neighborhoods", str(bad),
+                "--out", str(tmp_path / "out")]
+        expected = "array"
+    assert main(args) == 2
+    assert f"error: {bad}: expected a JSON {expected}, not {found}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, kind, line", [

@@ -183,7 +183,7 @@ def _cols(state, factor):
 
 def _inverse(state, factor):
     """The factor's W = L^-1 as an m x m array, its deferred rows filled in."""
-    state.complete(factor)
+    state.complete(factor, state.rows[_cols(state, factor)])
     path = state.path(factor)
     w = np.zeros((len(path), len(path)))
     for i, g in enumerate(path):
@@ -195,7 +195,7 @@ def _take(state, values, factor, k, sel, own=-1):
     """Extend node k's factor by column ``sel`` of ``values`` in a one-group
     batch and update r_k as the sorter does; returns the extended factor.
     ``own`` is the factor ``sel`` was regressed on (none by default)."""
-    (child,), u, delta = partial_update(state, [factor], sel, values[:, sel], own)
+    (child,), u, delta = partial_update(state, [factor], sel, values.T.__getitem__, own)
     rk = state.pool[:, k]
     rk -= (float(u[0] @ rk) / delta[0]) * u[0]
     return child
@@ -233,14 +233,14 @@ class TestPartialUpdate:
         z = rng.standard_normal((50, 2))
         values = np.asfortranarray(np.column_stack([z, z @ [0.5, -2.0]]))
         state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
-        factor = partial_update(state, [state.ROOT], 0, values[:, 0], -1)[0][0]
-        factor = partial_update(state, [factor], 1, values[:, 1], -1)[0][0]
+        factor = partial_update(state, [state.ROOT], 0, values.T.__getitem__, -1)[0][0]
+        factor = partial_update(state, [factor], 1, values.T.__getitem__, -1)[0][0]
         count = len(state.parent)
-        (child,), _, delta = partial_update(state, [factor], 2, values[:, 2], -1)
+        (child,), _, delta = partial_update(state, [factor], 2, values.T.__getitem__, -1)
         assert child == factor and delta[0] == np.inf
         # a column already in the factor is in its span too; in a batch,
         # only the collinear group is skipped
-        children, _, delta = partial_update(state, [factor, state.ROOT], 0, values[:, 0], -1)
+        children, _, delta = partial_update(state, [factor, state.ROOT], 0, values.T.__getitem__, -1)
         assert children[0] == factor and delta[0] == np.inf
         assert children[1] != state.ROOT and np.isfinite(delta[1])
         assert len(state.parent) == count + 1  # only the root gained a child
@@ -254,9 +254,9 @@ class TestPartialUpdate:
         state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
         base = _take(state, values, state.ROOT, 1, 0)
         _take(state, values, state.ROOT, 2, 0)
-        (shared,), u, _ = partial_update(state, [base], 1, values[:, 1], base)
+        (shared,), u, _ = partial_update(state, [base], 1, values.T.__getitem__, base)
         assert np.array_equal(u[0], state.pool[:, 1])  # the shared direction is r_1
-        (direct,), _, _ = partial_update(state, [base], 1, values[:, 1], -1)
+        (direct,), _, _ = partial_update(state, [base], 1, values.T.__getitem__, -1)
         assert state.row[shared] is None and state.row[direct] is not None
         state.pool[:, 1] = values[:, 1]  # node 1 is sorted: its step is done
         before = state.inner_products
@@ -335,13 +335,13 @@ class TestPartialUpdate:
         state, factors = build()
         before = state.inner_products
         own = factors[1]
-        children, u, delta = partial_update(state, factors[:3], 4, values[:, 4], own)
+        children, u, delta = partial_update(state, factors[:3], 4, values.T.__getitem__, own)
         spent = state.inner_products - before
         alone_spent = 0
         for g, f in enumerate(factors[:3]):
             ref, _ = build()
             start = ref.inner_products
-            (child,), ref_u, ref_delta = partial_update(ref, [f], 4, values[:, 4], own)
+            (child,), ref_u, ref_delta = partial_update(ref, [f], 4, values.T.__getitem__, own)
             alone_spent += ref.inner_products - start
             np.testing.assert_allclose(u[g], ref_u[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(delta[g], ref_delta[0], rtol=1e-12)
