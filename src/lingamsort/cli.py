@@ -630,10 +630,11 @@ def estimation_input(spec: str, data: str | Path | DataMatrix, where: str, *,
         nbhd = read_neighborhoods(spec)
     if nbhd.p != rows.p:
         raise UsageError(f"{spec}: covers {nbhd.p} nodes, data has {rows.p}")
-    for k, s in enumerate(nbhd.sets):
-        if s.size > rows.n:
-            raise UsageError(f"{spec}: node {k} has {s.size} neighbors, "
-                             f"more than the {rows.n} estimation rows")
+    big = np.flatnonzero(nbhd.sizes > rows.n)
+    if big.size:
+        k = int(big[0])
+        raise UsageError(f"{spec}: node {k} has {nbhd.sizes[k]} neighbors, "
+                         f"more than the {rows.n} estimation rows")
     return nbhd, rows
 
 

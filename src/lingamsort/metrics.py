@@ -93,24 +93,40 @@ def fit_coefficients(
             pivots, coef, resid = ols_residual(z, lead, bar)
             # a low pivot at column t makes every later column's regressors collinear
             low = np.logical_or.accumulate(pivots < rank_floor, axis=1)
-            for i, chain in enumerate(cols):
-                for j, t in enumerate(range(lead, w)):
-                    k = int(chain[t])
-                    if t and low[i, t - 1]:
-                        collinear.append(k)
-                    elif pivots[i, t] < bar:
-                        degenerate.append(k)
-                    elif coef is not None:
-                        order = np.argsort(chain[:t])
-                        beta = -coef[i, j, order]
-                        keep = beta != 0.0
-                        parents[k], weights[k] = chain[order][keep], beta[keep]
-                        scales[k] = fit_scale(family, resid[i, j])[0]
+            low_before = np.zeros_like(low)
+            low_before[:, 1:] = low[:, :-1]
+            members = cols[:, lead:]
+            collinear.extend(members[low_before[:, lead:]].tolist())
+            degenerate.extend(members[~low_before[:, lead:] & (pivots[:, lead:] < bar)].tolist())
+            if coef is None or collinear or degenerate:
+                continue  # the fit is refused below
+            _store_fits(cols, lead, coef, parents, weights)
+            scales[members] = fit_scale(family, resid)[0]
     if collinear:
         raise RankDeficient(node=min(collinear))
     if degenerate:
         raise DegenerateResidual(min(degenerate))
     return WeightedDag(Dag(p, parents), weights, family, scales)
+
+
+def _store_fits(cols: np.ndarray, lead: int, coef: np.ndarray,
+                parents: list, weights: list) -> None:
+    """Store the parents and weights of every member of a stack of chains.
+
+    Member j of chain i, at column t = lead + j, has the regressors
+    ``cols[i, :t]`` and the coefficients -``coef[i, j, :t]``; its parents
+    are those regressors in node order, less any with a zero coefficient.
+    Each column t is sorted, gathered and checked for zeros once for the
+    whole stack.
+    """
+    for j, t in enumerate(range(lead, cols.shape[1])):
+        order = np.argsort(cols[:, :t], axis=1)
+        nodes = np.take_along_axis(cols[:, :t], order, axis=1)
+        beta = -np.take_along_axis(coef[:, j, :t], order, axis=1)
+        keep = beta != 0.0
+        kept_all = keep.all(axis=1).tolist()
+        for k, pa, wt, kp, whole in zip(cols[:, t].tolist(), nodes, beta, keep, kept_all):
+            parents[k], weights[k] = (pa, wt) if whole else (pa[kp], wt[kp])
 
 
 def _chains(ordering: Ordering, nbhd: NeighborhoodSets) -> list[tuple[list[int], int]]:

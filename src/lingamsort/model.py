@@ -443,20 +443,44 @@ class Ordering:
 
 
 class NeighborhoodSets:
-    """Per-node candidate neighbor sets; node k never contains itself."""
+    """Per-node candidate neighbor sets; node k never contains itself.
+
+    ``sets[k]`` is node k's set as a sorted int64 array without repeats,
+    and ``sizes[k]`` its size.  The sets are views of one array,
+    ``members``, which holds set 0, then set 1, and so on.  Construction
+    checks every set in one pass over their concatenation: it refuses a
+    member outside [0, p), then a node in its own set, naming the first set
+    k with either, and sorts and dedupes by (owner, member) only when some
+    set is unsorted or repeats a member.
+    """
 
     def __init__(self, sets: Sequence[Iterable[int]]):
         p = len(sets)
-        norm: list[np.ndarray] = []
-        for k, s in enumerate(sets):
-            arr = np.unique(np.asarray(s if isinstance(s, np.ndarray) else list(s),
-                                       dtype=np.int64))
-            if arr.size and (arr[0] < 0 or arr[-1] >= p):
+        parts = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64).ravel()
+                 for s in sets]
+        sizes = np.array([a.size for a in parts], dtype=np.int64)
+        members = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        owner = np.repeat(np.arange(p), sizes)
+        outside = (members < 0) | (members >= p)
+        bad = np.flatnonzero(outside | (members == owner))
+        if bad.size:
+            k = int(owner[bad[0]])
+            if outside[owner == k].any():
                 raise ValueError(f"neighbor index out of range in set {k}")
-            if np.any(arr == k):
-                raise ValueError(f"node {k} contained in its own neighborhood")
-            norm.append(arr)
-        self.sets: tuple[np.ndarray, ...] = tuple(norm)
+            raise ValueError(f"node {k} contained in its own neighborhood")
+        key = owner  # (owner, member) as one int64, increasing along sorted sets
+        key *= p
+        key += members
+        if not (key[1:] > key[:-1]).all():
+            key.sort()
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            owner, members = np.divmod(key, p)
+            sizes = np.bincount(owner, minlength=p)
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        self.members = members
+        self.sizes = sizes
+        self.sets: tuple[np.ndarray, ...] = tuple(
+            members[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
     @property
     def p(self) -> int:

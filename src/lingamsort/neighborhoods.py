@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dag, DataMatrix, NeighborhoodSets, column_moments
+from .model import MOMENT_CHUNK_BYTES, Dag, DataMatrix, NeighborhoodSets, column_moments
 
-_CHUNK = 128  # columns per block: about 2 MB of strengths at p = 2000
+# Fewest rows of strengths per block.  Each block's Gram product re-reads
+# all of z, so with fewer rows that read outweighs the product: 6 rows took
+# 2.2 times as long as 32 at p = 20,000, n = 200.
+_MIN_ROWS = 32
 
 
 def markov_blankets(dag: Dag) -> NeighborhoodSets:
@@ -30,11 +33,20 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
 
     Ties break toward the lower index; zero-variance columns correlate as 0
     with everything, and a column whose variance overflows raises
-    :class:`lingamsort.model.VarianceOverflow`.  Works blockwise so
-    the full p x p correlation matrix is never materialized.  Per column,
+    :class:`lingamsort.model.VarianceOverflow`.  Per column,
     ``np.partition`` finds the m-th largest strength; the set is every
     column strictly above it plus the lowest-index columns equal to it, up
-    to m.
+    to m, so every set has exactly m members.
+
+    Works on blocks of rows of the p x p strength matrix, which is never
+    materialized, in buffers allocated once: a block has about
+    ``MOMENT_CHUNK_BYTES`` of strengths, and at least ``_MIN_ROWS`` rows.
+    A block's Gram product is written straight into its buffer; a copy is
+    partitioned in place for the m-th strengths; only rows with more than
+    m columns at or above theirs are tie-broken; and one ``np.nonzero``
+    gives the block's sets.  A one-row tail joins the block before it:
+    numpy computes a one-column product as a matrix-vector product, which
+    sums in another order.
     """
     n, p = x_holdout.n, x_holdout.p
     if not 0 < m < p:
@@ -43,25 +55,39 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
         raise ValueError("holdout needs at least 3 rows")
     values = x_holdout.values
     mean, sd = column_moments(values)
-    safe = np.where(sd > 0, sd, 1.0)
-    z = (values - mean) / safe
+    z = np.subtract(values, mean)
+    z /= np.where(sd > 0, sd, 1.0)
     z[:, sd == 0] = 0.0
-    sets: list[np.ndarray] = []
-    for start in range(0, p, _CHUNK):
-        stop = min(start + _CHUNK, p)
-        # |clip(corr, -1, 1)|, one row per column start..stop-1
-        strength = np.divide((z.T @ z[:, start:stop]).T, n, order="C")
-        np.abs(strength, out=strength)
-        np.minimum(strength, 1.0, out=strength)
-        cols = np.arange(stop - start)
-        strength[cols, start + cols] = -np.inf
-        kth = np.partition(strength, p - m, axis=1)[:, p - m, None]
-        above = strength > kth
-        tied = strength == kth
-        room = m - np.count_nonzero(above, axis=1)[:, None]
-        keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-        sets.extend(np.flatnonzero(row) for row in keep)
-    return NeighborhoodSets(sets)
+    rows = max(_MIN_ROWS, MOMENT_CHUNK_BYTES // (8 * p))
+    bounds = [*range(0, p - 1, rows), p]  # a one-row tail joins the block before it
+    width = max(np.diff(bounds))
+    strength = np.empty((width, p))
+    work = np.empty((width, p))
+    cand = np.empty((width, p), dtype=bool)
+    members = np.empty((p, m), dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, c = strength[:hi - lo], cand[:hi - lo]
+        # |clip(corr, -1, 1)|, one row per column lo..hi-1
+        np.matmul(z.T, z[:, lo:hi], out=s.T)
+        s /= n
+        np.abs(s, out=s)
+        np.minimum(s, 1.0, out=s)
+        diag = np.arange(hi - lo)
+        s[diag, lo + diag] = -np.inf
+        kth = work[:hi - lo]
+        np.copyto(kth, s)
+        kth.partition(p - m, axis=1)
+        kth = kth[:, p - m, None]
+        np.greater_equal(s, kth, out=c)
+        over = np.flatnonzero(np.count_nonzero(c, axis=1) > m)
+        if over.size:  # ties at the m-th strength: keep the lowest indices
+            above = s[over] > kth[over]
+            tied = s[over] == kth[over]
+            room = m - np.count_nonzero(above, axis=1)[:, None]
+            c[over] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+        members[lo:hi] = np.nonzero(c)[1].reshape(hi - lo, m)
+    del z, strength, work, cand  # not held while the sets are checked
+    return NeighborhoodSets(members)
 
 
 def full_neighborhoods(p: int) -> NeighborhoodSets:

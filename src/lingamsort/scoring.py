@@ -80,20 +80,23 @@ def log_density(family: NoiseFamily, r: np.ndarray | float, eta: float) -> np.nd
     return out if out.ndim else float(out)
 
 
-def fit_scale(family: NoiseFamily, residual: np.ndarray) -> tuple[float, float]:
-    """(eta_hat, sigma_hat) for a mean-zero residual vector.
+def fit_scale(family: NoiseFamily, residual: np.ndarray) -> tuple:
+    """(eta_hat, sigma_hat) for a mean-zero residual vector, or arrays of
+    them for a stack of vectors along the last axis.
 
     sigma_hat is always sqrt(mean(r^2)).  eta_hat is the Laplace maximum
     likelihood estimate mean(|r|), or :func:`_eta_per_sigma` times sigma_hat
     for the other families.  No mean is subtracted; residuals are mean-zero
-    by construction.
+    by construction.  Raises :class:`DegenerateResidual` when a vector is
+    identically zero.
     """
     residual = np.asarray(residual, dtype=float)
-    sigma = math.sqrt(float(residual @ residual) / residual.size)
-    if sigma == 0.0:
+    square = (residual[..., None, :] @ residual[..., :, None])[..., 0, 0]
+    sigma = np.sqrt(square / residual.shape[-1])
+    if np.any(sigma == 0.0):
         raise DegenerateResidual()
     if family.tag == LAPLACE:
-        eta = float(np.abs(residual).mean())
+        eta = np.abs(residual).mean(axis=-1)
     else:
         eta = _eta_per_sigma(family) * sigma
     return eta, sigma

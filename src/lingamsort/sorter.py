@@ -296,19 +296,21 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         raise ValueError(f"neighborhoods cover {neighborhoods.p} nodes, data has {x.p}")
     if family.tag == GAUSSIAN:
         warnings.warn("scoring with the Gaussian family carries no ordering signal")
-    biggest = max((s.size for s in neighborhoods.sets), default=0)
+    sizes, members = neighborhoods.sizes, neighborhoods.members
+    biggest = int(sizes.max(initial=0))
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     n, p = x.n, x.p
+    # the k with j in N(k), increasing, are affected[start[j]:start[j + 1]]:
+    # a stable sort by member keeps the owners in order
+    affected = np.repeat(np.arange(p, dtype=np.int32), sizes)[
+        np.argsort(members, kind="stable")]
+    start = np.concatenate(([0], np.cumsum(np.bincount(members, minlength=p)))).tolist()
     source = x.values
     state = ResidualState(np.empty((n, p), order="F"), [-1] * p)
     rows, slot = state.rows, state.slot
     width = max(1, BLOCK_BYTES // (8 * n))  # columns per block
     factor = [state.ROOT] * p
-    affected: list[list[int]] = [[] for _ in range(p)]  # k such that j is in N(k)
-    for k, s in enumerate(neighborhoods.sets):
-        for j in s.tolist():
-            affected[j].append(k)
 
     degenerate: dict[int, int] = {}  # node -> the first step it scored -inf
     skipped: list[tuple[int, int]] = []
@@ -350,7 +352,7 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         chosen.append(sel)
         live[sel] = False
         scores[sel] = -np.inf
-        touched = [k for k in affected[sel] if live[k]]
+        touched = [k for k in affected[start[sel]:start[sel + 1]].tolist() if live[k]]
         if not touched:
             state.release(sel)
             continue

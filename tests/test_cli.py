@@ -645,6 +645,17 @@ class TestSortEvalPipeline:
                      "--neighborhoods", str(hub), "--out", str(tmp_path / "m.json")]) == 2
         assert "node 0 has 7 neighbors" in capsys.readouterr().err
 
+    def test_first_of_several_hubs_is_named(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, DataMatrix(rng_stream(5, 0).laplace(size=(4, 8))))
+        hubs = tmp_path / "hubs.json"
+        hubs.write_text(json.dumps([[j for j in range(8) if j != k] if k in (3, 5)
+                                    else [(k + 1) % 8] for k in range(8)]))
+        assert main(["sort", "--data", str(data), "--neighborhoods", str(hubs),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "node 3 has 7 neighbors, more than the 4 estimation rows" in \
+            capsys.readouterr().err
+
     def test_single_column_sorts_to_zero(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("v0\n1.0\n2.5\n-0.3\n")

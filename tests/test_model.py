@@ -182,3 +182,18 @@ class TestNeighborhoodSets:
         nbhd = NeighborhoodSets([[2, 1], [0], [0]])
         assert nbhd.to_lists() == [[1, 2], [0], [0]]
         assert NeighborhoodSets(nbhd.to_lists()).to_lists() == nbhd.to_lists()
+
+    def test_first_bad_set_is_named(self):
+        # set 1 holds itself and set 2 an index out of range: set 1 is named;
+        # within one set an index out of range is named before self-membership
+        with pytest.raises(ValueError, match="node 1 contained in its own"):
+            NeighborhoodSets([[1], [0, 1], [5], [0]])
+        with pytest.raises(ValueError, match="out of range in set 1"):
+            NeighborhoodSets([[1], [1, -1], [0]])
+
+    def test_sets_are_sorted_deduped_views_of_members(self):
+        nbhd = NeighborhoodSets([[3, 1, 3], set(), np.array([0, 3]), (2, 0, 2, 1)])
+        assert nbhd.to_lists() == [[1, 3], [], [0, 3], [0, 1, 2]]
+        assert nbhd.sizes.tolist() == [2, 0, 2, 3]
+        assert nbhd.members.tolist() == [1, 3, 0, 3, 0, 1, 2]
+        assert all(s.dtype == np.int64 and s.base is nbhd.members for s in nbhd.sets)

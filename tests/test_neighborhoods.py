@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,24 +88,43 @@ class TestTopCorrelated:
         for k in (0, 1, 3):
             assert 2 not in nbhd.to_lists()[k]
 
+    def test_traced_peak_is_bounded_by_the_data_not_the_blocks(self):
+        # at n = 50, p = 6,000 the strengths come in 188 blocks of 32 rows:
+        # the peak is the standardized copy of the data, the block buffers
+        # and the sets, whatever the number of blocks (6.7 MB against
+        # 31.3 MB when each block allocated its own temporaries)
+        n, p = 50, 6000
+        x = DataMatrix(rng_stream(9, 0).standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            top_correlated(x, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = 8 * n * p
+        buffers = 17 * 32 * p  # 32 rows of two float buffers and one bool buffer
+        assert peak < 2 * data + buffers
+
     def test_requires_m_below_p(self):
         x = DataMatrix(np.random.default_rng(0).standard_normal((10, 3)))
         with pytest.raises(ValueError):
             top_correlated(x, 3)
 
-    def test_blockwise_matches_direct(self):
-        # force the chunked path to agree with a one-shot computation
-        import lingamsort.neighborhoods as nbh
-
+    def test_blockwise_matches_direct(self, monkeypatch):
+        # force blocks of 2 and 4 rows, each with a joined one-row tail, to
+        # agree with a one-block computation
         rng = rng_stream(6, 0)
         x = DataMatrix(rng.standard_normal((25, 9)))
         expected = top_correlated(x, 3).to_lists()
-        old = nbh._CHUNK
-        try:
-            nbh._CHUNK = 2
-            assert top_correlated(x, 3).to_lists() == expected
-        finally:
-            nbh._CHUNK = old
+        for rows in (2, 4):
+            force_rows(monkeypatch, rows)
+            assert top_correlated(x, 3).to_lists() == expected, rows
+
+
+def force_rows(monkeypatch, rows: int) -> None:
+    """Make ``top_correlated`` work in blocks of ``rows`` rows at any p."""
+    monkeypatch.setattr(nbh, "MOMENT_CHUNK_BYTES", 0)
+    monkeypatch.setattr(nbh, "_MIN_ROWS", rows)
 
 
 def top_correlated_by_argsort(values: np.ndarray, m: int) -> list[list[int]]:
@@ -142,16 +163,20 @@ class TestTopCorrelatedMatchesArgsort:
         values[:, p // 2] = -1.0
         return values
 
-    @pytest.mark.parametrize("p", [12, 2 * nbh._CHUNK + 37])
-    def test_ties_and_m_extremes(self, p):
+    # in 128-row blocks: one block; two blocks and a ragged tail; two
+    # blocks, the second with a one-row tail joined
+    @pytest.mark.parametrize("p", [12, 2 * 128 + 37, 2 * 128 + 1])
+    def test_ties_and_m_extremes(self, p, monkeypatch):
+        force_rows(monkeypatch, 128)
         values = self._tied_data(p, seed=p)
         for m in (1, 2, p - 1):
             assert top_correlated(DataMatrix(values), m).to_lists() == \
                 top_correlated_by_argsort(values, m), m
 
-    def test_random_data_across_chunks(self):
+    def test_random_data_across_chunks(self, monkeypatch):
+        force_rows(monkeypatch, 128)
         rng = rng_stream(7, 0)
-        p = nbh._CHUNK + 50
+        p = 128 + 50
         mixing = np.eye(p) + np.triu(rng.uniform(-1, 1, (p, p)) * (rng.random((p, p)) < 0.02))
         values = rng.standard_normal((20, p)) @ mixing
         for m in (1, 2, 10, p - 1):

@@ -83,6 +83,19 @@ class TestFitScale:
         with pytest.raises(DegenerateResidual):
             fit_scale(LAP, np.zeros(8))
 
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_stack_matches_each_vector_bit_for_bit(self, n):
+        # a stack along the last axis gets, per vector, the one-vector sums:
+        # r'r by one dot product and sum |r| pairwise
+        stack = rng_stream(32, 0).laplace(size=(3, 4, n))
+        for family in (LAP, LOGI, T10):
+            eta, sigma = fit_scale(family, stack)
+            for r, e, s in zip(stack.reshape(-1, n), eta.ravel(), sigma.ravel()):
+                want = math.sqrt(float(r @ r) / n)
+                assert s == want
+                assert e == (float(np.abs(r).mean()) if family == LAP
+                             else fit_scale(family, r)[0])
+
     def test_estimator_consistency(self):
         # the plug-in estimators recover a known generating scale
         theta = 0.5
