@@ -325,12 +325,16 @@ def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_data_csv(path: str | Path) -> DataMatrix:
     """A data CSV as a DataMatrix.  A clean file is parsed by numpy's C
     parser; any other file goes through ``csv.reader``, which gives the same
-    values or names the bad line."""
+    values or names the bad line.  DataMatrix makes the one finiteness pass;
+    only when it refuses is the first non-finite cell located, and named by
+    its line and column."""
     header, values = _read_clean_csv(path) or _read_csv_rows(path)
-    if not np.isfinite(values).all():
-        i, k = np.argwhere(~np.isfinite(values))[0]
-        raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}")
-    return DataMatrix(values)
+    try:
+        return DataMatrix(values)
+    except ValueError as exc:
+        for i, k in np.argwhere(~np.isfinite(values))[:1]:
+            raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}") from None
+        raise UsageError(f"{path}: {exc}") from None  # a blank first line gives no column
 
 
 # the JSON kind of each type that json.load gives
@@ -484,21 +488,21 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
     """The model in a truth or model file: ``p``, ``family``, ``scales`` and
     ``{from, to, weight}`` records under ``edge_field``, as
     :func:`_edge_record` tuples or as dicts: a record with other keys, or
-    with its keys in another order, or a document built in Python.  An
-    out-of-range node, self-loop, cycle, zero or non-finite weight or bad
-    scale is a UsageError."""
+    with its keys in another order, or a document built in Python; either
+    is unpacked once, as (from, to, weight).  An out-of-range node,
+    self-loop, cycle, zero or non-finite weight or bad scale is a
+    UsageError."""
     with _malformed(where):
         p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
         for e in _expect(doc[edge_field], list, where):
-            whole = type(e) is tuple
-            j, k = (e[0], e[1]) if whole else (e["from"], e["to"])
+            j, k, weight = e if type(e) is tuple else (e["from"], e["to"], e["weight"])
             if type(j) is not int or type(k) is not int:
                 _integers([j, k], where)  # names the value that is not
             if not 0 <= k < p:
                 raise ValueError(f"edge into node {k} out of range [0, {p})")
-            incoming[k].append((j, float(e[2] if whole else e["weight"])))
+            incoming[k].append((j, float(weight)))
         cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
         dag = Dag(p, [pa for pa, _ in cols])
         return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
@@ -725,7 +729,9 @@ def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
         n = cell["n"]
     elif "n_mult" in cell:
         with _malformed(f"{where}: field 'n_mult'"):
-            n = max(2, int(round(float(cell["n_mult"]) * p)))
+            if type(n_mult := cell["n_mult"]) not in (int, float) or not n_mult > 0:  # NaN too
+                raise ValueError(f"must be a positive number, found {json.dumps(n_mult)}")
+            n = max(2, int(round(n_mult * p)))
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
     graph_doc = _expect(cell.get("graph", {}), dict, f"{where}: field 'graph'")

@@ -16,9 +16,9 @@ No intercepts appear anywhere: columns are standardized to mean zero
 before any fitting, so regressions go through the origin.  Column
 moments are computed a chunk of columns at a time, on the data's own
 layout, so that they equal ``np.mean`` and ``np.std`` over axis 0 bit for
-bit without an n x p temporary; :func:`standardize_pass` standardizes in
-the same pass, into a whole array for :func:`standardize` or one chunk at
-a time for the sorter's first scoring.
+bit without an n x p temporary; :func:`chunked_moments` standardizes in
+the same pass, into a whole array for :func:`standardize` and the
+``corr:`` screen or one chunk at a time for the sorter's first scoring.
 """
 from __future__ import annotations
 
@@ -291,79 +291,78 @@ class VarianceOverflow(ValueError):
         self.column = column
 
 
-def _chunks(n: int, p: int):
-    """Column ranges [lo, hi) of about ``MOMENT_CHUNK_BYTES`` each.
-
-    None is one column wide unless p is 1: numpy sums a lone column of a
-    row-major array pairwise, but the columns of a wider block one row at a
-    time, as ``np.mean`` does over the whole array.
-    """
-    width = max(2, MOMENT_CHUNK_BYTES // (8 * n))
-    bounds = list(range(0, p, width))
-    if p > 1 and p % width == 1:
-        bounds.pop()  # the one-column tail joins the chunk before it
-    bounds.append(p)
-    return zip(bounds[:-1], bounds[1:])
+def block_ranges(count: int, width: int) -> list[tuple[int, int]]:
+    """Ranges [lo, hi) that cover 0..count in steps of ``width``, except
+    that a one-wide tail joins the range before it: numpy sums a lone column
+    of a row-major array, and computes a one-column matrix product, in
+    another order than it does for each column of a wider block."""
+    bounds = [*range(0, max(count - 1, 1), width), count]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _moments(values: np.ndarray, out: np.ndarray | None = None,
-             visit: Callable[[int, np.ndarray], None] | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+def chunked_moments(values: np.ndarray, out: np.ndarray | None = None,
+                    visit: Callable[[int, np.ndarray], None] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Column means and standard deviations (denominator n), equal bit for
-    bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``.
+    bit to ``values.mean(axis=0)`` and ``values.std(axis=0)``, and the one
+    place that standardizes columns by their own moments.
 
-    ``out`` alone receives ``(values - mean) / sd``.  With ``visit`` too,
-    ``out`` is column-major scratch: each chunk's standardized columns
-    lo.. are written to its leading columns, as z, and ``visit(lo, z)`` is
-    called, unless one of them is constant or overflows, which the callers
-    refuse; the next chunk overwrites z.
+    ``out`` alone receives ``(values - mean) / sd``, which is NaN in a
+    constant column.  With ``visit`` too, ``out`` is column-major scratch:
+    each chunk's standardized columns lo.. are written to its leading
+    columns, as z, and ``visit(lo, z)`` is called, unless one of them is
+    constant or overflows, which the callers refuse; the next chunk
+    overwrites z.
 
-    Works one chunk of :func:`_chunks` at a time and repeats numpy's
-    arithmetic: the sum over rows divided by n, then the same for the
-    squared deviations, which are formed in the source's layout because
-    that sets numpy's summation order.  An overflow leaves an infinite or
-    NaN sd and raises no warning; the callers check.
+    Works on chunks of columns of about ``MOMENT_CHUNK_BYTES``, as
+    :func:`block_ranges` cuts them with at least two columns each, and
+    repeats numpy's arithmetic: the sum over rows divided by n, then the
+    same for the squared deviations, which are formed in the source's
+    layout because that sets numpy's summation order.  An overflow leaves
+    an infinite or NaN sd and raises no warning; the callers check, with
+    :func:`refuse_overflow`.
     """
     n, p = values.shape
     mean = np.empty(p)
     sd = np.empty(p)
-    for lo, hi in _chunks(n, p):
+    for lo, hi in block_ranges(p, max(2, MOMENT_CHUNK_BYTES // (8 * n))):
         block = values[:, lo:hi]
         z = None if out is None else out[:, :hi - lo] if visit else out[:, lo:hi]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m = np.add.reduce(block, axis=0) / n
+            m = np.divide(np.add.reduce(block, axis=0), n, out=mean[lo:hi])
             if z is None:
                 dev = block - m
                 np.multiply(dev, dev, out=dev)
             else:
                 np.subtract(block, m, out=z)
                 dev = np.multiply(z, z, out=np.empty_like(block))
-            s = np.sqrt(np.add.reduce(dev, axis=0) / n)
+            s = np.sqrt(np.add.reduce(dev, axis=0) / n, out=sd[lo:hi])
             if z is not None:
                 z /= s
         del dev  # the squares are not kept while visit scores the chunk
-        mean[lo:hi] = m
-        sd[lo:hi] = s
         if visit is not None and ((0.0 < s) & (s < np.inf)).all():
             visit(lo, z)
     return mean, sd
 
 
-def _check_finite(sd: np.ndarray) -> None:
+def refuse_overflow(sd: np.ndarray) -> None:
+    """Raise :class:`VarianceOverflow` for the lowest column whose sd, from
+    :func:`chunked_moments`, is not finite."""
     bad = np.flatnonzero(~np.isfinite(sd))
     if bad.size:
         raise VarianceOverflow(int(bad[0]))
 
 
 def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard deviation (denominator n).
+    """Per-column mean and standard deviation (denominator n), from
+    :func:`chunked_moments`.
 
     Bit for bit ``values.mean(axis=0)`` and ``values.std(axis=0)``, for
     row- and column-major input, without an n x p temporary.  Raises
     :class:`VarianceOverflow` when a column's variance overflows.
     """
-    mean, sd = _moments(np.asarray(values, dtype=float))
-    _check_finite(sd)
+    mean, sd = chunked_moments(np.asarray(values, dtype=float))
+    refuse_overflow(sd)
     return mean, sd
 
 
@@ -374,7 +373,7 @@ def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
     equal bit for bit to :func:`column_moments`, with its standardized
     columns ``(values - mean) / sd`` written to ``out``, or handed to
     ``visit`` a chunk at a time through the scratch ``out``, as
-    ``_moments`` sets out.
+    :func:`chunked_moments` sets out.
 
     Raises ValueError for fewer than two rows, then
     :class:`ZeroVarianceColumn` for the lowest constant column, then
@@ -382,11 +381,11 @@ def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
     """
     if values.shape[0] < 2:
         raise ValueError("standardization needs at least two rows")
-    mean, sd = _moments(values, out, visit)
+    mean, sd = chunked_moments(values, out, visit)
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
-    _check_finite(sd)
+    refuse_overflow(sd)
     return mean, sd
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MOMENT_CHUNK_BYTES, Dag, DataMatrix, NeighborhoodSets, column_moments
+from .model import (MOMENT_CHUNK_BYTES, Dag, DataMatrix, NeighborhoodSets, block_ranges,
+                    chunked_moments, refuse_overflow)
 
 # Fewest rows of strengths per block.  Each block's Gram product re-reads
 # all of z, so with fewer rows that read outweighs the product: 6 rows took
@@ -38,34 +39,32 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
     column strictly above it plus the lowest-index columns equal to it, up
     to m, so every set has exactly m members.
 
-    Works on blocks of rows of the p x p strength matrix, which is never
-    materialized, in buffers allocated once: a block has about
-    ``MOMENT_CHUNK_BYTES`` of strengths, and at least ``_MIN_ROWS`` rows.
-    A block's Gram product is written straight into its buffer; a copy is
-    partitioned in place for the m-th strengths; only rows with more than
-    m columns at or above theirs are tie-broken; and one ``np.nonzero``
-    gives the block's sets.  A one-row tail joins the block before it:
-    numpy computes a one-column product as a matrix-vector product, which
-    sums in another order.
+    The holdout is standardized in one :func:`lingamsort.model.chunked_moments`
+    pass, straight into z, whose constant columns are then zeroed.  The
+    p x p strength matrix is never materialized: it is worked on in blocks
+    of rows, cut by :func:`lingamsort.model.block_ranges`, in buffers
+    allocated once; a block has about ``MOMENT_CHUNK_BYTES`` of strengths,
+    and at least ``_MIN_ROWS`` rows.  A block's Gram product is written
+    straight into its buffer; a copy is partitioned in place for the m-th
+    strengths; only rows with more than m columns at or above theirs are
+    tie-broken; and one ``np.nonzero`` gives the block's sets.
     """
     n, p = x_holdout.n, x_holdout.p
     if not 0 < m < p:
         raise ValueError("need 0 < m < p")
     if n < 3:
         raise ValueError("holdout needs at least 3 rows")
-    values = x_holdout.values
-    mean, sd = column_moments(values)
-    z = np.subtract(values, mean)
-    z /= np.where(sd > 0, sd, 1.0)
+    z = np.empty_like(x_holdout.values)
+    sd = chunked_moments(x_holdout.values, z)[1]
+    refuse_overflow(sd)
     z[:, sd == 0] = 0.0
-    rows = max(_MIN_ROWS, MOMENT_CHUNK_BYTES // (8 * p))
-    bounds = [*range(0, p - 1, rows), p]  # a one-row tail joins the block before it
-    width = max(np.diff(bounds))
+    blocks = block_ranges(p, max(_MIN_ROWS, MOMENT_CHUNK_BYTES // (8 * p)))
+    width = max(hi - lo for lo, hi in blocks)
     strength = np.empty((width, p))
     work = np.empty((width, p))
     cand = np.empty((width, p), dtype=bool)
     members = np.empty((p, m), dtype=np.int64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in blocks:
         s, c = strength[:hi - lo], cand[:hi - lo]
         # |clip(corr, -1, 1)|, one row per column lo..hi-1
         np.matmul(z.T, z[:, lo:hi], out=s.T)

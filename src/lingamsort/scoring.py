@@ -31,11 +31,11 @@ LAPLACE_GAP = 0.5 * math.log(math.pi / 2.0) - 0.5
 
 
 class DegenerateResidual(ValueError):
-    """A residual vector is identically zero and carries no information."""
+    """A residual vector is numerically zero and carries no information."""
 
     def __init__(self, node: int | None = None):
         tail = "" if node is None else f" (node {node})"
-        super().__init__(f"residual vector is identically zero{tail}")
+        super().__init__(f"residual vector is numerically zero{tail}")
         self.node = node
 
 
@@ -107,17 +107,19 @@ def llr_score(family: NoiseFamily, residual: np.ndarray) -> float | np.ndarray:
 
     value = mean_i [ log g(r_i; eta_hat) - log phi(r_i; sigma_hat) ], with
     phi the mean-zero normal density at standard deviation sigma_hat.
-    Invariant under positive rescaling of the residual.
+    Invariant under positive rescaling of the residual, while its mean
+    square stays at or above ``DEGENERATE_MEAN_SQUARE``.
 
-    A vector gives a float and raises :class:`DegenerateResidual` when it
-    is identically zero.  An n x K block gives the K column scores, from
-    the closed forms set out in the module docstring; a block never raises,
-    and a column whose mean square is under ``DEGENERATE_MEAN_SQUARE``
-    scores -inf.
+    A vector gives a float and raises :class:`DegenerateResidual` when its
+    mean square is under ``DEGENERATE_MEAN_SQUARE``, or NaN.  An n x K
+    block gives the K column scores, from the closed forms set out in the
+    module docstring; a block never raises, and such a column scores -inf.
     """
     residual = np.asarray(residual, dtype=float)
     if residual.ndim == 2:
         return _block_scores(family, residual)
+    if not residual @ residual / residual.size >= DEGENERATE_MEAN_SQUARE:  # NaN too
+        raise DegenerateResidual()
     eta, sigma = fit_scale(family, residual)
     gauss = -0.5 * LOG_2PI - math.log(sigma) - 0.5 * (residual / sigma) ** 2
     return float(np.mean(log_density(family, residual, eta) - gauss))
@@ -162,13 +164,15 @@ def laplace_fast_score(residual: np.ndarray) -> float | np.ndarray:
     Ranks candidates identically to the full Laplace likelihood-ratio
     score, from which it differs by the constant ``LAPLACE_GAP``.  A vector
     gives a float; an n x K block gives one value per column.  Raises
-    :class:`DegenerateResidual` when any column is identically zero.
+    :class:`DegenerateResidual` when the mean square of any column is under
+    ``DEGENERATE_MEAN_SQUARE``, or NaN, as :func:`llr_score` does for a
+    vector.
     """
     residual = np.asarray(residual, dtype=float)
-    sum_squares = np.einsum("i...,i...->...", residual, residual)
-    if np.any(sum_squares == 0.0):
+    mean_square = np.einsum("i...,i...->...", residual, residual) / residual.shape[0]
+    if not np.all(mean_square >= DEGENERATE_MEAN_SQUARE):  # NaN too
         raise DegenerateResidual()
-    out = _log_norm_ratio(residual, sum_squares / residual.shape[0])
+    out = _log_norm_ratio(residual, mean_square)
     return out if out.ndim else float(out)
 
 

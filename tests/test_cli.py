@@ -161,6 +161,13 @@ class TestFileFormats:
         with pytest.raises(UsageError, match="expected 2 fields"):
             read_data_csv(path)
 
+    def test_csv_of_blank_lines_exits_2(self, tmp_path, capsys):
+        # its empty header gives no columns, which exited 1
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\n")
+        assert main(["sort", "--data", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: data must be a non-empty")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, cell):
         path = tmp_path / "bad.csv"
@@ -1320,6 +1327,10 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
     ("benchmark", ["cells", 0], 3, "object"),
     ("benchmark", ["cells", 0], {"p": 5, "n_mult": "abc", "family": "laplace"}, "n_mult"),
     ("benchmark", ["cells", 0], {"p": 5, "n_mult": math.inf, "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": -5, "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": 0, "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": True, "family": "laplace"}, "n_mult"),
+    ("benchmark", ["cells", 0], {"p": 5, "n_mult": "2", "family": "laplace"}, "n_mult"),
     ("benchmark", ["cells", 0, "graph"], 3, "field 'graph'"),
     ("benchmark", ["cells", 0, "neighborhoods"], 7, "neighborhood scheme 7"),
     ("benchmark", ["cells", 0, "replicates"], -2, "replicates"),
@@ -1336,6 +1347,8 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
         "cell-gaussian", "seed-negative", "graph-not-object", "base-seed-negative",
         "cells-not-list", "cell-not-object", "cell-n-mult-string", "cell-n-mult-infinite",
+        "cell-n-mult-negative", "cell-n-mult-zero", "cell-n-mult-bool",
+        "cell-n-mult-numeric-string",
         "cell-graph-not-object",
         "cell-neighborhoods-not-string", "replicates-negative", "df-string", "df-infinite",
         "cell-df-infinite", "p-one", "root-frac-leaves-no-children", "cell-p-one",

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lingamsort import (
     rng_stream,
     top_correlated,
 )
+from lingamsort.model import VarianceOverflow
 
 
 class TestMarkovBlankets:
@@ -87,6 +89,15 @@ class TestTopCorrelated:
         # the constant column never wins a top-2 slot against real signal
         for k in (0, 1, 3):
             assert 2 not in nbhd.to_lists()[k]
+
+    def test_overflow_names_the_column_without_a_warning(self):
+        values = rng_stream(13, 0).laplace(size=(30, 6))
+        values[:, 2] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VarianceOverflow) as err:
+                top_correlated(DataMatrix(values), 2)
+        assert err.value.column == 2
 
     def test_traced_peak_is_bounded_by_the_data_not_the_blocks(self):
         # at n = 50, p = 6,000 the strengths come in 188 blocks of 32 rows:

@@ -142,6 +142,16 @@ class TestLlrScore:
         with pytest.raises(DegenerateResidual):
             llr_score(LAP, np.zeros(4))
 
+    def test_vector_is_refused_where_its_one_column_block_scores_minus_inf(self):
+        # mean square 2.2e-16, under the bar: the vector forms scored it
+        r = np.random.default_rng(0).laplace(size=400) * 1e-8
+        for family in (LAP, LOGI, T10):
+            assert llr_score(family, r[:, None])[0] == -np.inf
+            with pytest.raises(DegenerateResidual):
+                llr_score(family, r)
+        with pytest.raises(DegenerateResidual):
+            laplace_fast_score(r)
+
     def test_matched_family_positive_gaussian_smaller(self):
         n = 10**5
         matched = {}

@@ -37,14 +37,12 @@ import lingamsort
 import lingamsort.sorter
 from lingamsort.cli import estimation_input
 from lingamsort.model import NeighborhoodSets
-from lingamsort.scoring import DEGENERATE_MEAN_SQUARE, DegenerateResidual
+from lingamsort.scoring import DegenerateResidual
 
 LAP = NoiseFamily.laplace()
 
 
 def _oracle_score(family, resid):
-    if float(resid @ resid) / resid.size < DEGENERATE_MEAN_SQUARE:
-        return -np.inf
     try:
         return llr_score(family, resid)
     except DegenerateResidual:
