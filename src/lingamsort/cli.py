@@ -153,26 +153,22 @@ def _replacing(path: str | Path) -> Iterator[Path]:
 
 
 @contextmanager
-def _decoding(path: str | Path) -> Iterator[None]:
-    """Turns a byte that a text read of ``path`` cannot decode into a
-    UsageError that names the file.  The error's position counts from the
-    start of the decoder's current chunk, not of the file, so it is left
-    out."""
+def _malformed(where: str) -> Iterator[None]:
+    """The one rule for a bad input value: what a reader of an input file,
+    option or cell raises while it builds its value becomes a UsageError
+    (exit 2) that names ``where``.  A byte that text decoding refuses is
+    named by its value, not its position, which counts from the start of
+    the decoder's current chunk, not of the file; a JSON syntax error by
+    its line and column; a KeyError as the missing field; a TypeError,
+    ValueError or OverflowError by its own message.  The first two are
+    ValueErrors, so they are caught first."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+        raise UsageError(f"{where}: byte 0x{exc.object[exc.start]:02x} is not "
                          f"{exc.encoding} text") from None
-
-
-@contextmanager
-def _malformed(where: str) -> Iterator[None]:
-    """The rule for a missing or malformed field of an input file, option
-    or cell: a KeyError, TypeError, ValueError or OverflowError raised while
-    a reader builds its value becomes a UsageError (exit 2) that names
-    ``where``, and the missing key."""
-    try:
-        yield
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except KeyError as exc:
         raise UsageError(f"{where}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -302,7 +298,7 @@ def _read_clean_csv(path: str | Path) -> tuple[list[str], np.ndarray] | None:
 
 def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Header and values through ``csv.reader``, naming the first bad line."""
-    with open(path, newline="") as fh, _decoding(path):
+    with open(path, newline="") as fh, _malformed(str(path)):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -356,23 +352,26 @@ def _expect(doc: object, top: type, where: str):
 def _read_json(path: str | Path, top: type = dict) -> dict | list:
     """The document in ``path``, each object decoded by :func:`_edge_record`,
     refused unless its top level is a ``top``, as :func:`_expect` checks."""
-    try:
-        with open(path) as fh, _decoding(path):
-            doc = json.load(fh, object_pairs_hook=_edge_record)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    with open(path) as fh, _malformed(str(path)):
+        doc = json.load(fh, object_pairs_hook=_edge_record)
     return _expect(doc, top, str(path))
 
 
-def _integers(values: list, where: str) -> list:
-    """``values``, refused unless it is a JSON array and each entry a JSON
-    integer: a node index, a count or a seed is never truncated from a float
-    or read from a boolean or a string."""
+# the rule that _integers states when it refuses an entry of each kind
+_RULES = {int: "node indices, counts and seeds must be integers",
+          float: "weights, scales, moments and simulation settings must be numbers"}
+
+
+def _integers(values: list, where: str, kind: type = int) -> list:
+    """``values``, refused unless it is a JSON array whose every entry is of
+    ``kind``: ``int`` for a JSON integer, ``float`` for any JSON number,
+    which comes back as a float.  The one rule for a JSON scalar: a node
+    index, a count or a seed is never truncated from a float, and no value
+    is read from a boolean or a string."""
     for v in _expect(values, list, where):
-        if type(v) is not int:
-            raise UsageError(f"{where}: node indices, counts and seeds must be integers, "
-                             f"found {json.dumps(v)}")
-    return values
+        if type(v) not in (int, kind):  # a JSON integer is a number too
+            raise UsageError(f"{where}: {_RULES[kind]}, found {json.dumps(v)}")
+    return values if kind is int else [float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -489,23 +488,24 @@ def weighted_dag_from_doc(doc: dict, edge_field: str, where: str) -> WeightedDag
     ``{from, to, weight}`` records under ``edge_field``, as
     :func:`_edge_record` tuples or as dicts: a record with other keys, or
     with its keys in another order, or a document built in Python; either
-    is unpacked once, as (from, to, weight).  An out-of-range node,
-    self-loop, cycle, zero or non-finite weight or bad scale is a
-    UsageError."""
+    is unpacked once, as (from, to, weight).  A node index that is not a
+    JSON integer, a weight or scale that is not a JSON number, an
+    out-of-range node, self-loop, cycle, zero or non-finite weight or bad
+    scale is a UsageError."""
     with _malformed(where):
         p, = _integers([doc["p"]], where)
         family = family_from_doc(doc["family"], where)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(p)]
         for e in _expect(doc[edge_field], list, where):
             j, k, weight = e if type(e) is tuple else (e["from"], e["to"], e["weight"])
-            if type(j) is not int or type(k) is not int:
-                _integers([j, k], where)  # names the value that is not
+            if type(j) is not int or type(k) is not int or type(weight) is not float:
+                (j, k), (weight,) = _integers([j, k], where), _integers([weight], where, float)
             if not 0 <= k < p:
                 raise ValueError(f"edge into node {k} out of range [0, {p})")
-            incoming[k].append((j, float(weight)))
+            incoming[k].append((j, weight))
         cols = [tuple(zip(*sorted(inc))) or ((), ()) for inc in incoming]  # as Dag sorts
-        dag = Dag(p, [pa for pa, _ in cols])
-        return WeightedDag(dag, [wt for _, wt in cols], family, doc["scales"])
+        scales = _integers(doc["scales"], where, float)
+        return WeightedDag(Dag(p, [pa for pa, _ in cols]), [wt for _, wt in cols], family, scales)
 
 
 def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Ordering, int]:
@@ -514,11 +514,20 @@ def truth_from_doc(doc: dict, where: str = "truth") -> tuple[WeightedDag, Orderi
         return w, Ordering(_integers(doc["ordering"], where)), _integers([doc["seed"]], where)[0]
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int if it is an optional ``-`` and ASCII digits, else
+    a ValueError: ``int`` alone also reads ``1_0`` as 10, and takes a ``+``,
+    surrounding spaces and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def load_edge_list(path: str | Path, p: int) -> Dag:
     """A DAG on ``p`` nodes from whitespace-separated ``from to`` pairs,
-    0-based, one edge per line."""
+    0-based decimal integers, one edge per line."""
     edges: list[tuple[int, int]] = []
-    with open(path) as fh, _decoding(path):
+    with open(path) as fh, _malformed(str(path)):
         for i, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -526,10 +535,9 @@ def load_edge_list(path: str | Path, p: int) -> Dag:
             if len(tokens) != 2:
                 raise UsageError(f"{path}:{i}: expected 'from to', found {line.strip()!r}")
             try:
-                edges.append((int(tokens[0]), int(tokens[1])))
+                edges.append((_decimal(tokens[0]), _decimal(tokens[1])))
             except ValueError:
                 raise UsageError(f"{path}:{i}: node indices must be integers") from None
-    with _malformed(str(path)):
         return Dag.from_edges(p, edges)
 
 
@@ -543,10 +551,12 @@ def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
 # configuration
 
 
-def _given(doc: dict, *fields: str, cast: Callable[[object], object] = lambda v: v) -> dict:
-    """The ``fields`` that ``doc`` gives, each through ``cast``.  A field it
-    omits is left out, so it takes its default from the dataclass."""
-    return {f: cast(doc[f]) for f in fields if f in doc}
+def _given(doc: dict, where: str, kind: type, *fields: str) -> dict:
+    """The ``fields`` that ``doc`` gives, each refused unless it is of
+    ``kind`` as :func:`_integers` checks it, and typed as it returns it.  A
+    field ``doc`` omits is left out, so it takes its default from the
+    dataclass."""
+    return {f: _integers([doc[f]], where, kind)[0] for f in fields if f in doc}
 
 
 def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimConfig:
@@ -561,15 +571,14 @@ def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimCon
             scheme = graph_doc["scheme"]
             rel = graph_doc["path"] if scheme == "edge-list" else None
         if scheme == "large-sparse":
-            counts = _given(graph_doc, "min_parents", "max_parents")
-            _integers(list(counts.values()), where)
-            graph: LargeSparse | Dag = LargeSparse(**counts,
-                                                   **_given(graph_doc, "root_frac", cast=float))
+            graph: LargeSparse | Dag = LargeSparse(
+                **_given(graph_doc, where, int, "min_parents", "max_parents"),
+                **_given(graph_doc, where, float, "root_frac"))
         elif scheme == "edge-list":
             graph = load_edge_list(base_dir / rel, p=p)
         else:
             raise UsageError(f"{where}: unknown graph scheme {scheme!r}")
-        ranges = _given(doc, "coef_low", "coef_high", "scale_low", "scale_high", cast=float)
+        ranges = _given(doc, where, float, "coef_low", "coef_high", "scale_low", "scale_high")
         return SimConfig(p=p, n=n, seed=seed, family=family, graph=graph, **ranges)
 
 
@@ -583,8 +592,8 @@ def _parse_corr(spec: str, p: int, where: str,
         form = "corr:m:frac:seed" if split_seed is None else "corr:m:frac (split seed is derived)"
         raise UsageError(f"{where}: expected {form}")
     with _malformed(f"{where}: bad corr specification"):
-        m, frac = int(fields[0]), float(fields[1])
-        seed = split_seed if split_seed is not None else int(fields[2])
+        m, frac = _decimal(fields[0]), float(fields[1])
+        seed = split_seed if split_seed is not None else _decimal(fields[2])
     if not 0 < m < p:
         raise UsageError(f"{where}: corr: need 0 < m < p, got m={m}, p={p}")
     if not 0 < frac < 1:  # NaN too
@@ -728,9 +737,9 @@ def _parse_cell(cell: object, base_seed: int, where: str) -> _Cell:
     if "n" in cell:
         n = cell["n"]
     elif "n_mult" in cell:
-        with _malformed(f"{where}: field 'n_mult'"):
-            if type(n_mult := cell["n_mult"]) not in (int, float) or not n_mult > 0:  # NaN too
-                raise ValueError(f"must be a positive number, found {json.dumps(n_mult)}")
+        with _malformed(field := f"{where}: field 'n_mult'"):
+            if not (n_mult := _integers([cell["n_mult"]], field, float)[0]) > 0:  # NaN too
+                raise ValueError(f"must be a positive number, found {json.dumps(cell['n_mult'])}")
             n = max(2, int(round(n_mult * p)))
     else:
         raise UsageError(f"{where}: need 'n' or 'n_mult'")
@@ -829,7 +838,8 @@ def read_model(path: str | Path) -> tuple[WeightedDag, np.ndarray, np.ndarray]:
     doc = _read_json(path)
     model = weighted_dag_from_doc(doc, "coefficients", str(path))
     with _malformed(str(path)):
-        return model, np.asarray(doc["train_means"], float), np.asarray(doc["train_sds"], float)
+        return (model, np.asarray(_integers(doc["train_means"], str(path), float)),
+                np.asarray(_integers(doc["train_sds"], str(path), float)))
 
 
 def cmd_loglik(args: argparse.Namespace) -> int:

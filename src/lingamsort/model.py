@@ -407,14 +407,17 @@ def apply_moments(x: DataMatrix, mean: np.ndarray, sd: np.ndarray) -> DataMatrix
     """Apply a previously fitted standardization (e.g. training statistics).
 
     The result is not flagged ``standardized``: its columns are centered by
-    the supplied moments, not its own.
+    the supplied moments, not its own.  One mean and one sd per column are
+    required, each finite and each sd positive, or the first column that
+    breaks the rule is named: an infinite sd would map its column to
+    zeros, which score as data.
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     if mean.shape != (x.p,) or sd.shape != (x.p,):
         raise ValueError("moments do not match the data's column count")
-    if not np.all(sd > 0):
-        raise ValueError("standard deviations must be positive")
+    for k in np.flatnonzero(~((sd > 0) & np.isfinite(sd) & np.isfinite(mean)))[:1]:
+        raise ValueError(f"column v{k}: mean {mean[k]}, sd {sd[k]}; need finite moments and sd > 0")
     return DataMatrix((x.values - mean) / sd)
 
 

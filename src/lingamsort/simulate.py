@@ -72,7 +72,13 @@ class LargeSparse:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full recipe for one synthetic data set."""
+    """Full recipe for one synthetic data set.
+
+    Checked here, before anything is sampled: positive ``p`` and ``n``, a
+    non-negative seed, 0 < low <= high < inf for the coefficient and the
+    scale ranges (the sampler cannot draw from an infinite range), a
+    generating family, and a graph the sampler can build on ``p`` nodes.
+    """
 
     p: int
     n: int
@@ -89,10 +95,10 @@ class SimConfig:
             raise ValueError("p and n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, found {self.seed}")
-        if not 0 < self.coef_low <= self.coef_high:
-            raise ValueError("need 0 < coef_low <= coef_high")
-        if not 0 < self.scale_low <= self.scale_high:
-            raise ValueError("need 0 < scale_low <= scale_high")
+        for r in ("coef", "scale"):
+            low, high = getattr(self, f"{r}_low"), getattr(self, f"{r}_high")
+            if not 0 < low <= high < math.inf:
+                raise ValueError(f"need 0 < {r}_low <= {r}_high < inf, found {low} and {high}")
         if self.family.tag not in MODEL_FAMILIES:
             raise ValueError(f"{self.family.tag!r} is not a generating family")
         if isinstance(self.graph, Dag) and self.graph.p != self.p:

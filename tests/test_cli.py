@@ -1070,8 +1070,9 @@ class TestFitLoglik:
         {"train_sds": [1.0, 1.0]},
         {"coefficients": [{"from": 0, "to": 1, "weight": math.nan}]},
         {"scales": [1.0, math.inf, 1.0]},
+        {"train_sds": [1.0, math.inf, 1.0]},
     ], ids=["negative-node", "self-loop", "cycle", "node-out-of-range", "short-scales",
-            "short-train-sds", "nan-weight", "infinite-scale"])
+            "short-train-sds", "nan-weight", "infinite-scale", "infinite-train-sd"])
     def test_bad_model_exits_2_naming_it(self, tmp_path, capsys, change):
         data = tmp_path / "d.csv"
         write_data_csv(data, DataMatrix(rng_stream(9, 0).laplace(size=(20, 3))))
@@ -1256,6 +1257,51 @@ def test_json_top_level_is_named_by_its_json_kind(tmp_path, capsys, kind, value,
     assert f"error: {bad}: expected a JSON {expected}, not {found}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, kind, path, value", [
+    ("loglik", "model", ["coefficients", 0, "weight"], "0.5"),
+    ("loglik", "model", ["coefficients", 0, "weight"], True),
+    ("loglik", "model", ["scales", 2], "1.0"),
+    ("loglik", "model", ["train_means", 1], True),
+    ("loglik", "model", ["train_sds", 3], "1"),
+    ("eval", "truth", ["scales", 2], "0.5"),
+], ids=["model-weight-string", "model-weight-bool", "model-scale-string",
+        "model-train-mean-bool", "model-train-sd-string", "truth-scale-string"])
+def test_non_number_value_exits_2_naming_the_file(tmp_path, capsys, command, kind, path,
+                                                  value):
+    # float() and numpy read each of these as a number, a boolean as 1.0
+    test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, command, kind,
+                                                        path, value)
+
+
+@pytest.mark.parametrize("line", ["1_0 2", "+1 2", "\u0661 2"],
+                         ids=["underscore", "plus-sign", "arabic-indic-digit"])
+def test_non_decimal_edge_list_index_exits_2_naming_the_line(tmp_path, capsys, line):
+    # int() read these as 10 and 1: "1_0 2" gave the edge 10 -> 2
+    config = tmp_path / "config.json"
+    _write_chain_config(config, p=12, n=40)
+    (tmp_path / "edges.txt").write_text(f"0 1\n{line}\n")
+    args = ["generate", "--config", str(config), "--out-data", str(tmp_path / "d.csv"),
+            "--out-truth", str(tmp_path / "t.json")]
+    assert main(args) == 2
+    assert (capsys.readouterr().err
+            == f"error: {tmp_path / 'edges.txt'}:2: node indices must be integers\n")
+
+
+@pytest.mark.parametrize("spec, bad", [
+    ("corr:1_0:0.5:1", "1_0"), ("corr:+3:0.5:1", "+3"), ("corr: 3:0.5:1", " 3"),
+    ("corr:\u0663:0.5:1", "\u0663"), ("corr:3:0.5:1_0", "1_0"), ("corr:3:0.5:+1", "+1"),
+], ids=["m-underscore", "m-plus-sign", "m-space", "m-arabic-indic-digit", "seed-underscore",
+        "seed-plus-sign"])
+def test_non_decimal_corr_integer_exits_2_naming_the_option(tmp_path, capsys, spec, bad):
+    # int() read each of these, so "corr:1_0:0.5:1" ran with m = 10
+    data = tmp_path / "d.csv"
+    write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 12))))
+    assert main(["sort", "--data", str(data), "--neighborhoods", spec,
+                 "--out", str(tmp_path / "o.json")]) == 2
+    assert (capsys.readouterr().err == "error: --neighborhoods: bad corr specification: "
+            f"not a decimal integer: {bad!r}\n")
+
+
 @pytest.mark.parametrize("command, kind, line", [
     ("generate", "config", 0),
     ("generate", "edges", 1),
@@ -1342,6 +1388,15 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
     ("generate", ["graph", "root_frac"], 0.9, "root_frac 0.9"),
     ("benchmark", ["cells", 0, "p"], 1, "p=1"),
     ("benchmark", ["cells", 0, "graph"], {"root_frac": 0.9}, "root_frac 0.9"),
+    ("generate", ["coef_high"], "1.5", '"1.5"'),
+    ("generate", ["graph", "root_frac"], "0.2", '"0.2"'),
+    ("generate", ["coef_low"], True, "true"),
+    ("generate", ["coef_high"], True, "true"),
+    ("benchmark", ["cells", 0, "coef_high"], "1.2", '"1.2"'),
+    ("generate", ["coef_high"], math.inf, "coef_high < inf, found 0.4 and inf"),
+    ("generate", ["scale_high"], math.inf, "scale_high < inf, found 0.4 and inf"),
+    ("benchmark", ["cells", 0, "coef_high"], math.inf, "coef_high < inf, found 0.4 and inf"),
+    ("benchmark", ["cells", 0, "scale_high"], math.inf, "scale_high < inf, found 0.4 and inf"),
 ], ids=["p-string", "p-float", "n-float", "seed-bool", "min-parents-zero",
         "max-parents-float", "root-frac-above-one", "base-seed-float", "replicates-float",
         "cell-p-float", "cell-coef-low-above-high", "cell-root-frac-above-one",
@@ -1352,7 +1407,9 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
         "cell-graph-not-object",
         "cell-neighborhoods-not-string", "replicates-negative", "df-string", "df-infinite",
         "cell-df-infinite", "p-one", "root-frac-leaves-no-children", "cell-p-one",
-        "cell-root-frac-leaves-no-children"])
+        "cell-root-frac-leaves-no-children", "coef-high-string", "root-frac-string",
+        "coef-low-bool", "coef-high-bool", "cell-coef-high-string", "coef-high-infinite", "scale-high-infinite",
+        "cell-coef-high-infinite", "cell-scale-high-infinite"])
 def test_bad_config_value_exits_2_naming_it(tmp_path, capsys, command, path, value, message):
     # each of these exited 1, was truncated, or exited 0 with its error in
     # every replicate record or with no records

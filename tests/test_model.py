@@ -10,6 +10,7 @@ from lingamsort import (
     NoiseFamily,
     Ordering,
     WeightedDag,
+    apply_moments,
     is_topological,
 )
 from lingamsort.model import NeighborhoodSets
@@ -167,6 +168,20 @@ class TestDataMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             DataMatrix(np.array([[1.0, np.nan]]))
+
+
+class TestApplyMoments:
+    @pytest.mark.parametrize("mean, sd, named", [
+        ([0.0, 0.0, 0.0], [1.0, math.inf, 1.0], "column v1: mean 0.0, sd inf"),
+        ([0.0, 0.0, -math.inf], [1.0, 1.0, 1.0], "column v2: mean -inf, sd 1.0"),
+        ([0.0, math.nan, 0.0], [1.0, 1.0, 1.0], "column v1: mean nan, sd 1.0"),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], "column v2: mean 0.0, sd 0.0"),
+    ], ids=["infinite-sd", "infinite-mean", "nan-mean", "zero-sd"])
+    def test_bad_moment_is_refused_naming_its_column(self, mean, sd, named):
+        # an infinite sd mapped its column to zeros, which were scored as data
+        x = DataMatrix(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ValueError, match=f"^{named}; need finite moments and sd > 0$"):
+            apply_moments(x, mean, sd)
 
 
 class TestNeighborhoodSets:

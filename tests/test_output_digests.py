@@ -19,6 +19,7 @@ def test_two_runs_give_the_same_digest_of_every_output(tmp_path, monkeypatch):
         "full": (20, 80, 10, "logistic", "full", True),
         "scaled-t": (20, 60, 10, "scaled-t:5", "corr:5:0.2:1", True),
     })
+    monkeypatch.setattr(tool, "EDGE_LIST", (20, 60, 10))
     monkeypatch.setattr(tool, "GRID", [
         {"p": 30, "n_mult": 2.0, "family": "laplace", "neighborhoods": "mb", "replicates": 1},
         {"p": 20, "n_mult": 3.0, "family": "laplace", "neighborhoods": "corr:5:0.2",
@@ -28,6 +29,7 @@ def test_two_runs_give_the_same_digest_of_every_output(tmp_path, monkeypatch):
     assert tool.digests(tmp_path / "b") == first
     names = sorted(f"{case}/{name}" for case in ("corr", "full", "scaled-t")
                    for name in PIPELINE_FILES)
+    names += [f"edge-list/{name}" for name in PIPELINE_FILES + ["edges.txt", "neighborhoods.json"]]
     names += ["grid/benchmark.out", "grid/grid.json", "grid/results.jsonl"]
     assert sorted(line.split("  ")[1] for line in first) == sorted(names)
     assert all(len(line.split("  ")[0]) == 64 for line in first)

@@ -151,6 +151,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             LargeSparse(root_frac=1.5)
 
+    @pytest.mark.parametrize("bound", ["coef_high", "scale_high"])
+    def test_refuses_an_infinite_bound(self, bound):
+        # sampling from it raised OverflowError, after the graph was drawn
+        with pytest.raises(ValueError, match=f"{bound} < inf, found 0.4 and inf"):
+            SimConfig(p=3, n=10, seed=0, family=LAP, **{bound: math.inf})
+
     def test_sample_dataset_reproducible(self):
         cfg = SimConfig(p=12, n=64, seed=99, family=NoiseFamily.scaled_t(10))
         w1, o1, x1 = sample_dataset(cfg)

@@ -11,6 +11,9 @@ inputs drawn with the benchmark's coefficients (0.4-0.9) and scales
   ``loglik``), the second with ``sort --trace``;
 - a scaled-t:5 pipeline at p = 200, n = 400 on ``corr:10:0.2:1``, with
   ``sort --trace``;
+- a Laplace pipeline at p = 40, n = 200 whose graph is an edge list,
+  ``edges.txt``, and whose ``sort`` and ``fit`` read their sets from a
+  JSON file, ``neighborhoods.json``: the readers of both formats;
 - one ``benchmark`` grid with a ``grid-mb-p5000``-shaped cell and a small
   ``corr:`` cell.
 
@@ -41,6 +44,10 @@ PIPELINES = {
     "pipe-full-p300-logistic": (300, 600, 60, "logistic", "full", True),
     "scaled-t-p200": (200, 400, 40, "scaled-t:5", "corr:10:0.2:1", True),
 }
+# the edge-list case: p, training rows, held-out rows.  Its graph is a chain
+# in which every third node has a second parent, three back; each node's set
+# holds the nodes within three of it
+EDGE_LIST = (40, 200, 20)
 GRID = [
     {"p": 5000, "n_mult": 0.5, "family": "laplace", "neighborhoods": "mb", "replicates": 1},
     {"p": 200, "n_mult": 2.0, "family": "laplace", "neighborhoods": "corr:10:0.2",
@@ -58,8 +65,8 @@ def _run(where: Path, name: str, *args: str) -> None:
 
 
 def _pipeline(where: Path, p: int, n: int, held_out: int, family: str, nbhd: str,
-              trace: bool) -> None:
-    config = {"p": p, "n": n + held_out, "seed": SEED, "family": family, "graph": GRAPH, **SIM}
+              trace: bool, graph: dict = GRAPH) -> None:
+    config = {"p": p, "n": n + held_out, "seed": SEED, "family": family, "graph": graph, **SIM}
     (where / "config.json").write_text(json.dumps(config))
     _run(where, "generate", "generate", "--config", "config.json", "--out-data", "data.csv",
          "--out-truth", "truth.json")
@@ -74,11 +81,22 @@ def _pipeline(where: Path, p: int, n: int, held_out: int, family: str, nbhd: str
     _run(where, "loglik", "loglik", "--model", "model.json", "--data", "test.csv")
 
 
+def _edge_list_pipeline(where: Path, p: int, n: int, held_out: int) -> None:
+    (where / "edges.txt").write_text("".join(
+        f"{k - 1} {k}\n" + (f"{k - 3} {k}\n" if k % 3 == 0 else "") for k in range(1, p)))
+    sets = [[j for j in range(max(k - 3, 0), min(k + 4, p)) if j != k] for k in range(p)]
+    (where / "neighborhoods.json").write_text(json.dumps(sets))
+    _pipeline(where, p, n, held_out, "laplace", "neighborhoods.json", False,
+              graph={"scheme": "edge-list", "path": "edges.txt"})
+
+
 def digests(outdir: Path) -> list[str]:
     """Run every case into ``outdir`` and return the sorted digest lines."""
     for case, shape in PIPELINES.items():
         (outdir / case).mkdir(parents=True)
         _pipeline(outdir / case, *shape)
+    (outdir / "edge-list").mkdir(parents=True)
+    _edge_list_pipeline(outdir / "edge-list", *EDGE_LIST)
     grid = outdir / "grid"
     grid.mkdir(parents=True)
     cells = [dict(cell, graph=GRAPH, **SIM) for cell in GRID]
