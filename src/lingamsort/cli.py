@@ -21,11 +21,13 @@ sets and estimation rows, checked once, from :func:`estimation_input`.
 
 Data CSVs are formatted and parsed by W = min(CPUs in the process's
 affinity set, 8, the file's size in MiB) forked children, each bound to
-its own CPU, while the parent waits; W = 1 runs the same code in-process.
-The bytes written and the values read are the same for every W.  A read
-holds the n x p values once, in a shared anonymous mmap that the
-returned DataMatrix keeps; each child adds the numpy array of its own
-byte range while it parses it.
+its own CPU, while the parent waits; W = 1, or a child that fails, runs
+the same code in-process on the whole file.  The bytes written and the
+values read are the same for every W.  A read holds the n x p values
+once, in a shared anonymous mmap that the returned DataMatrix keeps; each
+child adds the numpy array of its own byte range while it parses it.
+numpy's C parser gives every value, quoted cells included; ``csv.reader``
+splits the header and, when numpy refuses a file, names its first bad line.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .model import (
     WeightedDag,
     ZeroVarianceColumn,
     apply_moments,
+    decimal_number,
     standardize,
 )
 from .neighborhoods import full_neighborhoods, markov_blankets, top_correlated
@@ -238,99 +241,97 @@ def _count_lines(path: str | Path, cuts: list[int]) -> tuple[int, list[tuple[int
     return lines, starts + [(pos, lines)] * (len(cuts) - len(starts))
 
 
-def _csv_header(path: str | Path, end: int) -> list[str] | None:
-    """The fields of the first line, bytes [0, end), when ``csv.reader``
-    splits it at commas alone; else None."""
-    with open(path, "rb") as fh:
-        line = fh.read(end).removesuffix(b"\n").removesuffix(b"\r")
-    if not line or not line.isascii() or any(c in line for c in (b'"', b"\r", b"\0")):
-        return None
-    return line.decode().split(",")
-
-
-def _parse_range(path: str | Path, lo: int, shape: tuple[int, int]) -> np.ndarray:
+def _parse_range(path: str | Path, lo: int, shape: tuple[int, int], more: bool) -> np.ndarray:
     """The ``shape[0]`` lines from byte ``lo`` of a data CSV through numpy's
-    C parser.  A parse error, a warning or a shape other than ``shape``
-    raises: numpy skips blank lines, so they show up as missing rows.  Lines
-    end at newlines alone, as the line count splits them, and are decoded
-    as ``open`` decodes text."""
-    with io.TextIOWrapper(open(path, "rb"), newline="\n") as fh, warnings.catch_warnings():
+    C parser, quoted cells included.  A parse error, a warning or a shape
+    other than ``shape`` raises, as does a parse that gives no value: numpy
+    skips blank lines and joins the lines of a record that spans them, so
+    both show up as missing rows.  When ``more`` lines follow the range, a
+    line that closes a quote and then spoils its cell follows it too, so
+    that a quote left open at the range's end raises; numpy stops before
+    that line otherwise.  Lines end at newlines alone, as the line count
+    splits them, and are decoded as ASCII, as the number rule requires."""
+    with io.TextIOWrapper(open(path, "rb"), encoding="ascii", newline="\n") as fh, \
+            warnings.catch_warnings():
         warnings.simplefilter("error")
         fh.buffer.seek(lo)  # before the first read, so the wrapper holds no text yet
-        values = np.loadtxt(islice(fh, shape[0]), delimiter=",", comments=None, ndmin=2,
-                            dtype=float)
-    if values.shape != shape:
+        lines = chain(islice(fh, shape[0]), ['"x\n'] * more)
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                            dtype=float, max_rows=shape[0])
+    if values.shape != shape or not values.size:
         raise ValueError(f"expected {shape} values, found {values.shape}")
     return values
 
 
-def _read_clean_csv(path: str | Path) -> tuple[list[str], np.ndarray] | None:
-    """Header and values of a clean data CSV through numpy's C parser, or
-    None for anything else: a parse error, a warning, or a shape other than
-    one row per data line and one column per header field.
+def _refuse(path: str | Path) -> NoReturn:
+    """Raise the UsageError that names the first line of a data CSV that
+    numpy's parser refuses: a record that spans lines, a wrong field count,
+    or a cell outside the number rule, :func:`decimal_number`.
+    ``csv.reader`` splits lines at newlines alone, as the line count does;
+    no value it reads is kept."""
+    with open(path, newline="\n") as fh, _malformed(str(path)):
+        reader = csv.reader(fh)
+        try:
+            # each record before the first that spans lines holds one line,
+            # so the count of records is the line a record starts on
+            for i, row in enumerate(reader, start=1):
+                if reader.line_num > i:
+                    raise UsageError(f"{path}:{i}: a quoted cell holds a line break")
+                if i == 1:
+                    p = len(row)
+                elif len(row) != p:
+                    raise UsageError(f"{path}:{i}: expected {p} fields, found {len(row)}")
+                else:
+                    with _malformed(f"{path}:{i}"):
+                        list(map(decimal_number, row))
+        except csv.Error as exc:  # a bare carriage return, say; less csv's hint to coders
+            raise UsageError(f"{path}:{reader.line_num}: {str(exc).partition(' - ')[0]}") from None
+    if reader.line_num < 2:
+        raise UsageError(f"{path}: {'no data rows' if reader.line_num else 'empty file'}")
+    # numpy and the number rule agree on every cell: what is left is a
+    # header of no fields over blank lines
+    raise UsageError(f"{path}: data must be a non-empty 2-d array")
+
+
+def read_data_csv(path: str | Path) -> DataMatrix:
+    """A data CSV as a DataMatrix.  numpy's C parser gives every value;
+    ``csv.reader`` splits the header from its one line and, only when numpy
+    refuses the file, names the first bad line through :func:`_refuse`.
 
     The line count also cuts the data lines into W byte ranges at line
     starts, W = ``_workers`` of the file's size.  Above W = 1, each range is
     parsed by a forked child into its rows of one shared anonymous mmap,
-    which the returned array keeps; the parent only waits."""
+    which the returned array keeps, while the parent waits; at W = 1, or
+    when a child fails, the parent parses the whole file itself.
+    DataMatrix makes the one finiteness pass; only when it refuses is the
+    first non-finite cell located, and named by its line and column."""
     size = os.path.getsize(path)
     w = _workers(size)
     # the first line start at or after byte 1 ends the header
     lines, starts = _count_lines(path, [1] + [size * k // w for k in range(1, w)])
-    header = _csv_header(path, starts[0][0]) if lines > 1 else None
-    if header is None:
-        return None
-    shape = (lines - 1, len(header))
     bounds = starts + [(size, lines)]
     ranges = [(lo, a - 1, b - 1) for (lo, a), (hi, b) in zip(bounds, bounds[1:]) if hi > lo]
     try:
-        if len(ranges) == 1:
-            return header, _parse_range(path, starts[0][0], shape)
-        values = np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8)).reshape(shape)
+        with open(path, newline="\n") as fh:
+            header = next(csv.reader([fh.readline()]))
+        if any("\n" in name for name in header):  # a header that spans lines
+            _refuse(path)
+        shape = (lines - 1, len(header))
+        shared = (np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8)).reshape(shape)
+                  if len(ranges) > 1 else None)
 
         def fill(lo: int, a: int, b: int) -> None:
-            values[a:b] = _parse_range(path, lo, (b - a, shape[1]))
+            shared[a:b] = _parse_range(path, lo, (b - a, shape[1]), b < shape[0])
 
-        return (header, values) if _in_children([partial(fill, *r) for r in ranges]) else None
-    except (ValueError, Warning):
-        return None
-
-
-def _read_csv_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header and values through ``csv.reader``, naming the first bad line."""
-    with open(path, newline="") as fh, _malformed(str(path)):
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UsageError(f"{path}: empty file") from None
-        p = len(header)
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != p:
-                raise UsageError(f"{path}:{i}: expected {p} fields, found {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise UsageError(f"{path}:{i}: {exc}") from None
-    if not rows:
-        raise UsageError(f"{path}: no data rows")
-    return header, np.asarray(rows)
-
-
-def read_data_csv(path: str | Path) -> DataMatrix:
-    """A data CSV as a DataMatrix.  A clean file is parsed by numpy's C
-    parser; any other file goes through ``csv.reader``, which gives the same
-    values or names the bad line.  DataMatrix makes the one finiteness pass;
-    only when it refuses is the first non-finite cell located, and named by
-    its line and column."""
-    header, values = _read_clean_csv(path) or _read_csv_rows(path)
+        forked = shared is not None and _in_children([partial(fill, *r) for r in ranges])
+        values = shared if forked else _parse_range(path, starts[0][0], shape, False)
+    except (ValueError, Warning, csv.Error):
+        _refuse(path)
     try:
         return DataMatrix(values)
-    except ValueError as exc:
-        for i, k in np.argwhere(~np.isfinite(values))[:1]:
-            raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}") from None
-        raise UsageError(f"{path}: {exc}") from None  # a blank first line gives no column
+    except ValueError:
+        i, k = np.argwhere(~np.isfinite(values))[0]
+        raise UsageError(f"{path}:{i + 2}: column {header[k]} holds {values[i, k]}") from None
 
 
 # the JSON kind of each type that json.load gives
@@ -553,10 +554,10 @@ def read_neighborhoods(path: str | Path) -> NeighborhoodSets:
 
 def _given(doc: dict, where: str, kind: type, *fields: str) -> dict:
     """The ``fields`` that ``doc`` gives, each refused unless it is of
-    ``kind`` as :func:`_integers` checks it, and typed as it returns it.  A
-    field ``doc`` omits is left out, so it takes its default from the
-    dataclass."""
-    return {f: _integers([doc[f]], where, kind)[0] for f in fields if f in doc}
+    ``kind`` as :func:`_integers` checks it, naming the field, and typed as
+    it returns it.  A field ``doc`` omits is left out, so it takes its
+    default from the dataclass."""
+    return {f: _integers([doc[f]], f"{where}: field '{f}'", kind)[0] for f in fields if f in doc}
 
 
 def parse_sim_config(doc: dict, base_dir: Path, where: str = "config") -> SimConfig:
@@ -592,7 +593,7 @@ def _parse_corr(spec: str, p: int, where: str,
         form = "corr:m:frac:seed" if split_seed is None else "corr:m:frac (split seed is derived)"
         raise UsageError(f"{where}: expected {form}")
     with _malformed(f"{where}: bad corr specification"):
-        m, frac = _decimal(fields[0]), float(fields[1])
+        m, frac = _decimal(fields[0]), decimal_number(fields[1])
         seed = split_seed if split_seed is not None else _decimal(fields[2])
     if not 0 < m < p:
         raise UsageError(f"{where}: corr: need 0 < m < p, got m={m}, p={p}")

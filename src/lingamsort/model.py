@@ -52,6 +52,17 @@ PIVOT_RTOL = 1e-10
 MOMENT_CHUNK_BYTES = 1 << 20
 
 
+def decimal_number(text: str) -> float:
+    """``text`` as a float if it is ASCII without ``_`` and ``float`` reads
+    it, else a ValueError: ``float`` alone also reads ``1_0`` as 10 and
+    takes non-ASCII digits and spaces.  The one rule for a number given as
+    text: a data CSV cell, a ``corr:`` holdout fraction and scaled-t's
+    degrees of freedom.  numpy's parser agrees with it on ASCII text."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 @dataclass(frozen=True)
 class NoiseFamily:
     """Scale family of the error terms: Laplace, Logistic, or Scaled-t(df).
@@ -100,7 +111,7 @@ class NoiseFamily:
         if name == SCALED_T:
             if not sep:
                 raise ValueError("scaled-t needs degrees of freedom, e.g. 'scaled-t:10'")
-            return cls.scaled_t(float(arg))
+            return cls.scaled_t(decimal_number(arg))
         if sep:
             raise ValueError(f"family {name!r} takes no parameter")
         return cls(name)

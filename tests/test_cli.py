@@ -176,8 +176,16 @@ class TestFileFormats:
         assert f"{path}:3: column v1" in capsys.readouterr().err
 
 
+def _decimal_number(text):
+    """float(), refusing what is not ASCII or holds an underscore."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def read_data_csv_by_csv_reader(path) -> DataMatrix:
-    """Reference reader: every row through csv.reader and float()."""
+    """Reference reader: every row through csv.reader and float(), on ASCII
+    text without underscores; a record must hold one line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,10 +195,12 @@ def read_data_csv_by_csv_reader(path) -> DataMatrix:
         p = len(header)
         rows = []
         for i, row in enumerate(reader, start=2):
+            if reader.line_num != i:
+                raise UsageError(f"{path}:{i}: a quoted cell holds a line break")
             if len(row) != p:
                 raise UsageError(f"{path}:{i}: expected {p} fields, found {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                rows.append([_decimal_number(v) for v in row])
             except ValueError as exc:
                 raise UsageError(f"{path}:{i}: {exc}") from None
     if not rows:
@@ -234,6 +244,11 @@ CSV_CASES = {
     "header-only-unterminated": "v0,v1",
     "empty": "",
     "header-wider-than-rows": "v0,v1,v2\n1,2\n3,4\n",
+    "arabic-digit": "v0,v1\n1,2\n\u0661,4\n",
+    "fullwidth-digit": "v0,v1\n1,\uff11\uff10\n3,4\n",
+    "quoted-header": '"v0","v1"\r\n"1.5","-2e-3"\r\n"3",4\r\n',
+    "quoted-cell-spans-lines": 'v0,v1\n1,"2\n"\n3,4\n',
+    "bad-cell-after-spanning-cell": 'v0,v1\n1,"2\n"\n3,x\n',
 }
 
 
@@ -263,7 +278,7 @@ class TestCsvReader:
 
         path = tmp_path / "x.csv"
         path.write_bytes(CSV_CASES[case].encode())
-        monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+        monkeypatch.setattr(cli, "_refuse", refuse)
         assert read_data_csv(path).n >= 2
 
     def test_traced_peak_stays_under_twice_the_array(self, tmp_path):
@@ -330,7 +345,7 @@ class TestCsvWorkers:
         forks = []
         fork = cli._fork
         monkeypatch.setattr(cli, "_fork", lambda job, cpu: forks.append(cpu) or fork(job, cpu))
-        monkeypatch.setattr(cli, "_read_csv_rows", self._refuse)
+        monkeypatch.setattr(cli, "_refuse", self._refuse)
         text = ref.getvalue().replace("\r\n", newline)
         data = tmp_path / "data.csv"
         data.write_bytes((text if terminated else text.removesuffix(newline)).encode())
@@ -350,20 +365,41 @@ class TestCsvWorkers:
     def _refuse(path):
         raise AssertionError("clean file fell back to csv.reader")
 
-    @pytest.mark.parametrize("defect", ["blank", "ragged", "nan"])
+    def test_quoted_file_reads_as_its_unquoted_twin(self, tmp_path, monkeypatch):
+        # R's write.csv style: a quoted header, every cell quoted too, LF
+        # line ends; at over 2 MiB, three forked children read it all
+        x = DataMatrix(rng_stream(13, 0).standard_normal((2500, 50)))
+        _force_workers(monkeypatch, 3)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_data_csv(plain, x)
+        quoted.write_text("".join('"' + line.replace(",", '","') + '"\n'
+                                  for line in plain.read_text().splitlines()))
+        assert quoted.read_text().startswith('"v0","v1",')
+        assert quoted.stat().st_size > 2 << 20
+        monkeypatch.setattr(cli, "_refuse", self._refuse)
+        in_parent = []
+        parse = cli._parse_range
+        monkeypatch.setattr(cli, "_parse_range", lambda *a: in_parent.append(a) or parse(*a))
+        assert read_data_csv(quoted).values.tobytes() == x.values.tobytes()
+        assert in_parent == []
+
+    @pytest.mark.parametrize("defect", ["blank", "ragged", "nan", "open-quote"])
     def test_defect_just_after_a_cut_gets_the_reference_diagnostic(
             self, tmp_path, monkeypatch, defect):
         # every line is 18 bytes, so three workers cut the 12 lines at the
         # starts of lines 4 and 8 (the header is line 0); the defect opens
-        # the second range
+        # the second range, or a quote left open ends the first, where its
+        # range alone reads as a closed record
         lines = ["v0000,v0001,v0002\n"] + [
             ",".join(f"{(3 * r + k) % 9 + 1.125:.3f}" for k in range(3)) + "\n" for r in range(11)]
         if defect == "blank":
             lines.insert(4, "\n")
         elif defect == "ragged":
             lines[4] = "1.125,2.125      \n"
-        else:
+        elif defect == "nan":
             lines[4] = "  nan" + lines[4][5:]
+        else:
+            lines[3] = '1.125,2.125,"3.12\n'
         path = tmp_path / "x.csv"
         path.write_text("".join(lines))
         size = path.stat().st_size
@@ -376,6 +412,7 @@ class TestCsvWorkers:
             "blank": f"{path}:5: expected 3 fields, found 0",
             "ragged": f"{path}:5: expected 3 fields, found 2",
             "nan": f"{path}:5: column v0000 holds nan",
+            "open-quote": f"{path}:4: a quoted cell holds a line break",
         }[defect]
         _assert_reads_as_csv_reader(path)
 
@@ -1287,19 +1324,22 @@ def test_non_decimal_edge_list_index_exits_2_naming_the_line(tmp_path, capsys, l
             == f"error: {tmp_path / 'edges.txt'}:2: node indices must be integers\n")
 
 
-@pytest.mark.parametrize("spec, bad", [
-    ("corr:1_0:0.5:1", "1_0"), ("corr:+3:0.5:1", "+3"), ("corr: 3:0.5:1", " 3"),
-    ("corr:\u0663:0.5:1", "\u0663"), ("corr:3:0.5:1_0", "1_0"), ("corr:3:0.5:+1", "+1"),
+@pytest.mark.parametrize("spec, bad, kind", [
+    ("corr:1_0:0.5:1", "1_0", "integer"), ("corr:+3:0.5:1", "+3", "integer"),
+    ("corr: 3:0.5:1", " 3", "integer"), ("corr:\u0663:0.5:1", "\u0663", "integer"),
+    ("corr:3:0.5:1_0", "1_0", "integer"), ("corr:3:0.5:+1", "+1", "integer"),
+    ("corr:3:0.2_5:1", "0.2_5", "number"), ("corr:3:\u0660.\u0665:1", "\u0660.\u0665", "number"),
 ], ids=["m-underscore", "m-plus-sign", "m-space", "m-arabic-indic-digit", "seed-underscore",
-        "seed-plus-sign"])
-def test_non_decimal_corr_integer_exits_2_naming_the_option(tmp_path, capsys, spec, bad):
-    # int() read each of these, so "corr:1_0:0.5:1" ran with m = 10
+        "seed-plus-sign", "frac-underscore", "frac-arabic-indic-digits"])
+def test_non_decimal_corr_integer_exits_2_naming_the_option(tmp_path, capsys, spec, bad, kind):
+    # int() and float() read each of these, so "corr:1_0:0.5:1" ran with
+    # m = 10 and "corr:3:0.2_5:1" with a holdout fraction of 0.25
     data = tmp_path / "d.csv"
     write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 12))))
     assert main(["sort", "--data", str(data), "--neighborhoods", spec,
                  "--out", str(tmp_path / "o.json")]) == 2
     assert (capsys.readouterr().err == "error: --neighborhoods: bad corr specification: "
-            f"not a decimal integer: {bad!r}\n")
+            f"not a decimal {kind}: {bad!r}\n")
 
 
 @pytest.mark.parametrize("command, kind, line", [
@@ -1352,13 +1392,17 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
     assert capsys.readouterr().err.startswith(f"error: {bad}: byte 0xff is not ")
 
 
+_NUMBER_RULE = "weights, scales, moments and simulation settings must be numbers"
+
+
 @pytest.mark.parametrize("command, path, value, message", [
     ("generate", ["p"], "abc", '"abc"'),
     ("generate", ["p"], 10.7, "10.7"),
     ("generate", ["n"], 40.5, "40.5"),
     ("generate", ["seed"], True, "true"),
     ("generate", ["graph", "min_parents"], 0, "min_parents"),
-    ("generate", ["graph", "max_parents"], 1.5, "1.5"),
+    ("generate", ["graph", "max_parents"], 1.5,
+     "field 'max_parents': node indices, counts and seeds must be integers, found 1.5"),
     ("generate", ["graph", "root_frac"], 1.5, "root_frac"),
     ("benchmark", ["base_seed"], 1.5, "1.5"),
     ("benchmark", ["cells", 0, "replicates"], 1.9, "1.9"),
@@ -1388,11 +1432,13 @@ def test_undecodable_byte_exits_2_naming_the_file(tmp_path, capsys, command, kin
     ("generate", ["graph", "root_frac"], 0.9, "root_frac 0.9"),
     ("benchmark", ["cells", 0, "p"], 1, "p=1"),
     ("benchmark", ["cells", 0, "graph"], {"root_frac": 0.9}, "root_frac 0.9"),
-    ("generate", ["coef_high"], "1.5", '"1.5"'),
-    ("generate", ["graph", "root_frac"], "0.2", '"0.2"'),
-    ("generate", ["coef_low"], True, "true"),
-    ("generate", ["coef_high"], True, "true"),
-    ("benchmark", ["cells", 0, "coef_high"], "1.2", '"1.2"'),
+    ("generate", ["coef_high"], "1.5", f"field 'coef_high': {_NUMBER_RULE}, found \"1.5\""),
+    ("generate", ["graph", "root_frac"], "0.2",
+     f"field 'root_frac': {_NUMBER_RULE}, found \"0.2\""),
+    ("generate", ["coef_low"], True, f"field 'coef_low': {_NUMBER_RULE}, found true"),
+    ("generate", ["coef_high"], True, f"field 'coef_high': {_NUMBER_RULE}, found true"),
+    ("benchmark", ["cells", 0, "coef_high"], "1.2",
+     f"field 'coef_high': {_NUMBER_RULE}, found \"1.2\""),
     ("generate", ["coef_high"], math.inf, "coef_high < inf, found 0.4 and inf"),
     ("generate", ["scale_high"], math.inf, "scale_high < inf, found 0.4 and inf"),
     ("benchmark", ["cells", 0, "coef_high"], math.inf, "coef_high < inf, found 0.4 and inf"),

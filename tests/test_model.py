@@ -68,6 +68,8 @@ class TestNoiseFamily:
             NoiseFamily.scaled_t(2.0)
         with pytest.raises(ValueError):
             NoiseFamily.from_string("scaled-t")
+        with pytest.raises(ValueError, match="not a decimal number: '1_0'"):
+            NoiseFamily.from_string("scaled-t:1_0")  # float() read df 10
         assert NoiseFamily.scaled_t(2.5).df == 2.5
 
     @pytest.mark.parametrize("df", [math.inf, math.nan, "abc", "10", True, None])

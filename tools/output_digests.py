@@ -15,7 +15,12 @@ inputs drawn with the benchmark's coefficients (0.4-0.9) and scales
   ``edges.txt``, and whose ``sort`` and ``fit`` read their sets from a
   JSON file, ``neighborhoods.json``: the readers of both formats;
 - one ``benchmark`` grid with a ``grid-mb-p5000``-shaped cell and a small
-  ``corr:`` cell.
+  ``corr:`` cell;
+- ``quoted``: the ``pipe-full-p300-logistic`` pipeline again, its
+  ``train.csv`` with every field in double quotes and LF line ends, the
+  way R's ``write.csv`` quotes its header.  At about 4 MB the reader forks
+  for it; its ``ordering.json`` and ``model.json`` must equal the unquoted
+  case's.
 
 A pipeline generates its training rows and then its held-out rows in one
 file, and splits it as README's example does: ``train.csv`` is the header
@@ -48,6 +53,8 @@ PIPELINES = {
 # in which every third node has a second parent, three back; each node's set
 # holds the nodes within three of it
 EDGE_LIST = (40, 200, 20)
+# the pipeline that the quoted case runs again on a quoted train.csv
+QUOTED = "pipe-full-p300-logistic"
 GRID = [
     {"p": 5000, "n_mult": 0.5, "family": "laplace", "neighborhoods": "mb", "replicates": 1},
     {"p": 200, "n_mult": 2.0, "family": "laplace", "neighborhoods": "corr:10:0.2",
@@ -64,14 +71,21 @@ def _run(where: Path, name: str, *args: str) -> None:
                        stdout=out, check=True)
 
 
+def _quoted(text: str) -> str:
+    """A CSV of unquoted fields with every field in double quotes and LF
+    line ends."""
+    return "".join('"' + line.replace(",", '","') + '"\n' for line in text.splitlines())
+
+
 def _pipeline(where: Path, p: int, n: int, held_out: int, family: str, nbhd: str,
-              trace: bool, graph: dict = GRAPH) -> None:
+              trace: bool, graph: dict = GRAPH, quoted: bool = False) -> None:
     config = {"p": p, "n": n + held_out, "seed": SEED, "family": family, "graph": graph, **SIM}
     (where / "config.json").write_text(json.dumps(config))
     _run(where, "generate", "generate", "--config", "config.json", "--out-data", "data.csv",
          "--out-truth", "truth.json")
     header, *rows = (where / "data.csv").read_text().splitlines(keepends=True)
-    (where / "train.csv").write_text(header + "".join(rows[:n]))
+    train = header + "".join(rows[:n])
+    (where / "train.csv").write_text(_quoted(train) if quoted else train)
     (where / "test.csv").write_text(header + "".join(rows[-held_out:]))
     _run(where, "sort", "sort", "--data", "train.csv", "--family", family,
          "--neighborhoods", nbhd, "--out", "ordering.json", *["--trace"] * trace)
@@ -97,6 +111,8 @@ def digests(outdir: Path) -> list[str]:
         _pipeline(outdir / case, *shape)
     (outdir / "edge-list").mkdir(parents=True)
     _edge_list_pipeline(outdir / "edge-list", *EDGE_LIST)
+    (outdir / "quoted").mkdir(parents=True)
+    _pipeline(outdir / "quoted", *PIPELINES[QUOTED], quoted=True)
     grid = outdir / "grid"
     grid.mkdir(parents=True)
     cells = [dict(cell, graph=GRAPH, **SIM) for cell in GRID]
