@@ -392,10 +392,11 @@ class EdgeRecords:
 
     @classmethod
     def of(cls, w: WeightedDag, by_parent: bool) -> EdgeRecords:
-        """The edges of ``w`` by (to, from), or by (from, to) when ``by_parent``."""
-        to = np.repeat(np.arange(w.p), [len(pa) for pa in w.dag.parents])
-        frm = np.fromiter(chain.from_iterable(w.dag.parents), dtype=np.int64, count=to.size)
-        weight = np.concatenate(w.weights)
+        """The edges of ``w`` by (to, from), or by (from, to) when
+        ``by_parent``: the parent sets' members, their owners and the weights
+        aligned with them, as arrays."""
+        to = np.repeat(np.arange(w.p), w.dag.parent_sets.sizes)
+        frm, weight = w.dag.parent_sets.members, w.edge_weights
         if by_parent:  # a stable sort keeps each parent's children ascending
             order = np.argsort(frm, kind="stable")
             frm, to, weight = frm[order], to[order], weight[order]
@@ -682,7 +683,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     doc = {
         "p": rows.p,
         "n_sorted": rows.n,
-        "family": args.family,
+        "family": str(family),
         "neighborhoods": args.neighborhoods,
         "ordering": list(result.ordering.perm),
         "update_count": result.update_count,

@@ -26,7 +26,8 @@ def reversed_edge_count(dag: Dag, ordering: Ordering) -> int:
     if ordering.p != dag.p:
         raise ValueError(f"ordering has {ordering.p} nodes, dag has {dag.p}")
     pos = ordering.positions()
-    return sum(1 for j, k in dag.edges() if pos[k] < pos[j])
+    child = np.repeat(np.arange(dag.p), dag.parent_sets.sizes)
+    return int(np.count_nonzero(pos[child] < pos[dag.parent_sets.members]))
 
 
 def is_topological(dag: Dag, ordering: Ordering) -> bool:
@@ -196,6 +197,6 @@ def heldout_loglik(x_test: DataMatrix, model: WeightedDag) -> float:
         raise ValueError(f"model has {model.p} nodes, test data has {p}")
     total = 0.0
     for k, pa in enumerate(model.dag.parents):
-        resid = x_test.values[:, k] - x_test.values[:, list(pa)] @ model.weights[k]
+        resid = x_test.values[:, k] - x_test.values[:, pa] @ model.weights[k]
         total += float(np.sum(log_density(model.family, resid, float(model.scales[k]))))
     return total / (n * p)

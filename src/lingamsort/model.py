@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,31 +123,30 @@ class NoiseFamily:
 
 
 class Dag:
-    """Directed acyclic graph on ``p`` nodes, stored as sorted parent lists.
+    """Directed acyclic graph on ``p`` nodes, whose parent sets are one
+    :class:`NeighborhoodSets`, ``parent_sets``.
 
-    Acyclicity is verified eagerly (a topological order must reach every
-    node) so downstream code may assume it.
+    ``parents[k]`` is node k's parents as a sorted int64 view of
+    ``parent_sets.members``, and ``children[k]`` the nodes that list k,
+    increasing, from :meth:`NeighborhoodSets.reverse`.  The set family
+    refuses a parent out of range and a node among its own parents; the Dag
+    adds a parent listed twice, found as a set smaller than its list, and a
+    cycle, found eagerly (a topological order must reach every node), so
+    downstream code may assume acyclicity.
     """
 
-    def __init__(self, p: int, parents: Sequence[Iterable[int]]):
+    def __init__(self, p: int, parents: Sequence[Sequence[int]]):
         p = int(p)
         if p < 1:
             raise ValueError("node count must be positive")
         if len(parents) != p:
             raise ValueError(f"expected {p} parent lists, got {len(parents)}")
-        norm: list[tuple[int, ...]] = []
-        for k, pa in enumerate(parents):
-            pa = tuple(sorted(int(j) for j in pa))
-            for j in pa:
-                if not 0 <= j < p:
-                    raise ValueError(f"parent {j} of node {k} out of range [0, {p})")
-                if j == k:
-                    raise ValueError(f"node {k} lists itself as a parent")
-            if len(set(pa)) != len(pa):
-                raise ValueError(f"duplicate parent in list of node {k}")
-            norm.append(pa)
+        sets = NeighborhoodSets(parents)
+        for k in np.flatnonzero(sets.sizes != [len(pa) for pa in parents])[:1]:
+            raise ValueError(f"duplicate parent in list of node {k}")
         self.p = p
-        self.parents: tuple[tuple[int, ...], ...] = tuple(norm)
+        self.parent_sets = sets
+        self.parents: tuple[np.ndarray, ...] = sets.sets
         if len(self.topological_order()) != p:
             raise ValueError("graph contains a cycle")
 
@@ -161,40 +160,30 @@ class Dag:
         return cls(p, parents)
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        ch: list[list[int]] = [[] for _ in range(self.p)]
-        for k, pa in enumerate(self.parents):
-            for j in pa:
-                ch[j].append(k)
-        return tuple(tuple(c) for c in ch)
+    def children(self) -> tuple[np.ndarray, ...]:
+        return self.parent_sets.reverse()
 
     def topological_order(self) -> list[int]:
         """One topological order (lowest-index-first Kahn), as node indices."""
-        indeg = [len(pa) for pa in self.parents]
+        indeg = self.parent_sets.sizes.tolist()
         heap = [k for k in range(self.p) if indeg[k] == 0]
         heapq.heapify(heap)
         out: list[int] = []
         while heap:
             j = heapq.heappop(heap)
             out.append(j)
-            for k in self.children[j]:
+            for k in self.children[j].tolist():
                 indeg[k] -= 1
                 if indeg[k] == 0:
                     heapq.heappush(heap, k)
         return out
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges (parent, child) sorted by child, then parent."""
-        for k, pa in enumerate(self.parents):
-            for j in pa:
-                yield j, k
-
     @property
     def edge_count(self) -> int:
-        return sum(len(pa) for pa in self.parents)
+        return self.parent_sets.members.size
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Dag) and self.p == other.p and self.parents == other.parents
+        return isinstance(other, Dag) and self.parent_sets.to_lists() == other.parent_sets.to_lists()
 
     def __repr__(self) -> str:
         return f"Dag(p={self.p}, edges={self.edge_count})"
@@ -203,8 +192,12 @@ class Dag:
 class WeightedDag:
     """A Dag plus edge weights, noise family, and per-node noise scales.
 
-    Weights are stored column-sparse: ``weights[k]`` is aligned with
-    ``dag.parents[k]``, so no p x p matrix is ever built.
+    ``edge_weights`` holds one weight per edge, aligned with
+    ``dag.parent_sets.members``, and ``weights[k]``, node k's weights
+    aligned with ``dag.parents[k]``, is a view of it, so no p x p matrix is
+    ever built.  Each node's weights must be 1-d, one per parent; then
+    every weight is checked in one pass over ``edge_weights``, and the
+    first node with a zero or non-finite one is named.
     """
 
     def __init__(
@@ -216,21 +209,21 @@ class WeightedDag:
     ):
         if len(weights) != dag.p:
             raise ValueError("one weight list per node required")
-        cols: list[np.ndarray] = []
-        for k, w in enumerate(weights):
-            w = np.asarray(w, dtype=float)
-            if w.shape != (len(dag.parents[k]),):
-                raise ValueError(f"weights of node {k} do not match its parent list")
-            if not np.all(np.isfinite(w) & (w != 0.0)):
-                raise ValueError(f"non-finite or zero weight on an edge into node {k}")
-            cols.append(w)
+        cols = [np.asarray(w, dtype=float) for w in weights]
+        for k in [k for k, (w, pa) in enumerate(zip(cols, dag.parents)) if w.shape != pa.shape][:1]:
+            raise ValueError(f"weights of node {k} do not match its parent list")
+        flat = np.concatenate(cols)
+        for i in np.flatnonzero(~(np.isfinite(flat) & (flat != 0.0)))[:1]:
+            k = np.searchsorted(np.cumsum(dag.parent_sets.sizes), i, side="right")
+            raise ValueError(f"non-finite or zero weight on an edge into node {k}")
         scales = np.asarray(scales, dtype=float)
         if scales.shape != (dag.p,):
             raise ValueError("need one scale per node")
         if not np.all((scales > 0) & np.isfinite(scales)):
             raise ValueError("all noise scales must be finite and strictly positive")
         self.dag = dag
-        self.weights: tuple[np.ndarray, ...] = tuple(cols)
+        self.edge_weights = flat
+        self.weights = _views(flat, dag.parent_sets.sizes)
         self.family = family
         self.scales = scales
 
@@ -456,7 +449,9 @@ class Ordering:
 
 
 class NeighborhoodSets:
-    """Per-node candidate neighbor sets; node k never contains itself.
+    """One sorted set of node indices per node, which never holds the node
+    itself: the sorter's candidate neighbor sets, and a :class:`Dag`'s
+    parent sets.
 
     ``sets[k]`` is node k's set as a sorted int64 array without repeats,
     and ``sizes[k]`` its size.  The sets are views of one array,
@@ -464,7 +459,8 @@ class NeighborhoodSets:
     checks every set in one pass over their concatenation: it refuses a
     member outside [0, p), then a node in its own set, naming the first set
     k with either, and sorts and dedupes by (owner, member) only when some
-    set is unsorted or repeats a member.
+    set is unsorted or repeats a member.  :meth:`reverse` gives the sets
+    that hold each node.
     """
 
     def __init__(self, sets: Sequence[Iterable[int]]):
@@ -478,9 +474,10 @@ class NeighborhoodSets:
         bad = np.flatnonzero(outside | (members == owner))
         if bad.size:
             k = int(owner[bad[0]])
-            if outside[owner == k].any():
-                raise ValueError(f"neighbor index out of range in set {k}")
-            raise ValueError(f"node {k} contained in its own neighborhood")
+            out = members[(owner == k) & outside]
+            if out.size:
+                raise ValueError(f"index {out[0]} out of range in set {k}, not in [0, {p})")
+            raise ValueError(f"node {k} contained in its own set")
         key = owner  # (owner, member) as one int64, increasing along sorted sets
         key *= p
         key += members
@@ -489,16 +486,28 @@ class NeighborhoodSets:
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
             owner, members = np.divmod(key, p)
             sizes = np.bincount(owner, minlength=p)
-        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self.members = members
         self.sizes = sizes
-        self.sets: tuple[np.ndarray, ...] = tuple(
-            members[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+        self.sets = _views(members, sizes)
 
     @property
     def p(self) -> int:
         return len(self.sets)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[int(j) for j in s] for s in self.sets]
+    def reverse(self) -> tuple[np.ndarray, ...]:
+        """The sets that hold each node: ``reverse()[j]`` is every k with j
+        in set k, increasing, as int32 views of one array.  One stable
+        argsort of ``members`` builds it, keeping each node's owners in
+        order."""
+        owners = np.repeat(np.arange(self.p, dtype=np.int32), self.sizes)
+        return _views(owners[np.argsort(self.members, kind="stable")],
+                      np.bincount(self.members, minlength=self.p))
 
+    def to_lists(self) -> list[list[int]]:
+        return [s.tolist() for s in self.sets]
+
+
+def _views(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``flat`` cut into consecutive views of ``sizes[k]`` entries each."""
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))

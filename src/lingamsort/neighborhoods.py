@@ -21,10 +21,11 @@ _MIN_ROWS = 32
 
 def markov_blankets(dag: Dag) -> NeighborhoodSets:
     """Parents, children, and co-parents of every node, excluding itself."""
-    sets: list[set[int]] = [set(dag.parents[k]) | set(dag.children[k]) for k in range(dag.p)]
-    for k in range(dag.p):
-        for child in dag.children[k]:
-            sets[k].update(dag.parents[child])
+    parents = [pa.tolist() for pa in dag.parents]
+    sets = [set(pa) | set(ch.tolist()) for pa, ch in zip(parents, dag.children)]
+    for k, ch in enumerate(dag.children):
+        for child in ch.tolist():
+            sets[k].update(parents[child])
         sets[k].discard(k)
     return NeighborhoodSets([sorted(s) for s in sets])
 

@@ -272,10 +272,11 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
 
     Residuals are scored under ``family``; N(k) is node k's set in
     ``neighborhoods``, and the nodes that take ``sel`` into S_k are found
-    through a reverse index built once; ``trace`` keeps every step's
-    candidate scores in ``step_scores``.  Only the touched nodes'
-    residuals change, so only they are rescored and the other scores stay
-    cached.  The next node is the argmax of the scores, in which sorted
+    through a reverse index built once, by
+    :meth:`lingamsort.model.NeighborhoodSets.reverse`; ``trace`` keeps
+    every step's candidate scores in ``step_scores``.  Only the touched
+    nodes' residuals change, so only they are rescored and the other
+    scores stay cached.  The next node is the argmax of the scores, in which sorted
     nodes hold -inf; when every live node is degenerate the lowest live
     index is taken.
 
@@ -296,16 +297,11 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         raise ValueError(f"neighborhoods cover {neighborhoods.p} nodes, data has {x.p}")
     if family.tag == GAUSSIAN:
         warnings.warn("scoring with the Gaussian family carries no ordering signal")
-    sizes, members = neighborhoods.sizes, neighborhoods.members
-    biggest = int(sizes.max(initial=0))
+    biggest = int(neighborhoods.sizes.max(initial=0))
     if biggest > x.n:
         raise ValueError(f"a neighborhood has {biggest} members but only n={x.n} samples")
     n, p = x.n, x.p
-    # the k with j in N(k), increasing, are affected[start[j]:start[j + 1]]:
-    # a stable sort by member keeps the owners in order
-    affected = np.repeat(np.arange(p, dtype=np.int32), sizes)[
-        np.argsort(members, kind="stable")]
-    start = np.concatenate(([0], np.cumsum(np.bincount(members, minlength=p)))).tolist()
+    affected = neighborhoods.reverse()  # the k with j in N(k), increasing
     source = x.values
     state = ResidualState(np.empty((n, p), order="F"), [-1] * p)
     rows, slot = state.rows, state.slot
@@ -352,7 +348,7 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         chosen.append(sel)
         live[sel] = False
         scores[sel] = -np.inf
-        touched = [k for k in affected[start[sel]:start[sel + 1]].tolist() if live[k]]
+        touched = [k for k in affected[sel].tolist() if live[k]]
         if not touched:
             state.release(sel)
             continue

@@ -42,7 +42,7 @@ def _write_chain_config(path, p=20, n=1000, seed=1, coef=(0.8, 0.8), scale=(0.5,
 
 def _weighted_edges(w):
     """(parent, child, weight) of every edge of ``w``, by child, then parent."""
-    return [(j, k, float(v)) for k, (pa, wt) in enumerate(zip(w.dag.parents, w.weights))
+    return [(int(j), k, float(v)) for k, (pa, wt) in enumerate(zip(w.dag.parents, w.weights))
             for j, v in zip(pa, wt)]
 
 
@@ -139,9 +139,10 @@ class TestFileFormats:
         path.write_text("0 1\n1 2\n\n0 2\n")
         dag = load_edge_list(path, p=3)
         assert dag.p == 3
-        assert list(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert [(j, k) for k, pa in enumerate(dag.parents) for j in pa.tolist()] == [
+            (0, 1), (0, 2), (1, 2)]
 
-    @pytest.mark.parametrize("line", ["1 -1", "-1 1", "0 3", "1 1"])
+    @pytest.mark.parametrize("line", ["1 -1", "-1 1", "0 3", "1 1", "0 1", "1 0"])
     def test_edge_list_rejects_bad_nodes(self, tmp_path, line):
         # a negative child used to wrap round to node p - 1
         path = tmp_path / "e.txt"
@@ -561,6 +562,22 @@ class TestSortEvalPipeline:
         assert doc["wall_time_ms"] is None
         assert "step_scores" not in doc
 
+    def test_sort_writes_the_family_in_one_spelling(self, tmp_path):
+        # --family is parsed loosely; ordering.json records the family as
+        # parsed, so two spellings of one family write the same bytes
+        cfg = tmp_path / "cfg.json"
+        _write_chain_config(cfg, p=5, n=60, seed=3)
+        data = tmp_path / "d.csv"
+        main(["generate", "--config", str(cfg), "--out-data", str(data),
+              "--out-truth", str(tmp_path / "t.json")])
+        written = []
+        for spelling in (" LAPLACE", "laplace"):
+            out = tmp_path / "o.json"
+            assert main(["sort", "--data", str(data), "--family", spelling, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["family"] == "laplace"
+
     def test_trace_and_timings_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         _write_chain_config(cfg, p=5, n=100, seed=6)
@@ -846,7 +863,12 @@ class TestSortEvalPipeline:
         [{"from": 0, "to": 1, "weight": 0.5}, {"from": 1, "to": 0, "weight": 0.5}],
         [{"from": 0, "to": 3, "weight": 0.5}],
         [{"from": 0, "to": 1, "weight": 0.0}],
-    ], ids=["cycle", "node-out-of-range", "zero-weight"])
+        [{"from": 2, "to": 2, "weight": 0.5}],
+        [{"from": 0, "to": 2, "weight": 0.5}, {"from": 1, "to": 2, "weight": 0.5},
+         {"from": 0, "to": 2, "weight": 0.7}],
+        [{"from": 0, "to": 1, "weight": 0.5}, {"from": 1, "to": 2, "weight": math.nan}],
+    ], ids=["cycle", "node-out-of-range", "zero-weight", "self-loop", "repeated-parent",
+            "nan-weight"])
     def test_eval_bad_truth_exits_2_naming_it(self, tmp_path, capsys, edges):
         truth = tmp_path / "t.json"
         truth.write_text(json.dumps({"p": 3, "edges": edges, "family": {"tag": "laplace"},
@@ -1108,8 +1130,11 @@ class TestFitLoglik:
         {"coefficients": [{"from": 0, "to": 1, "weight": math.nan}]},
         {"scales": [1.0, math.inf, 1.0]},
         {"train_sds": [1.0, math.inf, 1.0]},
+        {"coefficients": [{"from": 0, "to": 2, "weight": 0.5}, {"from": 0, "to": 2, "weight": 0.5}]},
+        {"coefficients": [{"from": 0, "to": 1, "weight": 0.5}, {"from": 1, "to": 2, "weight": 0.0}]},
     ], ids=["negative-node", "self-loop", "cycle", "node-out-of-range", "short-scales",
-            "short-train-sds", "nan-weight", "infinite-scale", "infinite-train-sd"])
+            "short-train-sds", "nan-weight", "infinite-scale", "infinite-train-sd",
+            "repeated-parent", "zero-weight"])
     def test_bad_model_exits_2_naming_it(self, tmp_path, capsys, change):
         data = tmp_path / "d.csv"
         write_data_csv(data, DataMatrix(rng_stream(9, 0).laplace(size=(20, 3))))

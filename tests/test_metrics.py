@@ -168,7 +168,7 @@ class TestFitCoefficients:
         for k in range(8):
             regressors = sorted((int(j) for j in nbhd.sets[k] if pos[j] < pos[k]),
                                 key=lambda j: pos[j])
-            assert model.dag.parents[k] == tuple(sorted(regressors[1:]))
+            assert model.dag.parents[k].tolist() == sorted(regressors[1:])
             assert np.all(model.weights[k] != 0.0)
 
 

@@ -19,8 +19,8 @@ from lingamsort.model import NeighborhoodSets
 class TestDag:
     def test_parent_lists_are_sorted_and_children_invert(self):
         dag = Dag(3, [[], [0], [1, 0]])
-        assert dag.parents == ((), (0,), (0, 1))
-        assert dag.children == ((1, 2), (2,), ())
+        assert [pa.tolist() for pa in dag.parents] == [[], [0], [0, 1]]
+        assert [ch.tolist() for ch in dag.children] == [[1, 2], [2], []]
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
@@ -29,7 +29,7 @@ class TestDag:
             Dag(3, [[2], [0], [1]])
 
     def test_self_parent_rejected(self):
-        with pytest.raises(ValueError, match="itself"):
+        with pytest.raises(ValueError, match="node 0 contained in its own set"):
             Dag(2, [[0], []])
 
     def test_out_of_range_parent_rejected(self):
@@ -39,12 +39,27 @@ class TestDag:
     def test_duplicate_parent_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Dag(2, [[], [0, 0]])
+        # an unsorted list: the repeat is found from the set's size, not by adjacency
+        with pytest.raises(ValueError, match="duplicate parent in list of node 1"):
+            Dag(3, [[], [2, 0, 2], []])
 
     def test_from_edges_round_trip(self):
         dag = Dag.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert dag == diamond_dag()
-        assert list(dag.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert [(j, k) for k, pa in enumerate(dag.parents) for j in pa.tolist()] == [
+            (0, 1), (0, 2), (1, 3), (2, 3)]
         assert dag.edge_count == 4
+
+    def test_parent_sets_are_one_layout_and_children_their_reverse(self):
+        dag = Dag(5, [[3, 4], [0, 3], [], [2], [2]])
+        assert dag.parent_sets.to_lists() == [[3, 4], [0, 3], [], [2], [2]]
+        assert all(pa.dtype == np.int64 and pa.base is dag.parent_sets.members
+                   for pa in dag.parents)
+        assert [ch.tolist() for ch in dag.children] == [
+            r.tolist() for r in dag.parent_sets.reverse()] == [[1], [], [3, 4], [0, 1], [0]]
+        assert dag.edge_count == 6
+        assert dag == Dag(5, [[4, 3], [3, 0], [], [2], [2]])
+        assert dag != Dag(5, [[3, 4], [0, 3], [], [2], []])
 
     @pytest.mark.parametrize("child", [-1, 4])
     def test_from_edges_rejects_child_out_of_range(self, child):
@@ -97,6 +112,35 @@ class TestWeightedDag:
     def test_non_finite_weight_or_scale_rejected(self, weight, scale):
         with pytest.raises(ValueError, match="finite"):
             WeightedDag(chain_dag(2), [[], [weight]], NoiseFamily.laplace(), [1, scale])
+
+    def test_weights_are_views_of_one_array_aligned_with_the_members(self):
+        dag = Dag(4, [[], [0], [0, 1], [2, 1]])
+        w = WeightedDag(dag, [[], [0.5], [0.6, -0.7], np.array([0.8, -0.9])],
+                        NoiseFamily.laplace(), [1.0] * 4)
+        assert w.edge_weights.tolist() == [0.5, 0.6, -0.7, 0.8, -0.9]
+        assert w.edge_weights.size == dag.parent_sets.members.size
+        assert all(wt.base is w.edge_weights for wt in w.weights)
+        assert [wt.tolist() for wt in w.weights] == [[], [0.5], [0.6, -0.7], [0.8, -0.9]]
+
+    @pytest.mark.parametrize("weights, node", [
+        ([[], [0.5], [np.nan, 0.2], [0.0]], 2),
+        ([[], [0.5], [0.1, 0.2], [np.inf]], 3),
+        ([[], [0.0], [np.nan, 0.2], [1.0]], 1),
+    ])
+    def test_first_node_with_a_bad_weight_is_named(self, weights, node):
+        dag = Dag(4, [[], [0], [0, 1], [2]])
+        with pytest.raises(ValueError, match=f"non-finite or zero weight on an edge into node {node}$"):
+            WeightedDag(dag, weights, NoiseFamily.laplace(), [1.0] * 4)
+
+    @pytest.mark.parametrize("weights, node", [
+        ([[], [[0.5]], [0.1, 0.2]], 1),  # node 1's one weight as a 1 x 1 array
+        ([[], [0.5], [0.1]], 2),
+        ([[], [0.5, 0.1], [0.2]], 1),
+    ])
+    def test_weights_must_be_one_per_parent_and_1d(self, weights, node):
+        dag = Dag(3, [[], [0], [0, 1]])
+        with pytest.raises(ValueError, match=f"^weights of node {node} do not match its parent list$"):
+            WeightedDag(dag, weights, NoiseFamily.laplace(), [1.0] * 3)
 
     def test_scales_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -188,11 +232,11 @@ class TestApplyMoments:
 
 class TestNeighborhoodSets:
     def test_self_membership_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node 0 contained in its own set"):
             NeighborhoodSets([[0], []])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"index 2 out of range in set 0, not in \[0, 2\)"):
             NeighborhoodSets([[2], [0]])
 
     def test_lists_round_trip(self):
@@ -214,3 +258,24 @@ class TestNeighborhoodSets:
         assert nbhd.sizes.tolist() == [2, 0, 2, 3]
         assert nbhd.members.tolist() == [1, 3, 0, 3, 0, 1, 2]
         assert all(s.dtype == np.int64 and s.base is nbhd.members for s in nbhd.sets)
+
+    @pytest.mark.parametrize("sets", [
+        [[1, 2], [], [0], []],  # node 3 is in no set; sets 1 and 3 are empty
+        [[]],
+        [[3, 1], [0, 3], [3], [0, 1, 2], []],
+    ])
+    def test_reverse_lists_the_sets_that_hold_each_node(self, sets):
+        nbhd = NeighborhoodSets(sets)
+        p = len(sets)
+        brute = [[k for k in range(p) if j in sets[k]] for j in range(p)]
+        reverse = nbhd.reverse()
+        assert [r.tolist() for r in reverse] == brute
+        assert all(r.dtype == np.int32 and r.base is reverse[0].base for r in reverse)
+
+    def test_reverse_matches_brute_force_on_random_sets(self):
+        rng = np.random.default_rng(5)
+        for p in (1, 2, 7, 30):
+            sets = [[j for j in rng.choice(p, size=rng.integers(0, p + 1), replace=False).tolist()
+                     if j != k] for k in range(p)]
+            brute = [[k for k in range(p) if j in sets[k]] for j in range(p)]
+            assert [r.tolist() for r in NeighborhoodSets(sets).reverse()] == brute
