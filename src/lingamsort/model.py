@@ -459,14 +459,21 @@ class NeighborhoodSets:
     checks every set in one pass over their concatenation: it refuses a
     member outside [0, p), then a node in its own set, naming the first set
     k with either, and sorts and dedupes by (owner, member) only when some
-    set is unsorted or repeats a member.  :meth:`reverse` gives the sets
+    set is unsorted or repeats a member.  A member too large for int64 is
+    refused as out of range as its set is read, before that pass.  :meth:`reverse` gives the sets
     that hold each node.
     """
 
     def __init__(self, sets: Sequence[Iterable[int]]):
         p = len(sets)
-        parts = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64).ravel()
-                 for s in sets]
+        parts = []
+        for k, s in enumerate(sets):
+            s = s if isinstance(s, np.ndarray) else list(s)
+            try:
+                parts.append(np.asarray(s, dtype=np.int64).ravel())
+            except OverflowError:  # a member beyond int64 is out of range too
+                bad = next(j for j in s if not 0 <= j < p)
+                raise ValueError(f"index {bad} out of range in set {k}, not in [0, {p})") from None
         sizes = np.array([a.size for a in parts], dtype=np.int64)
         members = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         owner = np.repeat(np.arange(p), sizes)

@@ -33,18 +33,32 @@ and u'u, and serves every node that shares the factor: an event costs
 |S_k| + 2 when it extends a factor and 1 when the factor is shared.  When
 u = r_sel the extension costs 1, for delta alone; such a factor defers
 its own row of W, and filling it in later, if an extension needs it,
-costs |S| once.  Work therefore grows as O(p d) for neighborhoods of size
-at most d.
+costs |S| once.  So the two units grow differently in the size d_k of
+node k's neighborhood.  Update events, each rescored once
+(``rescore_events``), number at most one per pair (k, j) with j in N(k):
+O(p d) for sets of size at most d.  Inner products grow as
+O(sum_k d_k^2), at most O(p d^2), since a node whose d_k extensions go
+unshared pays |S_k| + 2 for each; under full sets every live node shares
+one factor, and they number p(p - 1)/2 + p - 1, O(p^2).  The abstract's
+O(p d) is read here as the count of score evaluations, the rescore
+events; it does not name its unit, so that reading is an interpretation.
 
 **Steps.**  Each step is one batch.  The nodes that gain ``sel`` are
 grouped by factor, and one call of :func:`partial_update` extends every
 group's factor at once and returns each group's u, from one gather of the
-standardized columns it multiplies.  The touched residuals
-are then gathered once per chunk of at most ``BLOCK_BYTES``, given their
-group's rank-one update, scored by one block call of
-:func:`lingamsort.scoring.llr_score` and written back, so that no n x p
-temporary is built.  Step 0 computes the column moments and scores every
-standardized column in one chunked pass over the caller's data.
+standardized columns it multiplies.  The touched residuals are then
+updated in chunks of at most ``BLOCK_BYTES``: one stacked product gives
+u'r_k for every node of the chunk, each residual takes its rank-one
+update, and one block call of :func:`lingamsort.scoring.llr_score`
+scores the chunk, so that no n x p temporary is built.  A chunk takes one
+of two forms, and the step's own state chooses.  When the touched nodes
+are exactly the nodes that hold a slot, and share one factor (every step
+after the first under full sets), the step's chunks are views of
+consecutive slots, updated where they are with the one u broadcast over
+them, and visit the nodes in slot order.  Otherwise a chunk is gathered
+from its nodes' slots, with each node's u, and written back.  Step 0
+computes the column moments and scores every standardized column in one
+chunked pass over the caller's data.
 
 **Slots.**  ``sort`` adds no n x p copy of the caller's data.  Its
 residuals live in a pool of slots, :class:`ResidualState`, and a node
@@ -58,10 +72,11 @@ starting residual of a node the step touches first straight into its
 new slot, and x_sel and the columns Z of the factors the step extends by
 one gather, the same for row- and column-major data, straight into the
 batch matrix of :func:`partial_update`.  ``sel`` gives its slot back
-once the batch has read r_sel.
-Freed slots are reused last in, first out, and only slots in use are
-written, so resident memory follows the most residuals held at once, not
-n x p.
+once the batch has read r_sel.  Freed slots are reused last in, first
+out.  Before its chunks, a view step makes the slots held the leading
+ones: each free slot below the number held takes the residual of a held
+slot above it.  Only slots under the most residuals held at once are
+ever written, so resident memory follows that number, not n x p.
 """
 from __future__ import annotations
 
@@ -86,7 +101,7 @@ from .model import (
 from .scoring import llr_score
 
 # Largest residual block, in bytes, that one update or scoring call touches.
-BLOCK_BYTES = 2 << 20
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -101,16 +116,19 @@ class SortResult:
 class ResidualState:
     """The sorter's pool of column slots, its factors and the inner products spent.
 
-    ``pool`` is a column-major n x s array, and ``slot[k]`` the slot
-    (column of ``pool``) that holds node k's values, or -1 when k holds
-    none; ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
-    pool becomes the state's own: it is updated in place, not copied.
-    A live node holds a slot from its first update to its selection, for
-    its residual, and a sorted node holds none: the module docstring's
-    slot rule, which ``sort`` keeps.  :meth:`acquire` gives a node the
-    slot freed last, or else the lowest one never used, so the slots in
-    use, and so the pages ever written, stay under the high-water mark
-    ``slots_used``; :meth:`release` frees the slot a node holds, if any.
+    ``pool`` is a column-major n x s array, and ``slot[k]`` (an int64
+    array) the slot, a column of ``pool``, that holds node k's values, or
+    -1 when k holds none; ``rows`` is ``pool.T``, with the slots as
+    contiguous rows.  The pool becomes the state's own: it is updated in
+    place, not copied.  A live node holds a slot from its first update to
+    its selection, for its residual, and a sorted node holds none: the
+    module docstring's slot rule, which ``sort`` keeps.  :meth:`acquire`
+    gives a node the slot freed last, or else the lowest one never used,
+    and :meth:`release` frees the slot a node holds, if any;
+    :meth:`compact` moves the residuals held into the leading slots.  So
+    every slot under the high-water mark ``slots_used`` is either held or
+    in ``free``, and only those slots, and so those pages, are ever
+    written.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -129,7 +147,7 @@ class ResidualState:
     def __init__(self, pool: np.ndarray, slot: list[int]):
         self.pool = pool
         self.rows = pool.T
-        self.slot = slot
+        self.slot = array("q", slot)
         self.free: list[int] = []
         self.slots_used = 1 + max(slot, default=-1)
         self.pivot_floor = PIVOT_RTOL * pool.shape[0]
@@ -154,6 +172,26 @@ class ResidualState:
         if self.slot[node] >= 0:
             self.free.append(self.slot[node])
             self.slot[node] = -1
+
+    def compact(self, nodes: np.ndarray) -> np.ndarray:
+        """Move the residuals of ``nodes``, every node that holds a slot, to
+        the leading slots, one from above each hole below ``len(nodes)``,
+        and return ``nodes`` in slot order."""
+        held = len(nodes)
+        slots = np.frombuffer(self.slot, dtype=np.int64)
+        at = slots[nodes]
+        high = at >= held
+        if high.any():
+            taken = np.zeros(held, dtype=bool)
+            taken[at[~high]] = True
+            holes = np.flatnonzero(~taken)
+            self.rows[holes] = self.rows[at[high]]
+            at[high] = holes
+            slots[nodes] = at
+            self.free = list(range(self.slots_used - 1, held - 1, -1))
+        order = np.empty_like(nodes)
+        order[at] = nodes
+        return order
 
     def path(self, factor: int) -> list[int]:
         """The factors from the root's first child down to ``factor``."""
@@ -282,7 +320,8 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
 
     ``update_count`` is the module docstring's count of inner products.
     ``diagnostics`` holds ``degenerate``, one (node, step) pair per node
-    whose residual scored -inf, at the first such step, the (k, sel)
+    whose residual scored -inf, at the first such step, ordered by step
+    and then by node, the (k, sel)
     pairs of ``skipped_updates`` (collinear
     regressors), ``rescore_events`` (update events) and
     ``residual_slots``, the most pool slots held at once.
@@ -306,7 +345,11 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     state = ResidualState(np.empty((n, p), order="F"), [-1] * p)
     rows, slot = state.rows, state.slot
     width = max(1, BLOCK_BYTES // (8 * n))  # columns per block
-    factor = [state.ROOT] * p
+    factor = array("q", [state.ROOT]) * p
+    live = bytearray(b"\1") * p
+    # the same per-node numbers as numpy arrays, read and written whole by view steps
+    slot_v, factor_v, live_v = (np.frombuffer(a, dtype=d) for a, d in
+                                ((slot, np.int64), (factor, np.int64), (live, bool)))
 
     degenerate: dict[int, int] = {}  # node -> the first step it scored -inf
     skipped: list[tuple[int, int]] = []
@@ -335,7 +378,6 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     mean, sd = standardize_pass(source, state.pool, visit=lambda lo, z: score(
         range(lo, lo + z.shape[1]), z, 0))
     chosen: list[int] = []
-    live = [True] * p
     steps: list[list[tuple[int, float]]] | None = [] if trace else None
     rescore_events = 0  # neighbor-residual updates, the O(p d) unit
     for t in range(p):
@@ -344,50 +386,78 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         # argmax returns the first maximum, which is the lowest index here
         sel = int(scores.argmax())
         if scores[sel] == -np.inf:  # every live node is degenerate
-            sel = live.index(True)
+            sel = live.index(1)
         chosen.append(sel)
-        live[sel] = False
+        live[sel] = 0
         scores[sel] = -np.inf
-        touched = [k for k in affected[sel].tolist() if live[k]]
-        if not touched:
-            state.release(sel)
-            continue
-        groups: dict = {}  # factor -> its group's index
-        group = [groups.setdefault(factor[k], len(groups)) for k in touched]
-        factors = list(groups)
-        for k in [k for k in touched if slot[k] < 0]:  # each starts at its column
-            out = rows[state.acquire(k)]
-            np.subtract(source[:, k], mean[k], out=out)
-            out /= sd[k]
+        near = affected[sel]
+        # the slots held once sel gives its slot back: every slot under
+        # slots_used is either held or free
+        held = state.slots_used - len(state.free) - (slot[sel] >= 0)
+        view = 0 < held <= len(near)
+        if view:  # does sel touch every residual held, all on one factor?
+            touched = near[slot_v[near] >= 0]
+            shared = factor_v[touched]
+            view = (len(touched) == held and np.count_nonzero(live_v[near]) == held
+                    and (shared == shared[0]).all())
+        if view:
+            factors = [int(shared[0])]
+        else:
+            touched = [k for k in near.tolist() if live[k]]
+            if not touched:
+                state.release(sel)
+                continue
+            groups: dict = {}  # factor -> its group's index
+            group = [groups.setdefault(factor[k], len(groups)) for k in touched]
+            factors = list(groups)
+            for k in [k for k in touched if slot[k] < 0]:  # each starts at its column
+                out = rows[state.acquire(k)]
+                np.subtract(source[:, k], mean[k], out=out)
+                out /= sd[k]
         # looked up in this module at every call, so it can be wrapped
         children, u, delta = partial_update(state, factors, sel, columns, factor[sel])
         state.release(sel)  # the batch has read r_sel
-        for g, f in enumerate(factors):
-            if children[g] == f:  # sel is collinear with the group's regressors
-                skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
-        for k, g in zip(touched, group):
-            factor[k] = children[g]
-        state.inner_products += sum(children[g] != factors[g] for g in group)
-        for lo in range(0, len(touched), width):
-            part, g = touched[lo:lo + width], group[lo:lo + width]
-            at = [slot[k] for k in part]
-            # "clip" skips take's bounds check: every index is a slot
-            block = rows.take(at, axis=0, mode="clip")
-            ug = u.take(g, axis=0, mode="clip")
+        if view:
+            if children[0] == factors[0]:  # sel is collinear with the shared regressors
+                skipped.extend((k, sel) for k in touched.tolist())
+            else:
+                factor_v[touched] = children[0]
+                state.inner_products += held
+            nodes = state.compact(touched)
+        else:
+            for g, f in enumerate(factors):
+                if children[g] == f:  # sel is collinear with the group's regressors
+                    skipped.extend((k, sel) for k, h in zip(touched, group) if h == g)
+            for k, g in zip(touched, group):
+                factor[k] = children[g]
+            state.inner_products += sum(children[g] != factors[g] for g in group)
+            nodes = touched
+        for lo in range(0, len(nodes), width):
+            part = nodes[lo:lo + width]
+            if view:  # the part's own slots, updated where they are, and the one u
+                block, ug, dg = rows[lo:lo + len(part)], u, delta
+            else:  # gathered from the nodes' slots, with each node's u
+                at, g = [slot[k] for k in part], group[lo:lo + width]
+                # "clip" skips take's bounds check: every index is a slot
+                block = rows.take(at, axis=0, mode="clip")
+                ug, dg = u.take(g, axis=0, mode="clip"), delta.take(g, mode="clip")[:, None]
             coef = (ug[:, None, :] @ block[:, :, None])[:, 0]  # u'r_k, one per node
-            coef /= delta.take(g, mode="clip")[:, None]
-            ug *= coef
-            block -= ug
+            coef /= dg
+            if view:
+                block -= coef * ug
+            else:  # ug is the part's own copy
+                ug *= coef
+                block -= ug
+                rows[at] = block
             score(part, block.T, t + 1)
-            rows[at] = block
-        rescore_events += len(touched)
+        rescore_events += len(nodes)
     return SortResult(
         ordering=Ordering(chosen),
         update_count=state.inner_products,
         wall_time=time.perf_counter() - started,
         step_scores=steps,
         diagnostics={
-            "degenerate": list(degenerate.items()),
+            "degenerate": sorted(degenerate.items(), key=lambda d: (d[1], d[0])),
             "skipped_updates": skipped,
             "rescore_events": rescore_events,
             "residual_slots": state.slots_used,

@@ -142,13 +142,17 @@ class TestFileFormats:
         assert [(j, k) for k, pa in enumerate(dag.parents) for j in pa.tolist()] == [
             (0, 1), (0, 2), (1, 2)]
 
-    @pytest.mark.parametrize("line", ["1 -1", "-1 1", "0 3", "1 1", "0 1", "1 0"])
+    @pytest.mark.parametrize("line", ["1 -1", "-1 1", "0 3", "1 1", "0 1", "1 0",
+                                      f"{10**30} 1"])
     def test_edge_list_rejects_bad_nodes(self, tmp_path, line):
-        # a negative child used to wrap round to node p - 1
+        # a negative child used to wrap round to node p - 1, and a parent
+        # beyond int64 was refused without its value
         path = tmp_path / "e.txt"
         path.write_text(f"0 1\n{line}\n")
-        with pytest.raises(UsageError, match=str(path)):
+        with pytest.raises(UsageError, match=str(path)) as refused:
             load_edge_list(path, p=3)
+        if line.startswith(str(10**30)):
+            assert f"index {10**30} out of range in set 1" in str(refused.value)
 
     def test_edge_list_rejects_triples(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -1189,13 +1193,18 @@ def _edit(doc, path, value):
     ("eval", "truth", ["p"], 4.0),
     ("eval", "truth", ["seed"], 1.5),
     ("eval", "truth", ["seed"], True),
+    ("sort", "neighborhoods", [0, 0], 10**30),
+    ("loglik", "model", ["coefficients", 0, "from"], 10**30),
+    ("eval", "truth", ["edges", 0, "from"], -10**30),
 ], ids=["fit-ordering-float", "fit-ordering-bool", "fit-nbhd-float", "sort-nbhd-float",
         "sort-nbhd-bool", "model-from-float", "model-to-float", "model-p-float",
         "eval-ordering-float", "truth-ordering-float", "truth-from-bool", "truth-p-float",
-        "truth-seed-float", "truth-seed-bool"])
+        "truth-seed-float", "truth-seed-bool", "sort-nbhd-beyond-int64",
+        "model-from-beyond-int64", "truth-from-beyond-int64"])
 def test_non_integer_node_index_exits_2_naming_the_file(tmp_path, capsys, command, kind,
                                                         path, value):
-    # each of these was truncated by int() and ran on the wrong graph
+    # each of these was truncated by int() and ran on the wrong graph; an
+    # index beyond int64 was refused with numpy's message, without its value
     data = tmp_path / "d.csv"
     write_data_csv(data, DataMatrix(rng_stream(31, 0).laplace(size=(40, 4))))
     good = {

@@ -1,7 +1,9 @@
 """``tools/output_digests.py`` prints one digest per output of its fixed CLI
 runs, and the same digests on a second run; the pipeline run on a quoted
-``train.csv`` gives the ordering and model of its unquoted twin."""
+``train.csv`` gives the ordering and model of the unquoted one, and the
+twin case's copied column is reported degenerate."""
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -22,6 +24,8 @@ def test_two_runs_give_the_same_digest_of_every_output(tmp_path, monkeypatch):
     })
     monkeypatch.setattr(tool, "EDGE_LIST", (20, 60, 10))
     monkeypatch.setattr(tool, "QUOTED", "full")
+    monkeypatch.setattr(tool, "TWIN", (20, 80, 10, "logistic", "full", True))
+    monkeypatch.setattr(tool, "TWIN_OF", 3)
     monkeypatch.setattr(tool, "GRID", [
         {"p": 30, "n_mult": 2.0, "family": "laplace", "neighborhoods": "mb", "replicates": 1},
         {"p": 20, "n_mult": 3.0, "family": "laplace", "neighborhoods": "corr:5:0.2",
@@ -32,6 +36,8 @@ def test_two_runs_give_the_same_digest_of_every_output(tmp_path, monkeypatch):
     names = sorted(f"{case}/{name}" for case in ("corr", "full", "scaled-t", "quoted")
                    for name in PIPELINE_FILES)
     names += [f"edge-list/{name}" for name in PIPELINE_FILES + ["edges.txt", "neighborhoods.json"]]
+    names += [f"twin/{name}" for name in PIPELINE_FILES
+              if name not in ("fit.out", "loglik.out", "model.json")]
     names += ["grid/benchmark.out", "grid/grid.json", "grid/results.jsonl"]
     assert sorted(line.split("  ")[1] for line in first) == sorted(names)
     assert all(len(line.split("  ")[0]) == 64 for line in first)
@@ -39,3 +45,6 @@ def test_two_runs_give_the_same_digest_of_every_output(tmp_path, monkeypatch):
     for name in ("ordering.json", "model.json", "loglik.out"):
         assert digest[f"quoted/{name}"] == digest[f"full/{name}"]
     assert digest["quoted/train.csv"] != digest["full/train.csv"]
+    # the copy of column 3 is degenerate from the step after its twin's
+    twin = json.loads((tmp_path / "a" / "twin" / "ordering.json").read_text())
+    assert [node for node, _ in twin["diagnostics"]["degenerate"]] == [19]

@@ -134,18 +134,26 @@ class TestSortFast:
         # one of the twins is perfectly explained and must come last
         assert res.ordering.perm[-1] in (0, 1)
 
-    def test_degenerate_node_recorded_once_at_its_first_step(self):
-        # column 200 copies column 0: once 0 is sorted, 200's residual is
-        # zero at every later step, and it is recorded at the first
+    def test_degenerate_node_recorded_once_at_its_first_step(self, monkeypatch):
+        # columns 200 and 201 copy column 43: once one of the three is sorted,
+        # the others' residuals are zero at every later step, and each is
+        # recorded once, at the first.  In 16-column chunks that step spans
+        # several chunks, which visit the nodes in slot order; the record
+        # still lists its pairs by step, then by node
+        monkeypatch.setattr(lingamsort.sorter, "BLOCK_BYTES", 16 * 8 * 400)
         cfg = SimConfig(p=200, n=400, seed=derive_seed(9600, 1), family=LAP,
                         graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
         _, _, x = sample_dataset(cfg)
-        res = sort(DataMatrix(np.column_stack([x.values, x.values[:, 0]])), LAP,
-                   full_neighborhoods(201))
-        twins = [pair for pair in res.diagnostics["degenerate"] if pair[0] in (0, 200)]
-        first = 1 + min(res.ordering.perm.index(0), res.ordering.perm.index(200))
-        assert len(twins) == 1
-        assert twins[0][1] == first
+        col = x.values[:, 43]
+        res = sort(DataMatrix(np.column_stack([x.values, col, col])), LAP,
+                   full_neighborhoods(202))
+        perm, degenerate = res.ordering.perm, res.diagnostics["degenerate"]
+        twin = min((43, 200, 201), key=perm.index)
+        first = 1 + perm.index(twin)
+        assert 1 < first < 202 - 2 * 16  # a step of several chunks, after the first
+        assert [pair for pair in degenerate if pair[0] in (43, 200, 201)] == [
+            (k, first) for k in (43, 200, 201) if k != twin]
+        assert degenerate == sorted(degenerate, key=lambda pair: (pair[1], pair[0]))
 
     def test_update_count_counts_inner_products(self):
         # full neighborhoods: every unsorted node shares the selected node's
@@ -156,6 +164,22 @@ class TestSortFast:
         res = sort(x, LAP, full_neighborhoods(p))
         assert res.diagnostics["rescore_events"] == p * (p - 1) // 2
         assert res.update_count == p * (p - 1) // 2 + p - 1
+
+    def test_events_grow_as_d_and_inner_products_as_d_squared(self):
+        # the module docstring's two cost units, fitted over m in
+        # top-correlated sets of m = 4 to 32: rescore events are O(p d),
+        # inner products O(sum_k d_k^2); one run measured exponents of 0.99
+        # and 1.77
+        cfg = SimConfig(p=300, n=600, seed=derive_seed(9700, 1), family=LAP,
+                        graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
+        _, _, x = sample_dataset(cfg)
+        sizes = [4, 8, 16, 32]
+        runs = [sort(x, LAP, top_correlated(x, m)) for m in sizes]
+        events = [res.diagnostics["rescore_events"] for res in runs]
+        products = [res.update_count for res in runs]
+        slope = lambda counts: np.polyfit(np.log(sizes), np.log(counts), 1)[0]
+        assert 0.9 <= slope(events) <= 1.1, events
+        assert 1.6 <= slope(products) <= 2.0, products
 
     def test_collinear_regressor_skipped_and_recorded(self):
         col = np.random.default_rng(2).standard_normal(64)
@@ -453,19 +477,28 @@ class TestBatchedStep:
     @pytest.mark.parametrize("kind, updates, rescores, digest", [
         ("mb", 1533, 587, "b85ce6ad9469fa27"),
         ("corr", 5224, 1355, "eea2f7c89e1ad5d3"),
+        ("full", 45149, 44850, "7e9b2f24c4801e58"),
     ])
     def test_counts_work_not_calls(self, kind, updates, rescores, digest):
-        # p = 300: the update and rescore counts, and the ordering (by its
-        # sha256), of the sorter that extended one factor per call
-        cfg = SimConfig(p=300, n=600, seed=derive_seed(9400, 1), family=LAP,
+        # p = 300: the update and rescore counts, the ordering and the
+        # winning score of every step (by their sha256) of the sorter that
+        # extended one factor per call and gathered every step's residuals;
+        # full sets are scored under Logistic, as in the pipe-full workload
+        family = NoiseFamily.logistic() if kind == "full" else LAP
+        won = {"mb": "8d28976625867159", "corr": "19ed2adbeca8739b",
+               "full": "ba1ef80fafc47d2a"}[kind]
+        cfg = SimConfig(p=300, n=600, seed=derive_seed(9400, 1), family=family,
                         graph=LargeSparse(), scale_low=0.25, scale_high=0.9)
         w, _, x = sample_dataset(cfg)
-        nbhd = markov_blankets(w.dag) if kind == "mb" else top_correlated(x, 10)
-        res = sort(x, LAP, nbhd)
+        nbhd = (markov_blankets(w.dag) if kind == "mb" else top_correlated(x, 10)
+                if kind == "corr" else full_neighborhoods(x.p))
+        res = sort(x, family, nbhd, trace=True)
         assert res.update_count == updates
         assert res.diagnostics["rescore_events"] == rescores
         perm = ",".join(map(str, res.ordering.perm)).encode()
         assert hashlib.sha256(perm).hexdigest()[:16] == digest
+        scores = np.array([dict(step)[k] for step, k in zip(res.step_scores, res.ordering.perm)])
+        assert hashlib.sha256(scores.tobytes()).hexdigest()[:16] == won
 
 
 _FAMILIES = (LAP, NoiseFamily.logistic(), NoiseFamily.scaled_t(10))

@@ -20,7 +20,13 @@ inputs drawn with the benchmark's coefficients (0.4-0.9) and scales
   ``train.csv`` with every field in double quotes and LF line ends, the
   way R's ``write.csv`` quotes its header.  At about 4 MB the reader forks
   for it; its ``ordering.json`` and ``model.json`` must equal the unquoted
-  case's.
+  case's;
+- ``twin``: a Logistic pipeline on ``full`` sets at p = 300 and n = 1,000,
+  with ``sort --trace``, whose ``train.csv`` holds a copy of an early-sorted
+  column in place of its last one.  Its early steps update more residuals
+  than one ``BLOCK_BYTES`` block holds, and the copy turns degenerate once
+  its twin is sorted.  ``fit`` refuses such data, so the case ends after
+  ``eval``.
 
 A pipeline generates its training rows and then its held-out rows in one
 file, and splits it as README's example does: ``train.csv`` is the header
@@ -55,6 +61,11 @@ PIPELINES = {
 EDGE_LIST = (40, 200, 20)
 # the pipeline that the quoted case runs again on a quoted train.csv
 QUOTED = "pipe-full-p300-logistic"
+# the twin case: a full-set pipeline at an n that cuts the sort's early steps
+# into more than one block of sorter.BLOCK_BYTES, whose train.csv holds a copy
+# of column TWIN_OF, one sorted early, in place of its last column
+TWIN = (300, 1000, 100, "logistic", "full", True)
+TWIN_OF = 215
 GRID = [
     {"p": 5000, "n_mult": 0.5, "family": "laplace", "neighborhoods": "mb", "replicates": 1},
     {"p": 200, "n_mult": 2.0, "family": "laplace", "neighborhoods": "corr:10:0.2",
@@ -78,18 +89,28 @@ def _quoted(text: str) -> str:
 
 
 def _pipeline(where: Path, p: int, n: int, held_out: int, family: str, nbhd: str,
-              trace: bool, graph: dict = GRAPH, quoted: bool = False) -> None:
+              trace: bool, graph: dict = GRAPH, quoted: bool = False,
+              twin: int | None = None) -> None:
+    """Run one pipeline in ``where``.  Given ``twin``, the last column of
+    ``train.csv`` is a copy of column ``twin``, which ``fit`` refuses, so
+    the pipeline ends after ``eval``."""
     config = {"p": p, "n": n + held_out, "seed": SEED, "family": family, "graph": graph, **SIM}
     (where / "config.json").write_text(json.dumps(config))
     _run(where, "generate", "generate", "--config", "config.json", "--out-data", "data.csv",
          "--out-truth", "truth.json")
     header, *rows = (where / "data.csv").read_text().splitlines(keepends=True)
+    if twin is not None:
+        for i in range(n):
+            fields = rows[i].rstrip("\n").split(",")
+            rows[i] = ",".join(fields[:-1] + [fields[twin]]) + "\n"
     train = header + "".join(rows[:n])
     (where / "train.csv").write_text(_quoted(train) if quoted else train)
     (where / "test.csv").write_text(header + "".join(rows[-held_out:]))
     _run(where, "sort", "sort", "--data", "train.csv", "--family", family,
          "--neighborhoods", nbhd, "--out", "ordering.json", *["--trace"] * trace)
     _run(where, "eval", "eval", "--truth", "truth.json", "--ordering", "ordering.json")
+    if twin is not None:
+        return
     _run(where, "fit", "fit", "--data", "train.csv", "--ordering", "ordering.json",
          "--family", family, "--neighborhoods", nbhd, "--out", "model.json")
     _run(where, "loglik", "loglik", "--model", "model.json", "--data", "test.csv")
@@ -113,6 +134,8 @@ def digests(outdir: Path) -> list[str]:
     _edge_list_pipeline(outdir / "edge-list", *EDGE_LIST)
     (outdir / "quoted").mkdir(parents=True)
     _pipeline(outdir / "quoted", *PIPELINES[QUOTED], quoted=True)
+    (outdir / "twin").mkdir(parents=True)
+    _pipeline(outdir / "twin", *TWIN, twin=TWIN_OF)
     grid = outdir / "grid"
     grid.mkdir(parents=True)
     cells = [dict(cell, graph=GRAPH, **SIM) for cell in GRID]
