@@ -460,8 +460,8 @@ class NeighborhoodSets:
     member outside [0, p), then a node in its own set, naming the first set
     k with either, and sorts and dedupes by (owner, member) only when some
     set is unsorted or repeats a member.  A member too large for int64 is
-    refused as out of range as its set is read, before that pass.  :meth:`reverse` gives the sets
-    that hold each node.
+    refused as out of range as its set is read, before that pass.
+    :meth:`reverse` gives the sets that hold each node.
     """
 
     def __init__(self, sets: Sequence[Iterable[int]]):

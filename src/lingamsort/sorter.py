@@ -102,6 +102,11 @@ from .scoring import llr_score
 
 # Largest residual block, in bytes, that one update or scoring call touches.
 BLOCK_BYTES = 1 << 19
+# numpy's ufunc buffer, in elements, while a view chunk takes its rank-one
+# update.  At numpy's default of 8,192, ``coef * u``, whose operands both
+# broadcast, is copied through the buffer and ran 3-4 times slower on
+# chunks of 109 x 600; an elementwise result does not depend on it.
+UPDATE_BUFSIZE = 512
 
 
 @dataclass
@@ -118,17 +123,19 @@ class ResidualState:
 
     ``pool`` is a column-major n x s array, and ``slot[k]`` (an int64
     array) the slot, a column of ``pool``, that holds node k's values, or
-    -1 when k holds none; ``rows`` is ``pool.T``, with the slots as
-    contiguous rows.  The pool becomes the state's own: it is updated in
-    place, not copied.  A live node holds a slot from its first update to
-    its selection, for its residual, and a sorted node holds none: the
-    module docstring's slot rule, which ``sort`` keeps.  :meth:`acquire`
-    gives a node the slot freed last, or else the lowest one never used,
-    and :meth:`release` frees the slot a node holds, if any;
-    :meth:`compact` moves the residuals held into the leading slots.  So
-    every slot under the high-water mark ``slots_used`` is either held or
-    in ``free``, and only those slots, and so those pages, are ever
-    written.
+    -1 when k holds none; ``owner[i]`` is the node that holds slot i, or
+    -1.  ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
+    pool becomes the state's own: it is updated in place, not copied.  A
+    live node holds a slot from its first update to its selection, for its
+    residual, and a sorted node holds none: the module docstring's slot
+    rule, which ``sort`` keeps.  Every slot under ``top`` is either held or
+    in ``free``, and every slot from ``top`` up is free.  :meth:`acquire`
+    gives a node the slot freed last, or else ``top``, and :meth:`release`
+    frees the slot a node holds, if any; :meth:`compact` fills the free
+    slots below the number held from the held ones above it, and lowers
+    ``top`` to that number.  Only slots under the high-water mark
+    ``slots_used``, the most held at once, and so only those pages, are
+    ever written.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -148,8 +155,12 @@ class ResidualState:
         self.pool = pool
         self.rows = pool.T
         self.slot = array("q", slot)
+        self.owner = array("q", [-1]) * pool.shape[1]
+        for k, at in enumerate(slot):
+            if at >= 0:
+                self.owner[at] = k
         self.free: list[int] = []
-        self.slots_used = 1 + max(slot, default=-1)
+        self.top = self.slots_used = 1 + max(slot, default=-1)
         self.pivot_floor = PIVOT_RTOL * pool.shape[0]
         self.inner_products = 0
         self.parent = [-1]
@@ -163,35 +174,34 @@ class ResidualState:
         if self.free:
             at = self.free.pop()
         else:
-            at = self.slots_used
-            self.slots_used += 1
+            at = self.top
+            self.top += 1
+            self.slots_used = max(self.slots_used, self.top)
         self.slot[node] = at
+        self.owner[at] = node
         return at
 
     def release(self, node: int) -> None:
-        if self.slot[node] >= 0:
-            self.free.append(self.slot[node])
-            self.slot[node] = -1
+        at = self.slot[node]
+        if at >= 0:
+            self.free.append(at)
+            self.slot[node] = self.owner[at] = -1
 
-    def compact(self, nodes: np.ndarray) -> np.ndarray:
-        """Move the residuals of ``nodes``, every node that holds a slot, to
-        the leading slots, one from above each hole below ``len(nodes)``,
-        and return ``nodes`` in slot order."""
-        held = len(nodes)
-        slots = np.frombuffer(self.slot, dtype=np.int64)
-        at = slots[nodes]
-        high = at >= held
-        if high.any():
-            taken = np.zeros(held, dtype=bool)
-            taken[at[~high]] = True
-            holes = np.flatnonzero(~taken)
-            self.rows[holes] = self.rows[at[high]]
-            at[high] = holes
-            slots[nodes] = at
-            self.free = list(range(self.slots_used - 1, held - 1, -1))
-        order = np.empty_like(nodes)
-        order[at] = nodes
-        return order
+    def compact(self) -> np.ndarray:
+        """Move each residual held in a slot at or above the number held
+        into a free slot below it, and return the nodes of the slots held,
+        now the leading ones, in slot order."""
+        held = self.top - len(self.free)
+        holes = [at for at in self.free if at < held]
+        if holes:
+            above = [at for at in range(held, self.top) if self.owner[at] >= 0]
+            self.rows[holes] = self.rows[above]
+            for hole, at in zip(holes, above):
+                node = self.owner[hole] = self.owner[at]
+                self.slot[node], self.owner[at] = hole, -1
+        self.free.clear()
+        self.top = held
+        return np.frombuffer(self.owner, dtype=np.int64, count=held)
 
     def path(self, factor: int) -> list[int]:
         """The factors from the root's first child down to ``factor``."""
@@ -261,31 +271,37 @@ def partial_update(state: ResidualState, factors: list[int], sel: int,
     ``sel`` itself was regressed on: its u is r_sel, still in ``sel``'s
     slot (or x_sel, when ``sel`` holds none and so was never updated),
     which joins z under x_sel for it, and its child defers its row of W.
+    When it is the only group and ``sel`` holds a slot, u is copied from
+    the slot and nothing is gathered.
 
     Returns (children, u, delta), u as a groups x n array.  A group whose
     regressor is collinear keeps its factor as its child and gets
     delta = inf, so that the update of r_k leaves its nodes as they are.
     """
-    paths = [[] if f == own else state.path(f) for f in factors]
-    head = 1 + (own in factors)  # rows of z before the groups' columns
-    z = columns([sel] * head + [state.col[g] for path in paths for g in path])
-    if head == 2 and state.slot[sel] >= 0:
-        z[1] = state.rows[state.slot[sel]]
-    c = (z[head:] @ z[0]).tolist()
-    state.inner_products += len(c) + len(factors)
-    coefs, mix = [], []  # -beta per group; u = mix @ z
-    lo = 0
-    for f, path in zip(factors, paths):
-        hi = lo + len(path)
-        if f != own and state.row[f] is None:
-            state.complete(f, z[head + lo:head + hi])
-        coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
-        row = [0.0] * len(z)
-        row[f == own] = 1.0
-        row[head + lo:head + hi] = coefs[-1]
-        mix.append(row)
-        lo = hi
-    u = np.array(mix) @ z
+    if factors == [own] and state.slot[sel] >= 0:  # u = r_sel, as it is
+        u, coefs = state.rows[[state.slot[sel]]], [[]]
+        state.inner_products += 1
+    else:
+        paths = [[] if f == own else state.path(f) for f in factors]
+        head = 1 + (own in factors)  # rows of z before the groups' columns
+        z = columns([sel] * head + [state.col[g] for path in paths for g in path])
+        if head == 2 and state.slot[sel] >= 0:
+            z[1] = state.rows[state.slot[sel]]
+        c = (z[head:] @ z[0]).tolist()
+        state.inner_products += len(c) + len(factors)
+        coefs, mix = [], []  # -beta per group; u = mix @ z
+        lo = 0
+        for f, path in zip(factors, paths):
+            hi = lo + len(path)
+            if f != own and state.row[f] is None:
+                state.complete(f, z[head + lo:head + hi])
+            coefs.append(_solve(state.w, [state.row[g] for g in path], c[lo:hi]))
+            row = [0.0] * len(z)
+            row[f == own] = 1.0
+            row[head + lo:head + hi] = coefs[-1]
+            mix.append(row)
+            lo = hi
+        u = np.array(mix) @ z
     delta = (u[:, None, :] @ u[:, :, None]).ravel()  # one u'u per group
     children = []
     for g, (f, d) in enumerate(zip(factors, delta.tolist())):
@@ -392,8 +408,8 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
         scores[sel] = -np.inf
         near = affected[sel]
         # the slots held once sel gives its slot back: every slot under
-        # slots_used is either held or free
-        held = state.slots_used - len(state.free) - (slot[sel] >= 0)
+        # top is either held or free
+        held = state.top - len(state.free) - (slot[sel] >= 0)
         view = 0 < held <= len(near)
         if view:  # does sel touch every residual held, all on one factor?
             touched = near[slot_v[near] >= 0]
@@ -423,7 +439,7 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
             else:
                 factor_v[touched] = children[0]
                 state.inner_products += held
-            nodes = state.compact(touched)
+            nodes = state.compact()
         else:
             for g, f in enumerate(factors):
                 if children[g] == f:  # sel is collinear with the group's regressors
@@ -444,7 +460,11 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
             coef = (ug[:, None, :] @ block[:, :, None])[:, 0]  # u'r_k, one per node
             coef /= dg
             if view:
-                block -= coef * ug
+                buffer = np.setbufsize(UPDATE_BUFSIZE)
+                try:
+                    block -= coef * ug
+                finally:
+                    np.setbufsize(buffer)
             else:  # ug is the part's own copy
                 ug *= coef
                 block -= ug

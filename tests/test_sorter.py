@@ -108,6 +108,23 @@ class TestSortFast:
         assert a.ordering.perm == b.ordering.perm
         assert a.update_count == b.update_count
 
+    def test_numpy_buffer_size_restored_after_each_view_update(self, monkeypatch):
+        # view steps shrink numpy's ufunc buffer for their rank-one update
+        # only; what the caller set is in force before and after
+        sizes = []
+        setbufsize = np.setbufsize
+        monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+        cfg = SimConfig(p=15, n=300, seed=44, family=LAP)
+        _, _, x = sample_dataset(cfg)
+        before = setbufsize(4096)
+        try:
+            sort(x, LAP, full_neighborhoods(15))
+            assert np.getbufsize() == 4096
+        finally:
+            setbufsize(before)
+        assert sizes == [lingamsort.sorter.UPDATE_BUFSIZE, 4096] * (len(sizes) // 2)
+        assert len(sizes) >= 2 * 13  # a pair for each view step's chunk
+
     def test_update_count_bounded(self):
         cfg = SimConfig(p=8, n=200, seed=9, family=LAP)
         _, _, x = sample_dataset(cfg)
@@ -614,6 +631,29 @@ class TestResidualSlots:
             assert needed == x.p - 1
         else:
             assert needed < x.p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 11), max_size=40))
+    def test_compact_moves_the_residuals_held_to_the_leading_slots(self, ops):
+        # each op acquires a slot for a node that holds none, or releases
+        # the slot it holds; every residual is its node's number
+        state = lingamsort.sorter.ResidualState(np.empty((3, 12), order="F"), [-1] * 12)
+        for k in ops:
+            if state.slot[k] < 0:
+                state.rows[state.acquire(k)] = k
+            else:
+                state.release(k)
+        holders = sorted(k for k in range(12) if state.slot[k] >= 0)
+        used = state.slots_used
+        nodes = state.compact()
+        assert sorted(nodes.tolist()) == holders
+        assert [state.slot[k] for k in nodes.tolist()] == list(range(len(holders)))
+        assert np.array_equal(state.rows[:len(holders)], np.repeat(nodes, 3).reshape(-1, 3))
+        assert list(state.owner[len(holders):]) == [-1] * (12 - len(holders))
+        assert state.slots_used == used  # the high-water mark stays
+        if len(holders) < 12:  # the next slot given out is the first free one
+            k = next(k for k in range(12) if state.slot[k] < 0)
+            assert state.acquire(k) == len(holders)
 
 
 class TestCallerData:
