@@ -46,7 +46,8 @@ events; it does not name its unit, so that reading is an interpretation.
 **Steps.**  Each step is one batch.  The nodes that gain ``sel`` are
 grouped by factor, and one call of :func:`partial_update` extends every
 group's factor at once and returns each group's u, from one gather of the
-standardized columns it multiplies.  The touched residuals are then
+standardized columns it multiplies, or from none when the one group is on
+``sel``'s own factor and u is r_sel.  The touched residuals are then
 updated in chunks of at most ``BLOCK_BYTES``: one stacked product gives
 u'r_k for every node of the chunk, each residual takes its rank-one
 update, and one block call of :func:`lingamsort.scoring.llr_score`
@@ -55,10 +56,11 @@ of two forms, and the step's own state chooses.  When the touched nodes
 are exactly the nodes that hold a slot, and share one factor (every step
 after the first under full sets), the step's chunks are views of
 consecutive slots, updated where they are with the one u broadcast over
-them, and visit the nodes in slot order.  Otherwise a chunk is gathered
-from its nodes' slots, with each node's u, and written back.  Step 0
-computes the column moments and scores every standardized column in one
-chunked pass over the caller's data.
+them (under a numpy ufunc buffer of ``UPDATE_BUFSIZE`` elements), and
+visit the nodes in slot order.  Otherwise a chunk is gathered from its
+nodes' slots, with each node's u, and written back.  Step 0 computes the
+column moments and scores every standardized column in one chunked pass
+over the caller's data.
 
 **Slots.**  ``sort`` adds no n x p copy of the caller's data.  Its
 residuals live in a pool of slots, :class:`ResidualState`, and a node
