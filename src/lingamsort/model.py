@@ -315,16 +315,17 @@ def chunked_moments(values: np.ndarray, out: np.ndarray | None = None,
     constant column.  With ``visit`` too, ``out`` is column-major scratch:
     each chunk's standardized columns lo.. are written to its leading
     columns, as z, and ``visit(lo, z)`` is called, unless one of them is
-    constant or overflows, which the callers refuse; the next chunk
-    overwrites z.
+    constant or overflows; the next chunk overwrites z.
 
     Works on chunks of columns of about ``MOMENT_CHUNK_BYTES``, as
     :func:`block_ranges` cuts them with at least two columns each, and
     repeats numpy's arithmetic: the sum over rows divided by n, then the
     same for the squared deviations, which are formed in the source's
     layout because that sets numpy's summation order.  An overflow leaves
-    an infinite or NaN sd and raises no warning; the callers check, with
-    :func:`refuse_overflow`.
+    an infinite or NaN sd and raises no warning; once the pass and its
+    visits are done, it refuses: :class:`VarianceOverflow` names the lowest
+    column whose sd is not finite.  A constant column's sd is 0, which it
+    returns.
     """
     n, p = values.shape
     mean = np.empty(p)
@@ -346,28 +347,14 @@ def chunked_moments(values: np.ndarray, out: np.ndarray | None = None,
         del dev  # the squares are not kept while visit scores the chunk
         if visit is not None and ((0.0 < s) & (s < np.inf)).all():
             visit(lo, z)
+    for k in np.flatnonzero(~np.isfinite(sd))[:1]:
+        raise VarianceOverflow(int(k))
     return mean, sd
-
-
-def refuse_overflow(sd: np.ndarray) -> None:
-    """Raise :class:`VarianceOverflow` for the lowest column whose sd, from
-    :func:`chunked_moments`, is not finite."""
-    bad = np.flatnonzero(~np.isfinite(sd))
-    if bad.size:
-        raise VarianceOverflow(int(bad[0]))
 
 
 def column_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard deviation (denominator n), from
-    :func:`chunked_moments`.
-
-    Bit for bit ``values.mean(axis=0)`` and ``values.std(axis=0)``, for
-    row- and column-major input, without an n x p temporary.  Raises
-    :class:`VarianceOverflow` when a column's variance overflows.
-    """
-    mean, sd = chunked_moments(np.asarray(values, dtype=float))
-    refuse_overflow(sd)
-    return mean, sd
+    """Column (mean, sd): :func:`chunked_moments` of ``values`` as floats."""
+    return chunked_moments(np.asarray(values, dtype=float))
 
 
 def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
@@ -379,9 +366,10 @@ def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
     ``visit`` a chunk at a time through the scratch ``out``, as
     :func:`chunked_moments` sets out.
 
-    Raises ValueError for fewer than two rows, then
-    :class:`ZeroVarianceColumn` for the lowest constant column, then
-    :class:`VarianceOverflow` for a column whose variance overflows.
+    Raises ValueError for fewer than two rows, then the
+    :class:`VarianceOverflow` of :func:`chunked_moments` for the lowest
+    column whose variance overflows, then :class:`ZeroVarianceColumn` for
+    the lowest constant column.
     """
     if values.shape[0] < 2:
         raise ValueError("standardization needs at least two rows")
@@ -389,7 +377,6 @@ def standardize_pass(values: np.ndarray, out: np.ndarray | None = None,
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise ZeroVarianceColumn(int(bad[0]))
-    refuse_overflow(sd)
     return mean, sd
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (MOMENT_CHUNK_BYTES, Dag, DataMatrix, NeighborhoodSets, block_ranges,
-                    chunked_moments, refuse_overflow)
+                    chunked_moments)
 
 # Fewest rows of strengths per block.  Each block's Gram product re-reads
 # all of z, so with fewer rows that read outweighs the product: 6 rows took
@@ -57,7 +57,6 @@ def top_correlated(x_holdout: DataMatrix, m: int) -> NeighborhoodSets:
         raise ValueError("holdout needs at least 3 rows")
     z = np.empty_like(x_holdout.values)
     sd = chunked_moments(x_holdout.values, z)[1]
-    refuse_overflow(sd)
     z[:, sd == 0] = 0.0
     blocks = block_ranges(p, max(_MIN_ROWS, MOMENT_CHUNK_BYTES // (8 * p)))
     width = max(hi - lo for lo, hi in blocks)

@@ -63,9 +63,9 @@ column moments and scores every standardized column in one chunked pass
 over the caller's data.
 
 **Slots.**  ``sort`` adds no n x p copy of the caller's data.  Its
-residuals live in a pool of slots, :class:`ResidualState`, and a node
-holds a slot from its first update to its selection, for its current
-residual, which starts as its standardized column
+residuals live in a pool of slots, :class:`ResidualState`, which starts
+empty, and a node holds a slot from its first update to its selection,
+for its current residual, which starts as its standardized column
 ``(x[:, k] - mean[k]) / sd[k]``, bit for bit the column that
 :func:`lingamsort.model.standardize` writes.  A sorted node holds none.
 Every standardized column a step reads is standardized anew from the
@@ -123,21 +123,22 @@ class SortResult:
 class ResidualState:
     """The sorter's pool of column slots, its factors and the inner products spent.
 
-    ``pool`` is a column-major n x s array, and ``slot[k]`` (an int64
-    array) the slot, a column of ``pool``, that holds node k's values, or
-    -1 when k holds none; ``owner[i]`` is the node that holds slot i, or
-    -1.  ``rows`` is ``pool.T``, with the slots as contiguous rows.  The
-    pool becomes the state's own: it is updated in place, not copied.  A
-    live node holds a slot from its first update to its selection, for its
-    residual, and a sorted node holds none: the module docstring's slot
-    rule, which ``sort`` keeps.  Every slot under ``top`` is either held or
-    in ``free``, and every slot from ``top`` up is free.  :meth:`acquire`
-    gives a node the slot freed last, or else ``top``, and :meth:`release`
-    frees the slot a node holds, if any; :meth:`compact` fills the free
-    slots below the number held from the held ones above it, and lowers
-    ``top`` to that number.  Only slots under the high-water mark
-    ``slots_used``, the most held at once, and so only those pages, are
-    ever written.
+    ``pool`` is a column-major n x p array, one slot per node, and a state
+    starts empty: no node holds a slot, and ``top`` and ``slots_used`` are
+    0.  ``slot[k]`` (an int64 array) is the slot, a column of ``pool``,
+    that holds node k's values, or -1 when k holds none; ``owner[i]`` is
+    the node that holds slot i, or -1.  ``rows`` is ``pool.T``, with the
+    slots as contiguous rows.  The pool becomes the state's own: it is
+    updated in place, not copied.  A live node holds a slot from its first
+    update to its selection, for its residual, and a sorted node holds
+    none: the module docstring's slot rule, which ``sort`` keeps.  Every
+    slot under ``top`` is either held or in ``free``, and every slot from
+    ``top`` up is free.  :meth:`acquire` gives a node the slot freed last,
+    or else ``top``, and :meth:`release` frees the slot a node holds, if
+    any; :meth:`compact` fills the free slots below the number held from
+    the held ones above it, and lowers ``top`` to that number.  Only slots
+    under the high-water mark ``slots_used``, the most held at once, and so
+    only those pages, are ever written.
 
     Factors are numbered and form a tree: factor ``ROOT`` is the empty one
     every node starts from, and factor f extends ``parent[f]`` by the one
@@ -153,16 +154,13 @@ class ResidualState:
 
     ROOT = 0
 
-    def __init__(self, pool: np.ndarray, slot: list[int]):
+    def __init__(self, pool: np.ndarray):
         self.pool = pool
         self.rows = pool.T
-        self.slot = array("q", slot)
+        self.slot = array("q", [-1]) * pool.shape[1]
         self.owner = array("q", [-1]) * pool.shape[1]
-        for k, at in enumerate(slot):
-            if at >= 0:
-                self.owner[at] = k
         self.free: list[int] = []
-        self.top = self.slots_used = 1 + max(slot, default=-1)
+        self.top = self.slots_used = 0
         self.pivot_floor = PIVOT_RTOL * pool.shape[0]
         self.inner_products = 0
         self.parent = [-1]
@@ -360,7 +358,7 @@ def sort(x: DataMatrix, family: NoiseFamily, neighborhoods: NeighborhoodSets, *,
     n, p = x.n, x.p
     affected = neighborhoods.reverse()  # the k with j in N(k), increasing
     source = x.values
-    state = ResidualState(np.empty((n, p), order="F"), [-1] * p)
+    state = ResidualState(np.empty((n, p), order="F"))
     rows, slot = state.rows, state.slot
     width = max(1, BLOCK_BYTES // (8 * n))  # columns per block
     factor = array("q", [state.ROOT]) * p

@@ -661,9 +661,11 @@ class TestSortEvalPipeline:
     @pytest.mark.parametrize("nbhd", ["full", "corr:2:0.2:1"])
     def test_overflowing_variance_exits_2_naming_it(self, tmp_path, capsys, nbhd):
         # finite cells whose squares overflow; a numpy warning would become
-        # an error here and exit 1
+        # an error here and exit 1.  Column 0 is constant: the overflow is
+        # named first
         values = rng_stream(4, 0).laplace(size=(60, 4))
         values[:, 2] *= 1e200
+        values[:, 0] = 1.0
         data = tmp_path / "d.csv"
         write_data_csv(data, DataMatrix(values))
         out = tmp_path / "o.json"

@@ -17,7 +17,7 @@ from lingamsort import (
 )
 import conftest
 from lingamsort.metrics import RankDeficient, ols_residual
-from lingamsort.model import PIVOT_RTOL, VarianceOverflow, ZeroVarianceColumn
+from lingamsort.model import PIVOT_RTOL, VarianceOverflow, ZeroVarianceColumn, chunked_moments
 from lingamsort.sorter import ResidualState, partial_update
 
 
@@ -50,8 +50,11 @@ class TestStandardize:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_variance_raises(self):
-        with pytest.raises(ValueError, match="overflows"):
-            standardize(DataMatrix(np.array([[1e308, 1.0], [-1e308, 2.0]])))
+        # the overflow is named before a constant column, here columns 0 and 1
+        constant_too = np.array([[1.0, 1.0, 1e200], [1.0, 1.0, -1e200]] * 2)
+        for values, column in ([[1e308, 1.0], [-1e308, 2.0]], 0), (constant_too, 2):
+            with pytest.raises(VarianceOverflow, match=f"column {column} variance overflows"):
+                standardize(DataMatrix(np.array(values)))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -95,15 +98,24 @@ class TestChunkedMoments:
                 assert all(np.array_equal(_bits(a), _bits(b))
                            for a, b in zip(x.moments, (mean, sd)))
 
-    def test_overflow_names_the_column_without_a_warning(self):
-        values = np.random.default_rng(13).laplace(size=(30, 4))
-        values[:, 2] *= 1e200
+    def test_overflow_names_the_column_without_a_warning(self, monkeypatch):
+        # chunks of two columns; columns 3 and 5 overflow, so the pass names
+        # 3 in each of its modes, and visits only the chunks without them
+        monkeypatch.setattr(lingamsort.model, "MOMENT_CHUNK_BYTES", 8 * 30 * 2)
+        values = np.random.default_rng(13).laplace(size=(30, 8))
+        values[:, [3, 5]] *= 1e200
+        visited = []
+        calls = (column_moments, lambda v: standardize(DataMatrix(v)), chunked_moments,
+                 lambda v: chunked_moments(v, np.empty_like(v)),
+                 lambda v: chunked_moments(v, np.empty_like(v, order="F"),
+                                           lambda lo, z: visited.append(lo)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (column_moments, lambda v: standardize(DataMatrix(v))):
+            for call in calls:
                 with pytest.raises(VarianceOverflow) as err:
                     call(values)
-                assert err.value.column == 2
+                assert err.value.column == 3
+        assert visited == [0, 6]
 
 
 def _chain(*columns, lead):
@@ -177,6 +189,15 @@ class TestOlsResidual:
         assert pivots[0, 0] == pytest.approx(2.0)
 
 
+def _state(values):
+    """A state on a column-major copy of ``values`` in which node k holds
+    slot k, each acquired in turn, with column k as its residual."""
+    state = ResidualState(np.array(values, order="F"))
+    for k in range(values.shape[1]):
+        assert state.acquire(k) == k
+    return state
+
+
 def _cols(state, factor):
     return [state.col[g] for g in state.path(factor)]
 
@@ -204,7 +225,7 @@ def _take(state, values, factor, k, sel, own=-1):
 class TestPartialUpdate:
     def test_identical_columns_zero_out(self):
         values = np.array([[1.0, 1.0], [-1.0, -1.0]], order="F")
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         _take(state, values, state.ROOT, 1, 0)
         assert np.array_equal(state.pool[:, 1], np.zeros(2))
         # extending the empty factor costs 1 inner product, for delta
@@ -212,14 +233,14 @@ class TestPartialUpdate:
 
     def test_orthogonal_columns_record_zero(self):
         values = np.array([[1.0, 0.0], [0.0, 1.0]], order="F")
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         _take(state, values, state.ROOT, 1, 0)  # coefficient u'r_1 / delta = 0
         assert np.array_equal(state.pool[:, 1], np.array([0.0, 1.0]))
 
     def test_hand_case(self):
         # u = (1, 0), delta = 1, coefficient <(1,0),(1,1)> = 1; residual (0, 1)
         values = np.array([[1.0, 1.0], [0.0, 1.0]], order="F")
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         factor = _take(state, values, state.ROOT, 1, 0)
         assert np.array_equal(state.pool[:, 1], np.array([0.0, 1.0]))
         assert _cols(state, factor) == [0]
@@ -232,7 +253,7 @@ class TestPartialUpdate:
         rng = np.random.default_rng(6)
         z = rng.standard_normal((50, 2))
         values = np.asfortranarray(np.column_stack([z, z @ [0.5, -2.0]]))
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         factor = partial_update(state, [state.ROOT], 0, values.T.__getitem__, -1)[0][0]
         factor = partial_update(state, [factor], 1, values.T.__getitem__, -1)[0][0]
         count = len(state.parent)
@@ -251,7 +272,7 @@ class TestPartialUpdate:
         rng = np.random.default_rng(7)
         mixed = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 3))
         values = np.asfortranarray(standardize(DataMatrix(mixed)).values)
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         base = _take(state, values, state.ROOT, 1, 0)
         _take(state, values, state.ROOT, 2, 0)
         (shared,), u, _ = partial_update(state, [base], 1, values.T.__getitem__, base)
@@ -275,7 +296,7 @@ class TestPartialUpdate:
         rng = np.random.default_rng(8)
         mix = np.eye(6) + 0.7 * rng.standard_normal((6, 6))
         values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(60, 6)) @ mix)).values)
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         factor = state.ROOT
         for a in (3, 0, 4, 1, 2):
             factor = _take(state, values, factor, 5, a)
@@ -289,7 +310,7 @@ class TestPartialUpdate:
     def test_norm_never_increases(self):
         rng = np.random.default_rng(3)
         values = np.asfortranarray(rng.standard_normal((100, 6)))
-        state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+        state = _state(values)
         factor = state.ROOT
         for a in range(5):
             before = np.linalg.norm(state.pool[:, 5])
@@ -323,7 +344,7 @@ class TestPartialUpdate:
         values = np.asfortranarray(standardize(DataMatrix(rng.laplace(size=(90, 7)) @ mix)).values)
 
         def build():
-            state = ResidualState(values.copy(order="F"), list(range(values.shape[1])))
+            state = _state(values)
             one = _take(state, values, state.ROOT, 6, 0)
             three = state.ROOT
             for a in (1, 2, 3):
@@ -364,7 +385,7 @@ class TestJointVsSequential:
         values = standardize(DataMatrix(rng.laplace(size=(40, 4)) @ mix)).values
         joint, _ = conftest.ols_residual(values[:, 3], values[:, :3])
         for order in permutations(range(3)):
-            state = ResidualState(np.array(values, order="F"), list(range(4)))
+            state = _state(values)
             factor = state.ROOT
             for a in order:
                 factor = _take(state, values, factor, 3, a)
@@ -373,7 +394,7 @@ class TestJointVsSequential:
     def test_mean_zero_preserved(self):
         rng = np.random.default_rng(5)
         x = standardize(DataMatrix(rng.standard_normal((64, 5))))
-        state = ResidualState(np.array(x.values, order="F"), list(range(5)))
+        state = _state(x.values)
         factor = state.ROOT
         for a in range(4):
             factor = _take(state, x.values, factor, 4, a)

@@ -637,7 +637,7 @@ class TestResidualSlots:
     def test_compact_moves_the_residuals_held_to_the_leading_slots(self, ops):
         # each op acquires a slot for a node that holds none, or releases
         # the slot it holds; every residual is its node's number
-        state = lingamsort.sorter.ResidualState(np.empty((3, 12), order="F"), [-1] * 12)
+        state = lingamsort.sorter.ResidualState(np.empty((3, 12), order="F"))
         for k in ops:
             if state.slot[k] < 0:
                 state.rows[state.acquire(k)] = k
